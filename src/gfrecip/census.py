@@ -79,8 +79,7 @@ def h_poly(field: Field, a: FieldElement, n: int, budget: int = DEGREE_BUDGET) -
     if deg > budget:
         raise ResourceError(
             f"degree {deg} exceeds the budget {budget}; raise the budget to proceed")
-    coeffs = [-a] + [field.zero] * (deg - 1) + [field.one]
-    return Poly._raw(field, tuple(coeffs))
+    return Poly._raw(field, (field._neg(a.code),) + (0,) * (deg - 1) + (1,))
 
 
 def m_poly(field: Field, a: FieldElement, n: int, budget: int = DEGREE_BUDGET) -> Poly:
@@ -103,21 +102,13 @@ def si_formula(field: Field, a_is_square: bool, n: int) -> int:
     """Closed-form count of nontrivial a-srim polynomials of degree 2n.
 
     n = 1: (q - 1)/2 when a is a square, else (q + 1)/2.  n > 1 depends
-    only on q: (q^n - 1)/(2n) when n is a power of two, otherwise the
-    Moebius sum over odd divisors of n of mu(d) q^(n/d), divided by 2n.
-    The result is checked to be a nonnegative integer."""
+    only on q and is the classical count, carlitz_count(q, n)."""
     q = field.q
     if n < 1:
         raise DomainError("n must be >= 1")
     if n == 1:
         return (q - 1) // 2 if a_is_square else (q + 1) // 2
-    if n & (n - 1) == 0:
-        total = q ** n - 1
-    else:
-        total = sum(mobius(d) * q ** (n // d) for d in _divisors(n) if d % 2 == 1)
-    if total % (2 * n) != 0 or total < 0:
-        raise VerificationError(f"count formula gave a non-integral value {total}/{2 * n}")
-    return total // (2 * n)
+    return carlitz_count(q, n)
 
 
 def carlitz_count(q: int, n: int) -> int:
@@ -152,27 +143,21 @@ def enumerate_srm(field: Field, a: FieldElement, n: int, kind: str) -> Iterator[
     if kind not in ("trivial", "nontrivial"):
         raise DomainError(f"kind must be 'trivial' or 'nontrivial', got {kind!r}")
     trivial = kind == "trivial"
-    one = field.one
-    a_powers = [one]
+    reduce, neg = field._reduce, field._neg
+    a_powers = [1]
     for _ in range(n):
-        a_powers.append(a_powers[-1] * a)
+        a_powers.append(reduce(a_powers[-1] * a.code))
     free = n - 1 if trivial else n
-    pool = list(field.elements())
-    for upper in itertools.product(pool, repeat=free):
-        # coefficient vector b_0..b_2n, top first: b_2n = 1, then upper half
-        b = [field.zero] * (2 * n + 1)
-        b[2 * n] = one
-        if trivial:
-            b[n] = field.zero
-            for offset, c in enumerate(upper):
-                b[n + 1 + offset] = c
-        else:
-            for offset, c in enumerate(upper):
-                b[n + offset] = c
+    top = n + 1 if trivial else n
+    for upper in itertools.product(list(field._codes()), repeat=free):
+        # codes b_0..b_2n: b_2n = 1, the free upper half, then the mirror
+        b = [0] * (2 * n + 1)
+        b[2 * n] = 1
+        b[top:top + free] = upper
         for i in range(n):
-            mirrored = b[2 * n - i] * a_powers[n - i]
-            b[i] = -mirrored if trivial else mirrored
-        yield Poly._raw(field, tuple(b))
+            mirrored = reduce(b[2 * n - i] * a_powers[n - i])
+            b[i] = neg(mirrored) if trivial else mirrored
+        yield Poly._raw(field, b)
 
 
 def enumerate_odd_srm(field: Field, a: FieldElement, n: int) -> Iterator[Poly]:
@@ -187,23 +172,23 @@ def enumerate_odd_srm(field: Field, a: FieldElement, n: int) -> Iterator[Poly]:
     root = a.sqrt()
     if root is None:
         return
-    one = field.one
-    a_inv_powers = [one]
-    inv_a = a.inverse()
-    for _ in range(n):
-        a_inv_powers.append(a_inv_powers[-1] * inv_a)
-    pool = list(field.elements())
+    reduce = field._reduce
+    inv_a = field._inv(a.code)
+    pool = list(field._codes())
     half = (n - 1) // 2
     for b0 in (root ** n, -(root ** n)):
+        scale = [b0.code]  # b_0 / a^i
+        for _ in range(half):
+            scale.append(reduce(scale[-1] * inv_a))
         for upper in itertools.product(pool, repeat=half):
-            b = [field.zero] * (n + 1)
-            b[n] = one
-            b[0] = b0
+            b = [0] * (n + 1)
+            b[n] = 1
+            b[0] = b0.code
             for offset, c in enumerate(upper):
                 b[n - 1 - offset] = c
             for i in range(1, half + 1):
-                b[i] = b[n - i] * b0 * a_inv_powers[i]
-            yield Poly._raw(field, tuple(b))
+                b[i] = reduce(b[n - i] * scale[i])
+            yield Poly._raw(field, b)
 
 
 def si_enumerated(field: Field, a: FieldElement, n: int) -> int:

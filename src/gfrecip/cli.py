@@ -31,7 +31,10 @@ def _field_from_args(args) -> Field:
     fld = parse_field_spec(args.field)
     modulus = getattr(args, "modulus", None)
     if modulus is not None:
-        coeffs = [int(tok) for tok in modulus.split(",")]
+        try:
+            coeffs = [int(tok) for tok in modulus.split(",")]
+        except ValueError:
+            raise DomainError(f"malformed modulus {modulus!r}") from None
         fld = Field(fld.p, fld.e, coeffs)
     return fld
 
@@ -190,7 +193,7 @@ def _cmd_verify(args) -> int:
                               seed=args.seed, budget=args.budget)
     _emit(args, {
         "check": report.check,
-        "description": verify.CHECK_DESCRIPTIONS[report.check],
+        "description": verify.CHECKS[report.check].description,
         "ok": report.ok,
         "checked": report.checked,
         "failures": report.failures,
@@ -271,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--theorem", required=True, choices=sorted(verify.CHECKS),
                      metavar="CHECK", dest="theorem",
                      help="check id: " + "; ".join(
-                         f"{k}: {v}" for k, v in verify.CHECK_DESCRIPTIONS.items()))
+                         f"{k}: {v.description}" for k, v in verify.CHECKS.items()))
     sub.add_argument("--n", type=int, default=None,
                      help="sweep size parameter (see README; default 2)")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)

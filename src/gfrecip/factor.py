@@ -200,7 +200,16 @@ def factorize(f: Poly, seed: int = DEFAULT_SEED) -> Factorization:
 
 
 def factor_count(f: Poly, with_multiplicity: bool = True, seed: int = DEFAULT_SEED) -> int:
-    """Number of irreducible factors of a nonconstant polynomial."""
+    """Number of irreducible factors of a nonconstant polynomial.
+
+    Counting needs no equal-degree splitting: a distinct-degree block of
+    degree-d irreducibles holds deg(block) / d of them.  The count is
+    therefore the same for every seed, which is kept for symmetry with
+    ``factorize``."""
     if f.degree < 1:
         raise DomainError("factor counts are defined for nonconstant polynomials")
-    return factorize(f, seed).count(with_multiplicity)
+    total = 0
+    for mult, part in _squarefree_parts(f.monic()).items():
+        distinct = sum(block.degree // d for d, block in _distinct_degree(part))
+        total += distinct * mult if with_multiplicity else distinct
+    return total

@@ -1,17 +1,20 @@
 """Finite fields F_q = F_{p^e} of odd characteristic.
 
-A ``Field`` is immutable once constructed.  Elements live in reduced
-coordinate form: a tuple of ``e`` residues in ``[0, p)``, ascending by
-powers of the generator ``t``, so equality is plain tuple equality.
-For ``e == 1`` the modulus is simply ``x`` and elements are residues
-mod ``p``.  For ``e > 1`` the modulus defaults to the lexicographically
-smallest monic irreducible of degree ``e`` over F_p (coefficients
-compared low-degree-first), which makes every construction reproducible.
+A ``Field`` is immutable once constructed.  An element's reduced
+coordinates are a tuple of ``e`` residues in ``[0, p)``, ascending by
+powers of the generator ``t``.  For ``e == 1`` the modulus is simply
+``x`` and elements are residues mod ``p``.  For ``e > 1`` the modulus
+defaults to the lexicographically smallest monic irreducible of degree
+``e`` over F_p (coefficients compared low-degree-first), which makes
+every construction reproducible.
 
-Small fields (``q <= INTERN_LIMIT``) intern all their elements and
-precompute addition/multiplication tables; arithmetic then costs two
-list lookups and allocates nothing, which the enumeration sweeps and the
-factorization oracle rely on.
+Internally every element is one int, its code: the residue itself over
+F_p, and sum c_i 2^(w i) over F_{p^e}, each coordinate c_i in its own
+w-bit slot (Kronecker substitution applied to F_p[t]/(m)).  Adding or
+multiplying codes as plain ints adds or convolves the coordinates
+slot by slot, so polynomial kernels can accumulate sums of products
+with int arithmetic and call ``Field._reduce`` once per result; the
+``Field._*`` methods are the only int kernels in the package.
 
 The canonical total order on elements — used for square-root tie
 breaking, factor sorting and enumeration streams — is lexicographic on
@@ -27,9 +30,6 @@ from .errors import DomainError, FieldMismatchError, ResourceError, Verification
 
 # sqrt() scans all q elements; plenty at desk scale, guarded beyond it.
 SQRT_SEARCH_LIMIT = 10_000
-
-# Fields up to this size intern every element and build op tables.
-INTERN_LIMIT = 256
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -59,27 +59,30 @@ def is_prime(n: int) -> bool:
 
 
 class FieldElement:
-    """An element of F_{p^e} in reduced coordinate form.
+    """An element of F_{p^e}, held as its field's int code.
 
     Instances are produced by ``Field.element`` and by arithmetic; the
     constructor trusts its arguments.  Supports ``+ - * / **`` and ``-x``,
     with ints coerced through the prime subfield.  ``bool(x)`` is True for
-    nonzero x.
+    nonzero x.  ``coords`` gives the reduced coordinate tuple.
     """
 
-    __slots__ = ("field", "coords", "index")
+    __slots__ = ("field", "code")
 
-    def __init__(self, field: "Field", coords: tuple[int, ...], index: int | None = None):
+    def __init__(self, field: "Field", code: int):
         self.field = field
-        self.coords = coords
-        self.index = index
+        self.code = code
+
+    @property
+    def coords(self) -> tuple[int, ...]:
+        return self.field._unpack(self.code)
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
             if other.field is self.field:
                 return other
             if other.field == self.field:
-                return self.field.element(other.coords)
+                return FieldElement(self.field, other.code)
             raise FieldMismatchError(
                 f"elements of {self.field} and {other.field} cannot be combined")
         if isinstance(other, int):
@@ -91,9 +94,7 @@ class FieldElement:
         if other is None:
             return NotImplemented
         f = self.field
-        if f._add_table is not None:
-            return f._add_table[self.index][other.index]
-        return FieldElement(f, f._add_coords(self.coords, other.coords))
+        return FieldElement(f, f._reduce(self.code + other.code))
 
     __radd__ = __add__
 
@@ -111,18 +112,14 @@ class FieldElement:
 
     def __neg__(self):
         f = self.field
-        if f._neg_table is not None:
-            return f._neg_table[self.index]
-        return FieldElement(f, tuple(-c % f.p for c in self.coords))
+        return FieldElement(f, f._neg(self.code))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         f = self.field
-        if f._mul_table is not None:
-            return f._mul_table[self.index][other.index]
-        return FieldElement(f, f._mul_coords(self.coords, other.coords))
+        return FieldElement(f, f._reduce(self.code * other.code))
 
     __rmul__ = __mul__
 
@@ -142,26 +139,15 @@ class FieldElement:
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
         f = self.field
-        if f._inv_table is not None:
-            return f._inv_table[self.index]
-        return self ** (f.q - 2)
+        return FieldElement(f, f._inv(self.code))
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        f = self.field
         if k < 0:
             return self.inverse() ** (-k)
-        if f.e == 1:
-            return f._elem1(pow(self.coords[0], k, f.p))
-        acc = f.one
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        f = self.field
+        return FieldElement(f, f._pow(self.code, k))
 
     def is_square(self) -> bool:
         """Whether the element has a square root in its own field.
@@ -171,7 +157,8 @@ class FieldElement:
         """
         if not self:
             raise DomainError("quadratic character of zero is undefined")
-        return self ** ((self.field.q - 1) // 2) == self.field.one
+        f = self.field
+        return f._pow(self.code, (f.q - 1) // 2) == 1
 
     def sqrt(self) -> "FieldElement | None":
         """Canonical square root, or None for a nonzero non-square.
@@ -186,9 +173,10 @@ class FieldElement:
         if f.q > SQRT_SEARCH_LIMIT:
             raise ResourceError(
                 f"square-root search over {f} exceeds the scan limit {SQRT_SEARCH_LIMIT}")
-        for r in f.elements():
-            if r * r == self:
-                return r
+        reduce, target = f._reduce, self.code
+        for r in f._codes():
+            if reduce(r * r) == target:
+                return FieldElement(f, r)
         return None
 
     def frobenius(self, k: int) -> "FieldElement":
@@ -204,16 +192,16 @@ class FieldElement:
     def __eq__(self, other):
         if isinstance(other, FieldElement):
             return (other.field is self.field or other.field == self.field) \
-                and self.coords == other.coords
+                and self.code == other.code
         if isinstance(other, int):
-            return self.coords == self.field.element(other).coords
+            return self.code == other % self.field.p
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.coords))
+        return hash((self.field, self.code))
 
     def __bool__(self):
-        return any(self.coords)
+        return self.code != 0
 
     def __str__(self):
         return self.field.format_element(self)
@@ -225,8 +213,8 @@ class FieldElement:
 class Field:
     """The finite field with p**e elements, p an odd prime."""
 
-    __slots__ = ("p", "e", "q", "modulus", "_reduction_rows", "_elements",
-                 "_add_table", "_mul_table", "_neg_table", "_inv_table")
+    __slots__ = ("p", "e", "q", "modulus", "zero", "one",
+                 "_slot_bits", "_slot_mask", "_reduction_codes")
 
     def __init__(self, p: int, e: int = 1, modulus: Sequence[int] | None = None):
         if not isinstance(p, int) or not is_prime(p):
@@ -238,21 +226,26 @@ class Field:
         self.p = p
         self.e = e
         self.q = p ** e
+        # A slot has room for the sum of 2^32 products of two codes, each
+        # adding at most e (p-1)^2 to it.  No accumulator comes near that
+        # many terms (a polynomial that long does not fit in memory), so
+        # slots never carry into each other.
+        self._slot_bits = (2 ** 32 * e * (p - 1) ** 2).bit_length()
+        self._slot_mask = (1 << self._slot_bits) - 1
+        self.zero = FieldElement(self, 0)
+        self.one = FieldElement(self, 1)
         if e == 1:
             if modulus is not None and tuple(c % p for c in modulus) != (0, 1):
                 raise DomainError("prime fields use the fixed modulus x")
             self.modulus = (0, 1)
-            self._reduction_rows = None
+        elif modulus is None:
+            self.modulus = self._smallest_irreducible()
         else:
-            if modulus is None:
-                self.modulus = self._smallest_irreducible()
-            else:
-                self.modulus = self._checked_modulus(modulus)
-            self._reduction_rows = self._build_reduction_rows()
-        self._elements = None
-        self._add_table = self._mul_table = self._neg_table = self._inv_table = None
-        if self.q <= INTERN_LIMIT:
-            self._build_tables()
+            self.modulus = self._checked_modulus(modulus)
+        # codes of t^e, ..., t^(2e-2) mod modulus, each t times the one before
+        self._reduction_codes = (self._pack([-c % p for c in self.modulus[:e]]),)
+        for _ in range(e - 2):
+            self._reduction_codes += (self._reduce(self._reduction_codes[-1] << self._slot_bits),)
 
     # -- construction helpers ------------------------------------------------
 
@@ -282,83 +275,72 @@ class Field:
             raise DomainError("modulus is not irreducible over the prime field")
         return coeffs
 
-    def _build_reduction_rows(self):
-        # rows[k - e] holds the coordinates of x^k mod modulus, e <= k <= 2e-2
-        p, e = self.p, self.e
-        rows = []
-        row = tuple(-c % p for c in self.modulus[:e])
-        for _ in range(e - 1):
-            rows.append(row)
-            top = row[-1]
-            shifted = (0,) + row[:-1]
-            row = tuple((shifted[i] + top * rows[0][i]) % p for i in range(e))
-        return rows
+    # -- int kernels on codes ---------------------------------------------------
 
-    def _build_tables(self):
-        elems = [FieldElement(self, coords, i)
-                 for i, coords in enumerate(itertools.product(range(self.p), repeat=self.e))]
-        self._elements = tuple(elems)
-        self._neg_table = tuple(elems[self._rank(tuple(-c % self.p for c in x.coords))]
-                                for x in elems)
-        self._add_table = tuple(
-            tuple(elems[self._rank(self._add_coords(x.coords, y.coords))] for y in elems)
-            for x in elems)
-        self._mul_table = tuple(
-            tuple(elems[self._rank(self._mul_coords(x.coords, y.coords))] for y in elems)
-            for x in elems)
-        inv = [None] * self.q
-        for x in elems[1:]:
-            if inv[x.index] is None:
-                y = self._pow_coords(x.coords, self.q - 2)
-                inv[x.index] = elems[self._rank(y)]
-        self._inv_table = tuple(inv)
+    def _pack(self, coords: Sequence[int]) -> int:
+        # reduced coordinates -> code
+        code = 0
+        for c in reversed(coords):
+            code = (code << self._slot_bits) | c
+        return code
 
-    def _rank(self, coords: tuple[int, ...]) -> int:
-        # position in the lexicographic element order (c0 most significant)
-        r = 0
-        for c in coords:
-            r = r * self.p + c
-        return r
+    def _unpack(self, code: int) -> tuple[int, ...]:
+        w, mask = self._slot_bits, self._slot_mask
+        out = []
+        for _ in range(self.e):
+            out.append(code & mask)
+            code >>= w
+        return tuple(out)
 
-    def _lookup(self, coords):
-        if self._elements is None:
-            return None
-        return self._elements[self._rank(coords)]
-
-    # -- coordinate arithmetic (no table) ------------------------------------
-
-    def _add_coords(self, a, b):
+    def _reduce(self, v: int) -> int:
+        """The code of a packed accumulator: nonnegative slots, t-degree
+        at most 2e-2, e.g. a sum of products of codes."""
         p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        if self.e == 1:
+            return v % p
+        w, mask = self._slot_bits, self._slot_mask
+        low_bits = w * self.e
+        high = v >> low_bits
+        if high:
+            # fold slot e + k back in as its residue times t^(e+k) mod m
+            v &= (1 << low_bits) - 1
+            for row in self._reduction_codes:
+                v += (high & mask) % p * row
+                high >>= w
+        code = shift = 0
+        while v:
+            code |= (v & mask) % p << shift
+            v >>= w
+            shift += w
+        return code
 
-    def _mul_coords(self, a, b):
-        p, e = self.p, self.e
-        if e == 1:
-            return (a[0] * b[0] % p,)
-        conv = [0] * (2 * e - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        out = conv[:e]
-        rows = self._reduction_rows
-        for k in range(e, 2 * e - 1):
-            ck = conv[k]
-            if ck:
-                row = rows[k - e]
-                for i in range(e):
-                    out[i] += ck * row[i]
-        return tuple(v % p for v in out)
+    def _neg(self, code: int) -> int:
+        # -x = (p - 1) x, and scaling a code scales every slot
+        return self._reduce(code * (self.p - 1))
 
-    def _pow_coords(self, a, k):
-        acc = self.one.coords
-        base = a
+    def _pow(self, code: int, k: int) -> int:
+        if self.e == 1:
+            return pow(code, k, self.p)
+        acc = 1
         while k:
             if k & 1:
-                acc = self._mul_coords(acc, base)
-            base = self._mul_coords(base, base)
+                acc = self._reduce(acc * code)
+            code = self._reduce(code * code)
             k >>= 1
         return acc
+
+    def _inv(self, code: int) -> int:
+        # code is nonzero; monic divisors make 1 the common case
+        if code == 1:
+            return 1
+        if self.e == 1:
+            return pow(code, -1, self.p)
+        return self._pow(code, self.q - 2)
+
+    def _codes(self) -> Iterator[int]:
+        """All q codes in the canonical (coordinate-lexicographic) order."""
+        return (self._pack(coords)
+                for coords in itertools.product(range(self.p), repeat=self.e))
 
     # -- public surface -------------------------------------------------------
 
@@ -368,42 +350,21 @@ class Field:
             if value.field is self:
                 return value
             if value.field == self:
-                return self.element(value.coords)
+                return FieldElement(self, value.code)
             raise FieldMismatchError(f"element of {value.field} is not in {self}")
         if isinstance(value, int):
-            coords = (value % self.p,) + (0,) * (self.e - 1)
-        elif isinstance(value, str):
+            return FieldElement(self, value % self.p)
+        if isinstance(value, str):
             return self.parse(value)
-        else:
-            coords = tuple(int(c) % self.p for c in value)
-            if len(coords) != self.e:
-                raise DomainError(
-                    f"expected {self.e} coordinates for {self}, got {len(coords)}")
-        cached = self._lookup(coords)
-        if cached is not None:
-            return cached
-        return FieldElement(self, coords)
-
-    def _elem1(self, residue: int) -> FieldElement:
-        # fast path for prime fields: residue already reduced
-        if self._elements is not None:
-            return self._elements[residue]
-        return FieldElement(self, (residue,))
-
-    @property
-    def zero(self) -> FieldElement:
-        return self._elem1(0) if self.e == 1 else self.element(0)
-
-    @property
-    def one(self) -> FieldElement:
-        return self._elem1(1) if self.e == 1 else self.element(1)
+        coords = [int(c) % self.p for c in value]
+        if len(coords) != self.e:
+            raise DomainError(
+                f"expected {self.e} coordinates for {self}, got {len(coords)}")
+        return FieldElement(self, self._pack(coords))
 
     def elements(self) -> Iterator[FieldElement]:
         """All q elements in the canonical (coordinate-lexicographic) order."""
-        if self._elements is not None:
-            return iter(self._elements)
-        return (FieldElement(self, coords)
-                for coords in itertools.product(range(self.p), repeat=self.e))
+        return (FieldElement(self, code) for code in self._codes())
 
     def units(self) -> Iterator[FieldElement]:
         """All nonzero elements, canonical order."""
@@ -413,7 +374,7 @@ class Field:
 
     def format_element(self, x: FieldElement) -> str:
         if self.e == 1:
-            return str(x.coords[0])
+            return str(x.code)
         terms = []
         for k, c in enumerate(x.coords):
             if c == 0:

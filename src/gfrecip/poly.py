@@ -12,8 +12,11 @@ Text formats: ``to_string`` emits comma-separated ascending coefficients
 ("4,1,2,4,3,1,1"), the round-trippable form used by the command line;
 ``pretty`` emits the usual descending human form ("x^6+x^5+3x^4+...").
 
-Prime-field instances route their O(n^2) inner loops through plain int
-lists, which keeps the large divisibility sweeps affordable.
+Coefficients are held as their field's int codes (see field.py), so one
+multiplication, division and evaluation kernel serves every F_q: each
+accumulates sums of products as plain ints and reduces a coefficient
+only when it is read or returned.  ``coeffs``, indexing and ``lc()``
+hand out ``FieldElement``s.
 """
 
 from __future__ import annotations
@@ -23,44 +26,39 @@ from .field import Field, FieldElement
 
 
 class Poly:
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "_codes")
 
     def __init__(self, field: Field, coeffs=()):
-        elems = []
-        for c in coeffs:
-            elems.append(c if isinstance(c, FieldElement) and c.field is field
-                         else field.element(c))
-        while elems and not elems[-1]:
-            elems.pop()
+        codes = [c.code if isinstance(c, FieldElement) and c.field is field
+                 else field.element(c).code for c in coeffs]
+        while codes and not codes[-1]:
+            codes.pop()
         self.field = field
-        self.coeffs = tuple(elems)
+        self._codes = tuple(codes)
 
     @classmethod
-    def _raw(cls, field, coeffs: tuple):
-        # internal: coefficients already reduced elements with nonzero top
+    def _raw(cls, field, codes):
+        # internal: a list or tuple of canonical codes, trailing zeros
+        # allowed.  Callers pass lists rather than generators: a tuple
+        # built from a generator is resized as it grows, which drains the
+        # interpreter's tuple free lists of one size into the others.
+        n = len(codes)
+        while n and not codes[n - 1]:
+            n -= 1
         p = object.__new__(cls)
         p.field = field
-        p.coeffs = coeffs
+        p._codes = tuple(codes[:n])
         return p
-
-    @classmethod
-    def _from_ints(cls, field, ints):
-        # internal: reduced residues over a prime field, may need stripping
-        n = len(ints)
-        while n and ints[n - 1] == 0:
-            n -= 1
-        e1 = field._elem1
-        return cls._raw(field, tuple(e1(v) for v in ints[:n]))
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def x(cls, field: Field) -> "Poly":
-        return cls._raw(field, (field.zero, field.one))
+        return cls._raw(field, (0, 1))
 
     @classmethod
     def one(cls, field: Field) -> "Poly":
-        return cls._raw(field, (field.one,))
+        return cls._raw(field, (1,))
 
     @classmethod
     def constant(cls, field: Field, value) -> "Poly":
@@ -77,34 +75,41 @@ class Poly:
     # -- basic queries ----------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        """The coefficients, ascending; empty for the zero polynomial."""
+        f = self.field
+        return tuple([FieldElement(f, c) for c in self._codes])
+
+    @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self._codes) - 1
 
     def lc(self) -> FieldElement:
-        if not self.coeffs:
+        if not self._codes:
             raise DomainError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return FieldElement(self.field, self._codes[-1])
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
+        return bool(self._codes) and self._codes[-1] == 1
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._codes)
 
     def __getitem__(self, i: int) -> FieldElement:
         if i < 0:
             raise IndexError("negative coefficient index")
-        return self.coeffs[i] if i < len(self.coeffs) else self.field.zero
+        codes = self._codes
+        return FieldElement(self.field, codes[i] if i < len(codes) else 0)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return self.field == other.field and self._codes == other._codes
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self._codes))
 
     # -- ring operations --------------------------------------------------------
 
@@ -121,20 +126,20 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self._codes, other._codes
         if len(a) < len(b):
             a, b = b, a
+        reduce = self.field._reduce
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = out[i] + c
-        while out and not out[-1]:
-            out.pop()
-        return Poly._raw(self.field, tuple(out))
+            out[i] = reduce(out[i] + c)
+        return Poly._raw(self.field, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._raw(self.field, tuple(-c for c in self.coeffs))
+        neg = self.field._neg
+        return Poly._raw(self.field, [neg(c) for c in self._codes])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -149,35 +154,24 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other):
+        f = self.field
         if isinstance(other, (int, FieldElement)):
-            s = self.field.element(other) if isinstance(other, int) else self._scalar(other)
-            if not s:
-                return Poly._raw(self.field, ())
-            return Poly._raw(self.field, tuple(c * s for c in self.coeffs))
+            s = f.element(other) if isinstance(other, int) else self._scalar(other)
+            reduce = f._reduce
+            return Poly._raw(f, [reduce(c * s.code) for c in self._codes])
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        f = self.field
-        a, b = self.coeffs, other.coeffs
+        a, b = self._codes, other._codes
         if not a or not b:
             return Poly._raw(f, ())
-        if f.e == 1:
-            p = f.p
-            ai = [c.coords[0] for c in a]
-            bi = [c.coords[0] for c in b]
-            out = [0] * (len(a) + len(b) - 1)
-            for i, av in enumerate(ai):
-                if av:
-                    for j, bv in enumerate(bi):
-                        out[i + j] += av * bv
-            return Poly._from_ints(f, [v % p for v in out])
-        zero = f.zero
-        out = [zero] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, av in enumerate(a):
             if av:
                 for j, bv in enumerate(b):
-                    out[i + j] = out[i + j] + av * bv
-        return Poly._raw(f, tuple(out))
+                    out[i + j] += av * bv
+        reduce = f._reduce
+        return Poly._raw(f, [reduce(v) for v in out])
 
     __rmul__ = __mul__
 
@@ -210,35 +204,21 @@ class Poly:
         da, db = self.degree, other.degree
         if da < db:
             return Poly._raw(f, ()), self
-        if f.e == 1:
-            p = f.p
-            rem = [c.coords[0] for c in self.coeffs]
-            div = [c.coords[0] for c in other.coeffs]
-            inv = pow(div[-1], -1, p)
-            quo = [0] * (da - db + 1)
-            for k in range(da - db, -1, -1):
-                c = rem[k + db] * inv % p
-                if c:
-                    quo[k] = c
-                    for j, dv in enumerate(div):
-                        rem[k + j] = (rem[k + j] - c * dv) % p
-            return Poly._from_ints(f, quo), Poly._from_ints(f, rem[:db])
-        inv = other.lc().inverse()
-        rem = list(self.coeffs)
-        quo = [f.zero] * (da - db + 1)
-        dcs = other.coeffs
+        reduce, neg = f._reduce, f._neg
+        inv = f._inv(other._codes[-1])
+        # rem[k + db] cancels exactly at step k and is never read again
+        ndiv = [neg(c) for c in other._codes[:-1]]
+        rem = list(self._codes)
+        quo = [0] * (da - db + 1)
         for k in range(da - db, -1, -1):
-            c = rem[k + db] * inv
+            c = reduce(rem[k + db])
             if c:
+                if inv != 1:
+                    c = reduce(c * inv)
                 quo[k] = c
-                for j, dv in enumerate(dcs):
-                    rem[k + j] = rem[k + j] - c * dv
-        r = rem[:db]
-        while r and not r[-1]:
-            r.pop()
-        while quo and not quo[-1]:
-            quo.pop()
-        return Poly._raw(f, tuple(quo)), Poly._raw(f, tuple(r))
+                for j, dv in enumerate(ndiv):
+                    rem[k + j] += c * dv
+        return Poly._raw(f, quo), Poly._raw(f, [reduce(v) for v in rem[:db]])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -252,48 +232,44 @@ class Poly:
         x = f.element(point) if isinstance(point, int) else point
         if x.field is not f and x.field != f:
             raise FieldMismatchError("evaluation point from a different field")
-        if f.e == 1:
-            p = f.p
-            v = x.coords[0]
-            acc = 0
-            for c in reversed(self.coeffs):
-                acc = (acc * v + c.coords[0]) % p
-            return f._elem1(acc)
-        acc = f.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        reduce, v = f._reduce, x.code
+        acc = 0
+        for c in reversed(self._codes):
+            acc = reduce(acc * v + c)
+        return FieldElement(f, acc)
 
     # -- calculus & normal forms -------------------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly(self.field,
-                    [c * i for i, c in enumerate(self.coeffs) if i > 0])
+        f = self.field
+        reduce, p = f._reduce, f.p
+        return Poly._raw(f, [reduce(c * (i % p)) for i, c in enumerate(self._codes) if i])
 
     def monic(self) -> "Poly":
         if not self:
             raise DomainError("the zero polynomial cannot be made monic")
         if self.is_monic:
             return self
-        inv = self.lc().inverse()
-        return Poly._raw(self.field, tuple(c * inv for c in self.coeffs))
+        f = self.field
+        reduce, inv = f._reduce, f._inv(self._codes[-1])
+        return Poly._raw(f, [reduce(c * inv) for c in self._codes])
 
     # -- text -----------------------------------------------------------------------
 
     def to_string(self) -> str:
         """Comma-separated ascending coefficients; inverse of from_string."""
-        if not self.coeffs:
+        if not self._codes:
             return "0"
         return ",".join(str(c) for c in self.coeffs)
 
     def pretty(self, var: str = "x") -> str:
         """Human form, descending powers, e.g. "x^6+x^5+3x^4+...+4"."""
-        if not self.coeffs:
+        if not self._codes:
             return "0"
         parts = []
-        one = self.field.one
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        coeffs = self.coeffs
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
             if not c:
                 continue
             cs = str(c)
@@ -303,7 +279,7 @@ class Poly:
                 parts.append(cs)
             else:
                 xs = var if i == 1 else f"{var}^{i}"
-                parts.append(xs if c == one else f"{cs}{xs}")
+                parts.append(xs if c.code == 1 else f"{cs}{xs}")
         return "+".join(parts)
 
     def __str__(self):

@@ -83,25 +83,27 @@ def a_reciprocal(f: Poly, a: FieldElement) -> Poly:
     Sends each root alpha to a/alpha; an involution, and multiplicative
     over products."""
     a = _check_args(f, a, "a_reciprocal")
-    n = f.degree
-    b0_inv = f[0].inverse()
-    powers = [f.field.one]
-    for _ in range(n):
-        powers.append(powers[-1] * a)
-    return Poly._raw(f.field,
-                     tuple(f[n - i] * powers[n - i] * b0_inv for i in range(n + 1)))
+    fld, b = f.field, f._codes
+    reduce = fld._reduce
+    out = []
+    scale = fld._inv(b[0])  # a^i / b_0
+    for c in b:
+        out.append(reduce(c * scale))
+        scale = reduce(scale * a.code)
+    return Poly._raw(fld, out[::-1])
 
 
 def is_a_self_reciprocal(f: Poly, a: FieldElement) -> bool:
     """Coefficient criterion: b_{n-i} b_0 == b_i a^i for all i."""
     a = _check_args(f, a, "is_a_self_reciprocal")
-    n = f.degree
-    b0 = f[0]
-    power = f.field.one
-    for i in range(n + 1):
-        if f[n - i] * b0 != f[i] * power:
+    b = f._codes
+    reduce = f.field._reduce
+    b0 = b[0]
+    power = 1  # a^i
+    for i, c in enumerate(b):
+        if reduce(b[-1 - i] * b0) != reduce(c * power):
             return False
-        power = power * a
+        power = reduce(power * a.code)
     return True
 
 
@@ -226,7 +228,7 @@ def quadratic_transform(f: Poly, a: FieldElement) -> Poly:
             term = power * f[i]
             shift = n - i
             if shift:
-                term = Poly._raw(fld, (fld.zero,) * shift + term.coeffs)
+                term = Poly._raw(fld, (0,) * shift + term._codes)
             out = out + term
         power = power * base
     if classify(out, a).verdict is not SrmVerdict.NONTRIVIAL:
@@ -266,14 +268,16 @@ def eval_at_sqrt_pair(f: Poly, a: FieldElement) -> SqrtPairEval:
     if not a:
         raise DomainError("eval_at_sqrt_pair requires a nonzero parameter")
     fld = f.field
-    even = fld.zero
-    odd = fld.zero
-    power = fld.one
-    for i in range(0, f.degree + 1, 2):
-        even = even + f[i] * power
-        if i + 1 <= f.degree:
-            odd = odd + f[i + 1] * power
-        power = power * a
+    reduce = fld._reduce
+    b = f._codes
+    even = odd = 0
+    power = 1  # a^i
+    for i in range(0, len(b), 2):
+        even += b[i] * power
+        if i + 1 < len(b):
+            odd += b[i + 1] * power
+        power = reduce(power * a.code)
+    even, odd = FieldElement(fld, reduce(even)), FieldElement(fld, reduce(odd))
     return SqrtPairEval(even * even - a * odd * odd, even, odd)
 
 

@@ -3,7 +3,7 @@
 Each check sweeps an exhaustive family of inputs for a given (field, a)
 pair and reports how many cases it examined and which ones failed.  The
 check identifiers are short tokens ("1".."10", "cor2", "eq2"); their
-meaning is spelled out in CHECK_DESCRIPTIONS.  The same functions back
+meaning is spelled out in the CHECKS registry.  The same functions back
 the acceptance test suite, with the factorization oracle always on the
 other side of the comparison from the formula or criterion under test.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dataclass_field
+from typing import Callable, NamedTuple
 
 from . import census, recip
 from .errors import DomainError
@@ -35,14 +36,15 @@ class CheckReport:
 
 
 def _monic_polys(fld: Field, degree: int, nonzero_constant: bool = False):
-    pool = list(fld.elements())
+    pool = list(fld._codes())
     for lower in itertools.product(pool, repeat=degree):
         if nonzero_constant and degree > 0 and not lower[0]:
             continue
-        yield Poly(fld, lower + (fld.one,))
+        yield Poly._raw(fld, lower + (1,))
 
 
-def check_reciprocal_product(fld: Field, a: FieldElement, n: int = 2) -> CheckReport:
+def check_reciprocal_product(fld: Field, a: FieldElement, n: int, *,
+                             seed: int, budget: int) -> CheckReport:
     """Multiplicativity: the a-reciprocal of f*g is the product of the
     a-reciprocals, exhaustively over monic f, g of degree <= n with
     nonzero constant terms."""
@@ -58,7 +60,8 @@ def check_reciprocal_product(fld: Field, a: FieldElement, n: int = 2) -> CheckRe
     return report
 
 
-def check_odd_srm_roots(fld: Field, a: FieldElement, n: int = 3) -> CheckReport:
+def check_odd_srm_roots(fld: Field, a: FieldElement, n: int, *,
+                        seed: int, budget: int) -> CheckReport:
     """Forced roots of odd-degree a-srm polynomials: the plus branch
     (b_0 = sqrt(a)^deg) vanishes at -sqrt(a), the minus branch at
     +sqrt(a).  Vacuous when a is not a square."""
@@ -87,7 +90,8 @@ def check_odd_srm_roots(fld: Field, a: FieldElement, n: int = 3) -> CheckReport:
     return report
 
 
-def check_quadratic_strip(fld: Field, a: FieldElement, n: int = 2) -> CheckReport:
+def check_quadratic_strip(fld: Field, a: FieldElement, n: int, *,
+                          seed: int, budget: int) -> CheckReport:
     """Exact stripping of x^2 - a from every a-srm of degree 2n: the
     exponent parity matches trivial/nontrivial and the residual is a
     nontrivial a-srm not divisible by x^2 - a."""
@@ -106,7 +110,8 @@ def check_quadratic_strip(fld: Field, a: FieldElement, n: int = 2) -> CheckRepor
     return report
 
 
-def check_linear_strip(fld: Field, a: FieldElement, n: int = 2) -> CheckReport:
+def check_linear_strip(fld: Field, a: FieldElement, n: int, *,
+                       seed: int, budget: int) -> CheckReport:
     """For square a: every nontrivial a-srm of degree 2n not divisible by
     x^2 - a but vanishing at +-sqrt(a) sheds that root an even number of
     times, leaving a nontrivial a-srm nonzero there."""
@@ -134,8 +139,8 @@ def check_linear_strip(fld: Field, a: FieldElement, n: int = 2) -> CheckReport:
     return report
 
 
-def check_master_divisibility(fld: Field, a: FieldElement, n: int,
-                              budget: int = census.DEGREE_BUDGET) -> CheckReport:
+def check_master_divisibility(fld: Field, a: FieldElement, n: int, *,
+                              seed: int, budget: int) -> CheckReport:
     """x^2 - a divides x^(q^n + 1) - a exactly when delta = -1."""
     report = CheckReport("5", True, 1)
     h = census.h_poly(fld, a, n, budget)
@@ -147,9 +152,8 @@ def check_master_divisibility(fld: Field, a: FieldElement, n: int,
     return report
 
 
-def check_master_factorization(fld: Field, a: FieldElement, n: int,
-                               seed: int = DEFAULT_SEED,
-                               budget: int = census.DEGREE_BUDGET) -> CheckReport:
+def check_master_factorization(fld: Field, a: FieldElement, n: int, *,
+                               seed: int, budget: int) -> CheckReport:
     """Factor the stripped master polynomial with the oracle and match
     every factor against the allowed nontrivial a-srim shapes."""
     report = CheckReport("6", True, 1)
@@ -158,7 +162,8 @@ def check_master_factorization(fld: Field, a: FieldElement, n: int,
     return report
 
 
-def check_count_formula(fld: Field, a: FieldElement, n: int) -> CheckReport:
+def check_count_formula(fld: Field, a: FieldElement, n: int, *,
+                        seed: int, budget: int) -> CheckReport:
     """Closed-form count equals the enumerated count."""
     report = CheckReport("7", True, 1)
     formula = census.si_formula(fld, a.is_square(), n)
@@ -169,7 +174,8 @@ def check_count_formula(fld: Field, a: FieldElement, n: int) -> CheckReport:
     return report
 
 
-def check_parity_squarefree(fld: Field, a: FieldElement, n: int) -> CheckReport:
+def check_parity_squarefree(fld: Field, a: FieldElement, n: int, *,
+                            seed: int, budget: int) -> CheckReport:
     """Squarefree nontrivial a-srm polynomials of degree 2n: the parity
     verdict matches the oracle's distinct factor count, and the
     indicator never vanishes on this family."""
@@ -189,7 +195,8 @@ def check_parity_squarefree(fld: Field, a: FieldElement, n: int) -> CheckReport:
     return report
 
 
-def check_transform_irreducibles(fld: Field, a: FieldElement, n: int) -> CheckReport:
+def check_transform_irreducibles(fld: Field, a: FieldElement, n: int, *,
+                                 seed: int, budget: int) -> CheckReport:
     """For every monic irreducible f of degree n whose quadratic
     transform does not vanish at +-sqrt(a): the transform is either
     irreducible (an a-srim of degree 2n) or the product of two degree-n
@@ -222,7 +229,8 @@ def check_transform_irreducibles(fld: Field, a: FieldElement, n: int) -> CheckRe
     return report
 
 
-def check_parity_multiplicity(fld: Field, a: FieldElement, n: int) -> CheckReport:
+def check_parity_multiplicity(fld: Field, a: FieldElement, n: int, *,
+                              seed: int, budget: int) -> CheckReport:
     """All nontrivial a-srm polynomials of degree 2n with nonvanishing
     indicator: parity verdict matches the factor count with
     multiplicity."""
@@ -239,8 +247,8 @@ def check_parity_multiplicity(fld: Field, a: FieldElement, n: int) -> CheckRepor
     return report
 
 
-def check_count_sum_identity(fld: Field, a: FieldElement, n: int,
-                             budget: int = census.DEGREE_BUDGET) -> CheckReport:
+def check_count_sum_identity(fld: Field, a: FieldElement, n: int, *,
+                             seed: int, budget: int) -> CheckReport:
     """q^n + delta equals the divisor sum of 2d * si(d) over d | n with
     n/d odd, with si from enumeration."""
     report = CheckReport("cor2", True, 1)
@@ -249,8 +257,8 @@ def check_count_sum_identity(fld: Field, a: FieldElement, n: int,
     return report
 
 
-def check_product_formula(fld: Field, a: FieldElement, n: int,
-                          budget: int = census.DEGREE_BUDGET) -> CheckReport:
+def check_product_formula(fld: Field, a: FieldElement, n: int, *,
+                          seed: int, budget: int) -> CheckReport:
     """The enumerated product of a-srim polynomials equals the Moebius
     quotient of master polynomials (exact division)."""
     report = CheckReport("eq2", True, 1)
@@ -259,34 +267,30 @@ def check_product_formula(fld: Field, a: FieldElement, n: int,
     return report
 
 
-CHECKS = {
-    "1": check_reciprocal_product,
-    "2": check_odd_srm_roots,
-    "3": check_quadratic_strip,
-    "4": check_linear_strip,
-    "5": check_master_divisibility,
-    "6": check_master_factorization,
-    "7": check_count_formula,
-    "8": check_parity_squarefree,
-    "9": check_transform_irreducibles,
-    "10": check_parity_multiplicity,
-    "cor2": check_count_sum_identity,
-    "eq2": check_product_formula,
-}
+class Check(NamedTuple):
+    run: Callable[..., CheckReport]  # (fld, a, n, *, seed, budget)
+    description: str
 
-CHECK_DESCRIPTIONS = {
-    "1": "a-reciprocal is multiplicative over products",
-    "2": "odd-degree a-srm polynomials carry the forced root -+sqrt(a)",
-    "3": "exact (x^2-a)^k stripping with parity matching the kind",
-    "4": "even-exponent stripping of x -+ sqrt(a) from nontrivial a-srm",
-    "5": "x^2 - a divides the master polynomial iff delta = -1",
-    "6": "master polynomial factors are exactly the allowed a-srim shapes",
-    "7": "closed-form count equals exhaustive enumeration",
-    "8": "parity criterion vs distinct factor count (squarefree inputs)",
-    "9": "quadratic transform of an irreducible: irreducible or reciprocal pair",
-    "10": "parity criterion vs factor count with multiplicity",
-    "cor2": "divisor-sum counting identity",
-    "eq2": "enumerated a-srim product equals the Moebius master-polynomial quotient",
+
+CHECKS = {
+    "1": Check(check_reciprocal_product, "a-reciprocal is multiplicative over products"),
+    "2": Check(check_odd_srm_roots,
+               "odd-degree a-srm polynomials carry the forced root -+sqrt(a)"),
+    "3": Check(check_quadratic_strip, "exact (x^2-a)^k stripping with parity matching the kind"),
+    "4": Check(check_linear_strip,
+               "even-exponent stripping of x -+ sqrt(a) from nontrivial a-srm"),
+    "5": Check(check_master_divisibility, "x^2 - a divides the master polynomial iff delta = -1"),
+    "6": Check(check_master_factorization,
+               "master polynomial factors are exactly the allowed a-srim shapes"),
+    "7": Check(check_count_formula, "closed-form count equals exhaustive enumeration"),
+    "8": Check(check_parity_squarefree,
+               "parity criterion vs distinct factor count (squarefree inputs)"),
+    "9": Check(check_transform_irreducibles,
+               "quadratic transform of an irreducible: irreducible or reciprocal pair"),
+    "10": Check(check_parity_multiplicity, "parity criterion vs factor count with multiplicity"),
+    "cor2": Check(check_count_sum_identity, "divisor-sum counting identity"),
+    "eq2": Check(check_product_formula,
+                 "enumerated a-srim product equals the Moebius master-polynomial quotient"),
 }
 
 
@@ -300,8 +304,4 @@ def run_check(token: str, fld: Field, a: FieldElement, n: int | None = None,
         raise DomainError("the parameter a must be nonzero")
     if n is None:
         n = 2
-    if token == "6":
-        return check_master_factorization(fld, a, n, seed, budget)
-    if token in ("5", "cor2", "eq2"):
-        return CHECKS[token](fld, a, n, budget)
-    return CHECKS[token](fld, a, n)
+    return CHECKS[token].run(fld, a, n, seed=seed, budget=budget)

@@ -133,6 +133,8 @@ def test_domain_errors_exit_1(capsys):
         ("recip", "--field", "5", "--a", "1", "--poly", "1,,1"),       # bad poly
         ("recip", "--field", "5", "--a", "1", "--poly", "0,1,1"),      # zero constant
         ("classify", "--field", "5", "--a", "x", "--poly", "1,1"),     # bad element
+        ("recip", "--field", "3^2", "--a", "1", "--poly", "1,1",
+         "--modulus", "a,b"),                                          # bad modulus
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)

@@ -152,6 +152,25 @@ def test_factor_count():
         factor_count(Poly(F5, [2]))
 
 
+def test_factor_count_matches_factorize():
+    # products of random small factors, some squared or raised to p,
+    # so repeated factors and zero-derivative parts both occur
+    rng = random.Random(11)
+    for field in (F3, F5, F9):
+        elems = list(field.elements())
+        for _ in range(40):
+            f = Poly(field, [rng.choice(elems[1:])])
+            for _ in range(rng.randint(1, 3)):
+                g = Poly(field, [rng.choice(elems) for _ in range(rng.randint(1, 3))]
+                         + [field.one])
+                f = f * g ** rng.choice((1, 1, 2, field.p))
+            if f.degree < 1:
+                continue
+            full = factorize(f)
+            assert factor_count(f, True) == full.count(True)
+            assert factor_count(f, False) == full.count(False)
+
+
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_factorize_against_third_party_cas():
     # independent referee at degrees the trial-division sweep cannot

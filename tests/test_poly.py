@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,6 +120,30 @@ def test_divmod_round_trip_extension(f, g):
     q, r = divmod(f, g)
     assert q * g + r == f
     assert r.degree < g.degree
+
+
+@pytest.mark.parametrize("p, e", [(17, 2), (3, 6)])
+def test_long_products_and_divisions_extension(p, e):
+    # degrees 150-300: an output coefficient sums up to 151 products of
+    # codes before it is reduced
+    field = Field(p, e)
+    rng = random.Random(p * e)
+
+    def random_poly(degree):
+        coeffs = [[rng.randrange(p) for _ in range(e)] for _ in range(degree)]
+        return Poly(field, coeffs + [[rng.randrange(1, p)] + [0] * (e - 1)])
+
+    for df, dg in ((300, 150), (220, 217), (150, 150)):
+        f, g = random_poly(df), random_poly(dg)
+        assert (f.degree, g.degree) == (df, dg)
+        q, r = divmod(f, g)
+        assert q * g + r == f
+        assert r.degree < g.degree
+        fg = f * g
+        assert fg.degree == df + dg
+        for _ in range(4):
+            x = field.element([rng.randrange(p) for _ in range(e)])
+            assert fg(x) == f(x) * g(x)
 
 
 def test_division_by_zero():
