@@ -151,15 +151,15 @@ def _distinct_degree(f: Poly):
 
 
 def _random_poly(fld: Field, max_degree: int, rng: random.Random) -> Poly:
-    coords = [rng.randrange(fld.q) for _ in range(max_degree + 1)]
-    elems = []
-    for v in coords:
+    draws = [rng.randrange(fld.q) for _ in range(max_degree + 1)]
+    codes = []
+    for v in draws:
         digits = []
         for _ in range(fld.e):
             v, r = divmod(v, fld.p)
             digits.append(r)
-        elems.append(fld.element(digits))
-    return Poly(fld, elems)
+        codes.append(fld._pack(digits))
+    return Poly._raw(fld, codes)
 
 
 def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:

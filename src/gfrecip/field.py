@@ -16,6 +16,13 @@ slot by slot, so polynomial kernels can accumulate sums of products
 with int arithmetic and call ``Field._reduce`` once per result; the
 ``Field._*`` methods are the only int kernels in the package.
 
+The same substitution one level up packs a whole polynomial into one
+int: ``_kron_pack`` joins its codes into byte-aligned slots of
+``_kron_bytes(terms)`` bytes each, wide enough for a sum of ``terms``
+products of two codes, so one bigint product of two packed polynomials
+convolves their coefficients; ``_kron_unpack`` cuts such an int back
+into its slots and reduces each to a code.
+
 The canonical total order on elements — used for square-root tie
 breaking, factor sorting and enumeration streams — is lexicographic on
 the coordinate tuple.
@@ -23,6 +30,7 @@ the coordinate tuple.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator, Sequence
 
@@ -56,6 +64,25 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+@functools.cache
+def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
+    # lexicographically first (c0, ..., c_{e-1}) making x^e + ... + c0
+    # irreducible over F_p; c0 == 0 is always reducible, skip it.  Cached
+    # per (p, e): the search costs about a millisecond for F_{3^6}, and the
+    # command line builds its field afresh on every request.
+    from .factor import is_irreducible
+    from .poly import Poly
+
+    base = Field(p)
+    for tail in itertools.product(range(p), repeat=e):
+        if tail[0] == 0:
+            continue
+        if is_irreducible(Poly(base, tail + (1,))):
+            return tail + (1,)
+    raise VerificationError(  # pragma: no cover - irreducibles always exist
+        f"no irreducible of degree {e} over F_{p}")
 
 
 class FieldElement:
@@ -239,7 +266,7 @@ class Field:
                 raise DomainError("prime fields use the fixed modulus x")
             self.modulus = (0, 1)
         elif modulus is None:
-            self.modulus = self._smallest_irreducible()
+            self.modulus = _smallest_irreducible(p, e)
         else:
             self.modulus = self._checked_modulus(modulus)
         # codes of t^e, ..., t^(2e-2) mod modulus, each t times the one before
@@ -248,21 +275,6 @@ class Field:
             self._reduction_codes += (self._reduce(self._reduction_codes[-1] << self._slot_bits),)
 
     # -- construction helpers ------------------------------------------------
-
-    def _smallest_irreducible(self) -> tuple[int, ...]:
-        # lexicographically first (c0, ..., c_{e-1}) making x^e + ... + c0
-        # irreducible over F_p; c0 == 0 is always reducible, skip it.
-        from .factor import is_irreducible
-        from .poly import Poly
-
-        base = Field(self.p)
-        for tail in itertools.product(range(self.p), repeat=self.e):
-            if tail[0] == 0:
-                continue
-            if is_irreducible(Poly(base, tail + (1,))):
-                return tail + (1,)
-        raise VerificationError(  # pragma: no cover - irreducibles always exist
-            f"no irreducible of degree {self.e} over F_{self.p}")
 
     def _checked_modulus(self, modulus: Sequence[int]) -> tuple[int, ...]:
         from .factor import is_irreducible
@@ -336,6 +348,34 @@ class Field:
         if self.e == 1:
             return pow(code, -1, self.p)
         return self._pow(code, self.q - 2)
+
+    def _kron_bytes(self, terms: int) -> int:
+        """Bytes per slot of a packed polynomial (see ``_kron_pack``) with
+        room for the sum of ``terms`` products of two codes.
+
+        Such a sum is a packed accumulator of t-degree at most 2e-2 (see
+        ``_reduce``): its lower 2e-2 t-slots have their own headroom, and
+        its top one sums one product of two coordinates per term."""
+        return ((2 * self.e - 2) * self._slot_bits
+                + (terms * (self.p - 1) ** 2).bit_length() + 7) // 8
+
+    def _kron_pack(self, codes: Sequence[int], nbytes: int) -> int:
+        """One int holding ``codes`` in ``nbytes``-byte slots, lowest
+        first: the value at 2^(8 nbytes) of the polynomial they are the
+        coefficients of.  Multiplying two such ints convolves the slots."""
+        return int.from_bytes(b"".join([c.to_bytes(nbytes, "little") for c in codes]),
+                              "little")
+
+    def _kron_unpack(self, v: int, nbytes: int, n: int) -> list[int]:
+        """The codes of the ``n`` slots of ``v`` (which must fit in them),
+        each slot a packed accumulator."""
+        b = v.to_bytes(n * nbytes, "little")
+        slots = range(0, n * nbytes, nbytes)
+        if self.e == 1:
+            p = self.p
+            return [int.from_bytes(b[i:i + nbytes], "little") % p for i in slots]
+        reduce = self._reduce
+        return [reduce(int.from_bytes(b[i:i + nbytes], "little")) for i in slots]
 
     def _codes(self) -> Iterator[int]:
         """All q codes in the canonical (coordinate-lexicographic) order."""

@@ -17,12 +17,45 @@ multiplication, division and evaluation kernel serves every F_q: each
 accumulates sums of products as plain ints and reduces a coefficient
 only when it is read or returned.  ``coeffs``, indexing and ``lc()``
 hand out ``FieldElement``s.
+
+Once both operands have at least ``KRON_MIN_LENGTH`` coefficients a
+product is one bigint product instead (Kronecker substitution): each
+operand is packed into a single int with one byte-aligned slot per
+coefficient, wide enough that the convolution never carries between
+slots, and the interpreter's Karatsuba multiplier does the work; the
+product's slots are then reduced back to codes.  Below that length the
+schoolbook loop is faster, and it stays the reference in the tests.
+
+``pow_mod`` by a modulus f of degree N >= ``KRON_MIN_LENGTH`` works on
+packed ints alone.  It makes f monic (the remainders are the same) and
+precomputes mu = x^(2N-2) div f, by Newton iteration on the reversed f,
+and -f mod x^N.  A square or product v of degree <= 2N-2 then reduces by
+two more bigint products: its quotient is (v div x^N) * mu div x^(N-2),
+and its remainder is v mod x^N - quotient * f mod x^N (Barrett
+reduction; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 9).
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, FieldMismatchError
 from .field import Field, FieldElement
+
+
+# Operands with at least this many coefficients are multiplied by
+# Kronecker substitution, and pow_mod reduces by a modulus of at least
+# this degree with a precomputed inverse; shorter ones take the schoolbook
+# loops, which are faster there.
+KRON_MIN_LENGTH = 16
+
+
+def _kron_mul(fld: Field, a, b) -> list[int]:
+    # codes of the product of two nonempty code sequences, as one bigint
+    # product; a squaring packs once and lets the int multiplier see it
+    nbytes = fld._kron_bytes(min(len(a), len(b)))
+    pack = fld._kron_pack
+    va = pack(a, nbytes)
+    vb = va if a is b else pack(b, nbytes)
+    return fld._kron_unpack(va * vb, nbytes, len(a) + len(b) - 1)
 
 
 class Poly:
@@ -163,6 +196,8 @@ class Poly:
         if other is None:
             return NotImplemented
         a, b = self._codes, other._codes
+        if len(a) >= KRON_MIN_LENGTH <= len(b):
+            return Poly._raw(f, _kron_mul(f, a, b))
         if not a or not b:
             return Poly._raw(f, ())
         out = [0] * (len(a) + len(b) - 1)
@@ -307,14 +342,59 @@ def pow_mod(base: Poly, k: int, modulus: Poly) -> Poly:
         raise DomainError("pow_mod modulus must be nonconstant")
     if k < 0:
         raise DomainError("negative exponent in pow_mod")
-    acc = Poly.one(base.field) % modulus
-    base = base % modulus
-    while k:
-        if k & 1:
-            acc = acc * base % modulus
-        base = base * base % modulus
-        k >>= 1
-    return acc
+    f = modulus.monic()  # same remainders, and a unit leading coefficient
+    fld = f.field
+    base = base % f
+    if not k:
+        return Poly.one(fld)
+    n = f.degree
+    # left to right over the bits of k: no squaring past the top bit and
+    # no product with 1
+    if n < KRON_MIN_LENGTH:
+        acc = base
+        for bit in bin(k)[3:]:
+            acc = acc * acc % f
+            if bit == "1":
+                acc = acc * base % f
+        return acc
+    # Slots hold up to 2n - 1 products: n - 1 in quo * (-f) plus the n of
+    # the low half of the square or product being reduced.
+    nbytes = fld._kron_bytes(2 * n)
+    pack, unpack = fld._kron_pack, fld._kron_unpack
+    low_bits = 8 * nbytes * n
+    low_mask = (1 << low_bits) - 1
+    quo_shift = 8 * nbytes * (n - 2)
+    # mu = x^(2n-2) div f: reversed, it is rev(f)^-1 mod x^(n-1)
+    mu = pack(_inverse_series(fld, f._codes[::-1], n - 1)[::-1], nbytes)
+    neg_low = pack([fld._neg(c) for c in f._codes[:n]], nbytes)
+
+    def reduce(v):
+        # v (2n - 1 slots) mod f: its quotient is (high half * mu) >> (n - 2)
+        # slots, and the remainder low half - quo * f needs f mod x^n only
+        high = pack(unpack(v >> low_bits, nbytes, n - 1), nbytes)
+        quo = pack(unpack(high * mu >> quo_shift, nbytes, n - 1), nbytes)
+        return pack(unpack((quo * neg_low + (v & low_mask)) & low_mask, nbytes, n), nbytes)
+
+    vb = acc = pack(base._codes, nbytes)
+    for bit in bin(k)[3:]:
+        acc = reduce(acc * acc)
+        if bit == "1":
+            acc = reduce(acc * vb)
+    return Poly._raw(fld, unpack(acc, nbytes, n))
+
+
+def _inverse_series(fld: Field, g, m: int) -> list[int]:
+    # codes of g^-1 mod x^m for g[0] == 1, by Newton iteration: when h is
+    # g^-1 mod x^k and g h = 1 + x^k e mod x^2k, h (1 - x^k e) is g^-1
+    # mod x^2k, so h keeps its k coefficients and gains -(h e) mod x^k
+    neg = fld._neg
+    h = [1]
+    while len(h) < m:
+        k = len(h)
+        top = min(2 * k, m)
+        e = _kron_mul(fld, g[:top], h)[k:top]
+        h += [neg(c) for c in _kron_mul(fld, h, e)[:top - k]]
+    return h
 
 
 def resultant(f: Poly, g: Poly) -> FieldElement:

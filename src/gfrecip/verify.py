@@ -212,7 +212,7 @@ def check_transform_irreducibles(fld: Field, a: FieldElement, n: int, *,
         if not recip.eval_at_sqrt_pair(t, a).value:
             continue
         report.checked += 1
-        parts = factorize(t).factors
+        parts = factorize(t, seed=seed).factors
         if len(parts) == 1 and parts[0][1] == 1:
             if parts[0][0].degree != 2 * n:
                 report.fail(f"{f.to_string()}: irreducible transform of wrong degree")

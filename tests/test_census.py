@@ -26,6 +26,8 @@ from gfrecip import (
     verify_count_sum_identity,
     verify_master_factorization,
 )
+from gfrecip import verify
+from gfrecip.factor import DEFAULT_SEED
 
 F3 = Field(3)
 F5 = Field(5)
@@ -261,6 +263,20 @@ def test_verify_master_factorization():
             assert verify_master_factorization(F3, a, n)
     assert verify_master_factorization(F5, F5.element(4), 1)
     assert verify_master_factorization(F5, F5.element(2), 1)
+
+
+def test_check_9_factors_with_the_requested_seed(monkeypatch):
+    seeds = []
+    factorize = verify.factorize
+
+    def recording_factorize(f, seed=DEFAULT_SEED):
+        seeds.append(seed)
+        return factorize(f, seed=seed)
+
+    monkeypatch.setattr(verify, "factorize", recording_factorize)
+    report = verify.run_check("9", F5, F5.element(2), 2, seed=31)
+    assert report.ok and report.checked == len(seeds) > 0
+    assert set(seeds) == {31}
 
 
 # -- census rows and CSV --------------------------------------------------------------------

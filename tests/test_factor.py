@@ -178,18 +178,24 @@ def test_factorize_against_third_party_cas():
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
     rng = random.Random(4242)
-    for field in (F3, F5):
+
+    def check(field, degree):
         p = field.p
+        ints = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+        ours = factorize(Poly(field, ints))
+        expr = sum(c * x ** i for i, c in enumerate(ints))
+        _, ref_factors = sympy.factor_list(sympy.Poly(expr, x, modulus=p))
+        ref = sorted(
+            (tuple(int(c) % p for c in reversed(g.monic().all_coeffs())), m)
+            for g, m in ref_factors)
+        got = sorted(
+            (tuple(c.coords[0] for c in g.coeffs), m)
+            for g, m in ours.factors)
+        assert got == ref
+
+    for field in (F3, F5):
         for _ in range(150):
-            degree = rng.randrange(2, 11)
-            ints = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
-            ours = factorize(Poly(field, ints))
-            expr = sum(c * x ** i for i, c in enumerate(ints))
-            _, ref_factors = sympy.factor_list(sympy.Poly(expr, x, modulus=p))
-            ref = sorted(
-                (tuple(int(c) % p for c in reversed(g.monic().all_coeffs())), m)
-                for g, m in ref_factors)
-            got = sorted(
-                (tuple(c.coords[0] for c in g.coeffs), m)
-                for g, m in ours.factors)
-            assert got == ref
+            check(field, rng.randrange(2, 11))
+    # degrees 40-200, where products and pow_mod take the Kronecker path
+    for p, degree in ((3, 40), (3, 200), (7, 60), (7, 120), (8191, 40), (8191, 100)):
+        check(Field(p), degree)

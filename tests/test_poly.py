@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gfrecip import (
     DomainError,
     Field,
+    FieldElement,
     FieldMismatchError,
     Poly,
     discriminant,
@@ -15,6 +16,7 @@ from gfrecip import (
     pow_mod,
     resultant,
 )
+from gfrecip.poly import KRON_MIN_LENGTH
 
 F5 = Field(5)
 F7 = Field(7)
@@ -144,6 +146,97 @@ def test_long_products_and_divisions_extension(p, e):
         for _ in range(4):
             x = field.element([rng.randrange(p) for _ in range(e)])
             assert fg(x) == f(x) * g(x)
+
+
+# -- Kronecker products and the precomputed-inverse pow_mod ----------------------
+
+# slots of 1 to 5 bytes over F_p (F_10007 is the widest prime in the
+# benchmark), 16 to 17 over F_(2^61 - 1), 10 to 48 over the extensions
+KRON_FIELDS = [Field(3), Field(7), Field(8191), Field(10007), Field(2 ** 61 - 1),
+               Field(3, 2), Field(17, 2), Field(3, 6)]
+
+
+def _random_poly(field, degree, rng):
+    # nonzero leading coefficient, so the degree is exact
+    coeffs = [[rng.randrange(field.p) for _ in range(field.e)] for _ in range(degree)]
+    return Poly(field, coeffs + [[rng.randrange(1, field.p)] + [0] * (field.e - 1)])
+
+
+def _schoolbook(f, g):
+    # reference convolution, one code product at a time
+    field = f.field
+    out = [0] * (f.degree + g.degree + 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] += a.code * b.code
+    return Poly(field, [FieldElement(field, field._reduce(v)) for v in out])
+
+
+@pytest.mark.parametrize("field", KRON_FIELDS, ids=str)
+def test_kronecker_products_match_schoolbook(field):
+    k = KRON_MIN_LENGTH
+    rng = random.Random(field.q)
+    # lengths on both sides of the crossover, then long operands
+    for df, dg in ((k - 2, k - 2), (k - 2, k - 1), (k - 1, k - 1), (k - 1, 40),
+                   (k, k + 3), (100, 37), (200, 190), (800, 780)):
+        f, g = _random_poly(field, df, rng), _random_poly(field, dg, rng)
+        assert f * g == _schoolbook(f, g)
+        assert g * g == _schoolbook(g, g)
+    # every coordinate p - 1: the largest sum a slot can hold
+    top = Poly(field, [[field.p - 1] * field.e] * 300)
+    assert top * top == _schoolbook(top, top)
+
+
+def _pow_mod_by_products(base, k, f):
+    acc = Poly.one(base.field) % f
+    for _ in range(k):
+        acc = acc * base % f
+    return acc
+
+
+@pytest.mark.parametrize("field", KRON_FIELDS, ids=str)
+def test_pow_mod_against_repeated_products(field):
+    rng = random.Random(field.q + 1)
+    top = [[field.p - 1] * field.e]
+    for n in (KRON_MIN_LENGTH - 1, KRON_MIN_LENGTH, KRON_MIN_LENGTH + 1, 45):
+        # random, then every coordinate p - 1 (the largest slot sums)
+        for f, base in ((_random_poly(field, n, rng), _random_poly(field, n - 1, rng)),
+                        (Poly(field, top * n + [1]), Poly(field, top * n))):
+            for k in (0, 1, 2, 3, 5, 8, 13):
+                assert pow_mod(base, k, f) == _pow_mod_by_products(base, k, f)
+
+
+@pytest.mark.parametrize("p, e", [(17, 1), (19, 1), (17, 2)])
+def test_pow_mod_frobenius_on_artin_schreier(p, e):
+    # x^p - x - 1 is irreducible of degree p over F_q when the trace of 1
+    # (that is e) is nonzero mod p, and x^(p^j) = x + j mod it; so
+    # x^q = x + e and x^(q^p) = x
+    field = Field(p, e)
+    f = Poly(field, [-1, -1] + [0] * (p - 2) + [1])
+    x = Poly.x(field)
+    assert f.degree >= KRON_MIN_LENGTH
+    assert pow_mod(x, field.q, f) == x + e
+    assert pow_mod(x, field.q ** p, f) == x
+    assert pow_mod(x, field.q ** (p - 1), f) != x
+
+
+def test_pow_mod_edge_cases():
+    field = Field(7)
+    rng = random.Random(77)
+    f = _random_poly(field, KRON_MIN_LENGTH + 4, rng).monic()
+    base = _random_poly(field, KRON_MIN_LENGTH + 1, rng)
+    # a non-monic modulus leaves every remainder unchanged
+    assert pow_mod(base, 11, f * 3) == pow_mod(base, 11, f) \
+        == _pow_mod_by_products(base, 11, f)
+    assert pow_mod(base, 0, f) == Poly.one(field)
+    # a base of degree >= deg f is reduced first
+    big = _random_poly(field, 3 * f.degree + 2, rng)
+    assert pow_mod(big, 6, f) == _pow_mod_by_products(big % f, 6, f)
+    assert pow_mod(f, 5, f) == Poly(field, [])
+    # degree 1: the remainder is the value at the root, x - 3 -> base(3)^k
+    linear = Poly(field, [-3, 1])
+    assert pow_mod(big, 9, linear) == Poly.constant(field, big(3) ** 9)
+    assert pow_mod(big, 9, linear * 5) == Poly.constant(field, big(3) ** 9)
 
 
 def test_division_by_zero():
