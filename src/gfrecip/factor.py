@@ -6,6 +6,12 @@ from squarefree decomposition (including the zero-derivative p-th-power
 reduction), distinct-degree splitting, and Cantor-Zassenhaus equal-degree
 splitting with the odd-q exponent (q^d - 1)/2.
 
+The q-power ladders of the Rabin test and of the distinct-degree stage
+build the modulus' reduction set-up once and rebuild it only when the
+modulus changes.  Each equal-degree draw r costs one ``pow_mod`` and one
+gcd, gcd(r^((q^d-1)/2) - 1, f): a factor on which r vanishes lands on
+the side where r^((q^d-1)/2) != 1, so it needs no separate gcd(r, f).
+
 Randomness in the equal-degree stage comes from a per-call generator
 seeded by an explicit parameter (default DEFAULT_SEED), so two runs with
 the same seed produce identical results and the factor list is globally
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .field import Field, FieldElement
-from .poly import Poly, gcd, pow_mod
+from .poly import Poly, _barrett, _pow_mod_monic, gcd, pow_mod
 
 DEFAULT_SEED = 1729
 
@@ -53,9 +59,10 @@ def is_irreducible(f: Poly) -> bool:
     fld = f.field
     x = Poly.x(fld)
     checkpoints = {n // l for l in _prime_divisors(n)}
+    barrett = _barrett(f)
     h = x % f
     for k in range(1, n + 1):
-        h = pow_mod(h, fld.q, f)
+        h = _pow_mod_monic(h, fld.q, f, barrett)
         if k in checkpoints and gcd(h - x, f).degree != 0:
             return False
     return h == x % f
@@ -135,16 +142,18 @@ def _distinct_degree(f: Poly):
     fld = f.field
     x = Poly.x(fld)
     out = []
+    barrett = _barrett(f)
     h = x % f
     d = 0
     while f.degree > 2 * d:
         d += 1
-        h = pow_mod(h, fld.q, f)
+        h = _pow_mod_monic(h, fld.q, f, barrett)
         g = gcd(h - x, f)
         if g.degree > 0:
             out.append((d, g))
             f = f // g
             h = h % f
+            barrett = _barrett(f)
     if f.degree > 0:
         out.append((f.degree, f))
     return out
@@ -174,9 +183,7 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
         r = _random_poly(fld, f.degree - 1, rng)
         if r.degree < 1:
             continue
-        g = gcd(r, f)
-        if g.degree == 0:
-            g = gcd(pow_mod(r, exponent, f) - one, f)
+        g = gcd(pow_mod(r, exponent, f) - one, f)
         if 0 < g.degree < f.degree:
             return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
 

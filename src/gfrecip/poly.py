@@ -18,6 +18,15 @@ accumulates sums of products as plain ints and reduces a coefficient
 only when it is read or returned.  ``coeffs``, indexing and ``lc()``
 hand out ``FieldElement``s.
 
+Division with remainder is one loop on code lists, ``_remainder``, and
+it serves ``divmod``, ``gcd`` and ``resultant`` alike.  It reduces a list
+in place: each quotient term, highest first, is reduced, negated on its
+own (times -lc^-1 of the divisor) and added times the divisor's codes,
+so the divisor itself is never negated or copied into a ``Poly``.  The
+remainder's accumulators are reduced once, at the end.  ``gcd`` and
+``resultant`` run their whole remainder sequence on two such lists and
+build a ``Poly`` or element only for the answer.
+
 Once both operands have at least ``KRON_MIN_LENGTH`` coefficients a
 product is one bigint product instead (Kronecker substitution): each
 operand is packed into a single int with one byte-aligned slot per
@@ -33,6 +42,9 @@ and -f mod x^N.  A square or product v of degree <= 2N-2 then reduces by
 two more bigint products: its quotient is (v div x^N) * mu div x^(N-2),
 and its remainder is v mod x^N - quotient * f mod x^N (Barrett
 reduction; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 9).
+That set-up, ``_barrett(f)``, is built apart from the ladder
+``_pow_mod_monic``, so a caller that powers again and again by one
+modulus (the Frobenius ladders in factor.py) builds it once.
 """
 
 from __future__ import annotations
@@ -236,24 +248,10 @@ class Poly:
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
         f = self.field
-        da, db = self.degree, other.degree
-        if da < db:
-            return Poly._raw(f, ()), self
-        reduce, neg = f._reduce, f._neg
-        inv = f._inv(other._codes[-1])
-        # rem[k + db] cancels exactly at step k and is never read again
-        ndiv = [neg(c) for c in other._codes[:-1]]
         rem = list(self._codes)
-        quo = [0] * (da - db + 1)
-        for k in range(da - db, -1, -1):
-            c = reduce(rem[k + db])
-            if c:
-                if inv != 1:
-                    c = reduce(c * inv)
-                quo[k] = c
-                for j, dv in enumerate(ndiv):
-                    rem[k + j] += c * dv
-        return Poly._raw(f, quo), Poly._raw(f, [reduce(v) for v in rem[:db]])
+        quo = [0] * max(len(rem) - other.degree, 0)
+        _remainder(f, rem, other._codes, quo)
+        return Poly._raw(f, quo), Poly._raw(f, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -327,13 +325,44 @@ class Poly:
 # -- module-level utilities ------------------------------------------------------
 
 
+def _remainder(fld: Field, rem: list, div, quo: list | None = None) -> None:
+    """Reduce the code list ``rem`` mod the codes ``div`` (nonzero last
+    code) in place, leaving the remainder without trailing zeros; store
+    the quotient's codes in ``quo`` if given (``len(rem) - deg div`` or
+    more zeros)."""
+    db = len(div) - 1
+    top = len(rem) - 1 - db
+    if top < 0:
+        return
+    reduce = fld._reduce
+    inv = fld._inv(div[-1])
+    ninv = fld._neg(inv)
+    low = div[:db]
+    # rem[k + db] cancels exactly at step k and is never read again
+    for k in range(top, -1, -1):
+        c = reduce(rem[k + db])
+        if c:
+            if quo is not None:
+                quo[k] = reduce(c * inv)
+            c = reduce(c * ninv)
+            for j, dv in enumerate(low):
+                rem[k + j] += c * dv
+    rem[:] = [reduce(v) for v in rem[:db]]
+    while rem and not rem[-1]:
+        rem.pop()
+
+
 def gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, 0) is the zero polynomial."""
     if f.field != g.field:
         raise FieldMismatchError("polynomials over different fields")
-    while g:
-        f, g = g, f % g
-    return f.monic() if f else f
+    fld = f.field
+    a, b = list(f._codes), list(g._codes)
+    while b:
+        _remainder(fld, a, b)
+        a, b = b, a
+    out = Poly._raw(fld, a)
+    return out.monic() if a else out
 
 
 def pow_mod(base: Poly, k: int, modulus: Poly) -> Poly:
@@ -343,30 +372,47 @@ def pow_mod(base: Poly, k: int, modulus: Poly) -> Poly:
     if k < 0:
         raise DomainError("negative exponent in pow_mod")
     f = modulus.monic()  # same remainders, and a unit leading coefficient
+    return _pow_mod_monic(base % f, k, f, _barrett(f))
+
+
+def _barrett(f: Poly):
+    # the reduction set-up for the monic f of degree n >= KRON_MIN_LENGTH:
+    # slot bytes, packed mu = x^(2n-2) div f and packed -f mod x^n; None
+    # below that degree.  Slots hold up to 2n - 1 products: n - 1 in
+    # quo * (-f) plus the n of the low half of the value being reduced.
+    n = f.degree
+    if n < KRON_MIN_LENGTH:
+        return None
     fld = f.field
-    base = base % f
+    nbytes = fld._kron_bytes(2 * n)
+    pack = fld._kron_pack
+    # reversed, mu is rev(f)^-1 mod x^(n-1)
+    mu = pack(_inverse_series(fld, f._codes[::-1], n - 1)[::-1], nbytes)
+    neg = fld._neg
+    return nbytes, mu, pack([neg(c) for c in f._codes[:n]], nbytes)
+
+
+def _pow_mod_monic(base: Poly, k: int, f: Poly, barrett) -> Poly:
+    # base**k mod the monic f, for base already reduced mod f and
+    # barrett = _barrett(f)
+    fld = f.field
     if not k:
         return Poly.one(fld)
-    n = f.degree
     # left to right over the bits of k: no squaring past the top bit and
     # no product with 1
-    if n < KRON_MIN_LENGTH:
+    if barrett is None:
         acc = base
         for bit in bin(k)[3:]:
             acc = acc * acc % f
             if bit == "1":
                 acc = acc * base % f
         return acc
-    # Slots hold up to 2n - 1 products: n - 1 in quo * (-f) plus the n of
-    # the low half of the square or product being reduced.
-    nbytes = fld._kron_bytes(2 * n)
+    n = f.degree
+    nbytes, mu, neg_low = barrett
     pack, unpack = fld._kron_pack, fld._kron_unpack
     low_bits = 8 * nbytes * n
     low_mask = (1 << low_bits) - 1
     quo_shift = 8 * nbytes * (n - 2)
-    # mu = x^(2n-2) div f: reversed, it is rev(f)^-1 mod x^(n-1)
-    mu = pack(_inverse_series(fld, f._codes[::-1], n - 1)[::-1], nbytes)
-    neg_low = pack([fld._neg(c) for c in f._codes[:n]], nbytes)
 
     def reduce(v):
         # v (2n - 1 slots) mod f: its quotient is (high half * mu) >> (n - 2)
@@ -410,19 +456,23 @@ def resultant(f: Poly, g: Poly) -> FieldElement:
     if f.field != g.field:
         raise FieldMismatchError("polynomials over different fields")
     fld = f.field
-    acc = fld.one
+    reduce, power = fld._reduce, fld._pow
+    a, b = list(f._codes), list(g._codes)
+    acc = 1
     while True:
-        if f.degree == 0:
-            return acc * f.lc() ** g.degree
-        if g.degree == 0:
-            return acc * g.lc() ** f.degree
-        r = f % g
-        if not r:
+        da, db = len(a) - 1, len(b) - 1
+        if da == 0:
+            return FieldElement(fld, reduce(acc * power(a[0], db)))
+        if db == 0:
+            return FieldElement(fld, reduce(acc * power(b[0], da)))
+        lead = b[-1]
+        _remainder(fld, a, b)
+        if not a:
             return fld.zero
-        acc = acc * g.lc() ** (f.degree - r.degree)
-        if (f.degree * g.degree) % 2 == 1:
-            acc = -acc
-        f, g = g, r
+        acc = reduce(acc * power(lead, da - len(a) + 1))
+        if da * db % 2:
+            acc = fld._neg(acc)
+        a, b = b, a
 
 
 def discriminant(f: Poly) -> FieldElement:

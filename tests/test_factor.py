@@ -130,6 +130,34 @@ def test_reconstruction_determinism_bookkeeping(field):
             assert g.is_monic and is_irreducible(g)
 
 
+def _splitting_cases():
+    # x^q - x is the product of every x - c; over F_3 the product of the
+    # monic quadratics without a root is that of all irreducible ones
+    for field in (F3, F5, F9):
+        x = Poly.x(field)
+        yield x ** field.q - x, [x - c for c in field.elements()]
+    quadratics = [Poly(F3, [c0, c1, 1]) for c1 in range(3) for c0 in range(3)]
+    irreducible = [g for g in quadratics if all(g(c) for c in F3.elements())]
+    product = Poly.one(F3)
+    for g in irreducible:
+        product = product * g
+    yield product, irreducible
+
+
+@pytest.mark.parametrize("f, factors", list(_splitting_cases()),
+                         ids=["x^3-x", "x^5-x", "x^9-x", "quadratics F_3"])
+def test_equal_degree_split_when_the_draw_vanishes_on_a_factor(f, factors):
+    # a random draw r of degree < deg f vanishes on one of these many
+    # small factors with high probability; such a factor lands on the
+    # r^((q^d-1)/2) != 1 side and the split must still be right.  The
+    # expected list is in canonical order: by degree, then by coordinates
+    ordered = sorted(factors, key=lambda g: (g.degree, [c.coords for c in g.coeffs]))
+    expected = tuple((g, 1) for g in ordered)
+    assert len(expected) == f.degree // factors[0].degree
+    for seed in range(50):
+        assert factorize(f, seed=seed).factors == expected
+
+
 def test_agreement_with_is_irreducible():
     pool = list(F5.elements())
     for lower in itertools.product(pool, repeat=3):

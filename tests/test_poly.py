@@ -293,6 +293,54 @@ def test_gcd_divides_both(f, g):
         assert not g % d
 
 
+GCD_FIELDS = [Field(3), Field(7), Field(8191), Field(3, 2), Field(17, 2), Field(3, 6)]
+
+
+def _euclid(f, g):
+    # reference monic gcd: the plain remainder sequence by divmod, each
+    # division checked by multiplying back
+    while g:
+        q, r = divmod(f, g)
+        assert q * g + r == f and r.degree < g.degree
+        f, g = g, r
+    return f.monic() if f else f
+
+
+def _coprime_pair(field, df, dg, rng):
+    while True:
+        f, g = _random_poly(field, df, rng), _random_poly(field, dg, rng)
+        if _euclid(f, g) == Poly.one(field):
+            return f, g
+
+
+@pytest.mark.parametrize("field", GCD_FIELDS, ids=str)
+def test_gcd_against_reference_euclid(field):
+    rng = random.Random(field.q + 2)
+    k = KRON_MIN_LENGTH
+    # random non-monic pairs on both sides of K, f scaled by a random unit
+    for df, dg in ((0, 0), (1, 0), (5, 3), (3, 5), (k - 1, k - 2), (k, k),
+                   (k + 1, k - 1), (60, 59), (150, 40), (400, 399)):
+        f, g = _random_poly(field, df, rng), _random_poly(field, dg, rng)
+        scale = field.element([rng.randrange(1, field.p)] * field.e)
+        f = f * scale
+        assert gcd(f, g) == _euclid(f, g) == gcd(g, f)
+    # planted common factors: gcd(f h, g h) = monic(h) when gcd(f, g) = 1
+    for dh, df, dg in ((1, 2, 1), (4, 3, 3), (k - 2, 3, 5), (k, k, k + 2),
+                       (100, 60, 45), (200, 200, 190)):
+        h = _random_poly(field, dh, rng)
+        f, g = _coprime_pair(field, df, dg, rng)
+        assert gcd(f * h, g * h) == h.monic() == _euclid(f * h, g * h)
+        assert gcd(f * h * h, g * h) == _euclid(f * h * h, g * h)
+    # zero, equal and constant arguments
+    zero, one = Poly(field, []), Poly.one(field)
+    f = _random_poly(field, 2 * k, rng) * field.element([2] * field.e)
+    c = Poly.constant(field, field.element([field.p - 1] * field.e))
+    assert not f.is_monic
+    assert gcd(f, zero) == gcd(zero, f) == gcd(f, f) == gcd(f, f * c) == f.monic()
+    assert gcd(c, zero) == gcd(zero, c) == gcd(c, f) == gcd(f, c) == gcd(c, c) == one
+    assert gcd(zero, zero) == zero
+
+
 def test_pow_mod_against_naive():
     m = Poly(F5, [1, 0, 0, 1])
     for coeffs in itertools.product(range(5), repeat=3):
