@@ -22,8 +22,6 @@ from .census import (
     si_enumerated,
     si_formula,
     si_product,
-    verify_count_sum_identity,
-    verify_master_factorization,
 )
 from .errors import DomainError, FieldMismatchError, ResourceError, VerificationError
 from .factor import DEFAULT_SEED, Factorization, factor_count, factorize, is_irreducible
@@ -60,5 +58,5 @@ __all__ = [
     "is_a_self_reciprocal", "is_irreducible", "is_squarefree", "m_poly", "mobius",
     "parity_indicator", "parse_field_spec", "pow_mod", "quadratic_transform",
     "resultant", "si_enumerated", "si_formula", "si_product", "strip_linear_sqrt",
-    "strip_x2_minus_a", "verify_count_sum_identity", "verify_master_factorization",
+    "strip_x2_minus_a",
 ]

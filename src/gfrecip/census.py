@@ -7,8 +7,11 @@ degree 2d for divisors d of n with n/d odd.  m_poly strips the x^2 - a
 factor when it is present (delta = -1: a is a square, or a is a
 non-square and n is even).  Moebius inversion over the odd divisors then
 gives both the product formula (si_product) and the closed-form count
-(si_formula), and enumerate_srm provides the exhaustive stream the
-formulas are checked against.
+(si_formula).  enumerate_srm provides the exhaustive stream the formulas
+are checked against, and enumerate_srim keeps its irreducible members:
+the one a-srim stream that si_enumerated, si_product and the master
+factorization check read.  The checks themselves (the divisor-sum
+identity, the master factorization) live in verify.
 
 si counts NONTRIVIAL a-srim polynomials of degree 2n; the trivial
 quadratic x^2 - a is excluded from the master polynomial by
@@ -23,10 +26,10 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DomainError, ResourceError, VerificationError
-from .factor import DEFAULT_SEED, factorize, is_irreducible
+from .factor import _prime_divisors, is_irreducible
 from .field import Field, FieldElement
 from .poly import Poly
-from .recip import SrmVerdict, classify
+from .recip import _x2_minus_a
 
 # h_poly degree guard: q^n + 1 may explode; the CLI exposes the knob.
 DEGREE_BUDGET = 100_000
@@ -35,22 +38,14 @@ CSV_HEADER = "q,a,n,delta,si_formula,si_enumerated,agreement"
 
 
 def mobius(d: int) -> int:
-    """Moebius function by trial factorization: 0 on square divisors,
-    else (-1)^(number of prime factors)."""
+    """Moebius function: 0 when a prime square divides d, else
+    (-1)^(number of prime factors)."""
     if d < 1:
         raise DomainError("mobius is defined on positive integers")
-    out = 1
-    k = 2
-    while k * k <= d:
-        if d % k == 0:
-            d //= k
-            if d % k == 0:
-                return 0
-            out = -out
-        k += 1
-    if d > 1:
-        out = -out
-    return out
+    primes = _prime_divisors(d)
+    if any(d % (p * p) == 0 for p in primes):
+        return 0
+    return (-1) ** len(primes)
 
 
 def _divisors(n: int) -> list[int]:
@@ -91,8 +86,7 @@ def m_poly(field: Field, a: FieldElement, n: int, budget: int = DEGREE_BUDGET) -
     h = h_poly(field, a, n, budget)
     if delta(field, a, n) == 1:
         return h
-    quadratic = Poly(field, (-a, field.zero, field.one))
-    quo, rem = divmod(h, quadratic)
+    quo, rem = divmod(h, _x2_minus_a(a))
     if rem:
         raise VerificationError("x^2 - a failed to divide the master polynomial")
     return quo
@@ -191,10 +185,16 @@ def enumerate_odd_srm(field: Field, a: FieldElement, n: int) -> Iterator[Poly]:
             yield Poly._raw(field, b)
 
 
+def enumerate_srim(field: Field, a: FieldElement, n: int) -> Iterator[Poly]:
+    """The irreducible polynomials of enumerate_srm(field, a, n,
+    "nontrivial"), in its order: every nontrivial a-srim of degree 2n."""
+    return (f for f in enumerate_srm(field, a, n, "nontrivial") if is_irreducible(f))
+
+
 def si_enumerated(field: Field, a: FieldElement, n: int) -> int:
     """Count of nontrivial degree-2n a-srm polynomials that are
     irreducible, straight from the exhaustive stream."""
-    return sum(1 for f in enumerate_srm(field, a, n, "nontrivial") if is_irreducible(f))
+    return sum(1 for _ in enumerate_srim(field, a, n))
 
 
 def si_product(field: Field, a: FieldElement, n: int, budget: int = DEGREE_BUDGET) -> Poly:
@@ -205,9 +205,8 @@ def si_product(field: Field, a: FieldElement, n: int, budget: int = DEGREE_BUDGE
     mu = -1 terms divided out exactly.  Disagreement raises."""
     a = field.element(a)
     direct = Poly.one(field)
-    for f in enumerate_srm(field, a, n, "nontrivial"):
-        if is_irreducible(f):
-            direct = direct * f
+    for f in enumerate_srim(field, a, n):
+        direct = direct * f
     numerator = Poly.one(field)
     denominator = Poly.one(field)
     for d in _divisors(n):
@@ -224,43 +223,6 @@ def si_product(field: Field, a: FieldElement, n: int, budget: int = DEGREE_BUDGE
     if quo != direct:
         raise VerificationError("enumerated product disagrees with the Moebius product")
     return direct
-
-
-def verify_count_sum_identity(field: Field, a: FieldElement, n: int,
-                              budget: int = DEGREE_BUDGET) -> bool:
-    """Check q^n + delta == sum over d | n with n/d odd of 2d * si(d),
-    with si taken from enumeration, plus the matching degree bookkeeping
-    for m_poly."""
-    a = field.element(a)
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    total = sum(2 * d * si_enumerated(field, a, d)
-                for d in _divisors(n) if (n // d) % 2 == 1)
-    lhs = field.q ** n + delta(field, a, n)
-    degree_ok = m_poly(field, a, n, budget).degree == total
-    return lhs == total and degree_ok
-
-
-def verify_master_factorization(field: Field, a: FieldElement, n: int,
-                                seed: int = DEFAULT_SEED,
-                                budget: int = DEGREE_BUDGET) -> bool:
-    """Oracle check of the master polynomial structure: every factor of
-    m_poly is a nontrivial a-srim of degree 2d with d | n and n/d odd
-    (multiplicity one), and every enumerated a-srim of degree 2n divides
-    h_poly."""
-    a = field.element(a)
-    m = m_poly(field, a, n, budget)
-    allowed = {2 * d for d in _divisors(n) if (n // d) % 2 == 1}
-    for poly, mult in factorize(m, seed).factors:
-        if mult != 1 or poly.degree < 2 or poly.degree not in allowed:
-            return False
-        if classify(poly, a).verdict is not SrmVerdict.NONTRIVIAL:
-            return False
-    h = h_poly(field, a, n, budget)
-    for f in enumerate_srm(field, a, n, "nontrivial"):
-        if is_irreducible(f) and h % f:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -63,24 +63,26 @@ def _emit(args, payload: dict, extra_meta: dict | None = None) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _cmd_recip(args) -> int:
+def _poly_args(args):
+    """(a, f) from --field, --a and --poly, parsed in that order."""
     fld = _field_from_args(args)
     a = _parse_a(fld, args.a)
-    f = Poly.from_string(fld, args.poly)
-    out = recip.a_reciprocal(f, a)
-    _emit(args, {
-        "input": f.to_string(),
-        "a": str(a),
-        "result": out.to_string(),
-        "pretty": out.pretty(),
-    })
-    return EXIT_OK
+    return a, Poly.from_string(fld, args.poly)
+
+
+def _map_command(op):
+    """Handler of a subcommand that sends the poly to op(f, a)."""
+    def handler(args) -> int:
+        a, f = _poly_args(args)
+        out = op(f, a)
+        _emit(args, {"input": f.to_string(), "a": str(a),
+                     "result": out.to_string(), "pretty": out.pretty()})
+        return EXIT_OK
+    return handler
 
 
 def _cmd_classify(args) -> int:
-    fld = _field_from_args(args)
-    a = _parse_a(fld, args.a)
-    f = Poly.from_string(fld, args.poly)
+    a, f = _poly_args(args)
     kind = recip.classify(f, a)
     _emit(args, {
         "poly": f.to_string(),
@@ -92,9 +94,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_parity(args) -> int:
-    fld = _field_from_args(args)
-    a = _parse_a(fld, args.a)
-    f = Poly.from_string(fld, args.poly)
+    a, f = _poly_args(args)
     verdict = recip.parity_indicator(f, a)
     payload = {
         "poly": f.to_string(),
@@ -107,30 +107,9 @@ def _cmd_parity(args) -> int:
         r = factor_count(f, with_multiplicity=True, seed=args.seed)
         oracle = {"factor_count_with_multiplicity": r}
         if verdict.verdict is not recip.Parity.NOT_APPLICABLE:
-            expected = recip.Parity.EVEN if r % 2 == 0 else recip.Parity.ODD
-            oracle["agrees"] = verdict.verdict is expected
+            oracle["agrees"] = verdict.verdict is recip._parity_of(r)
         payload["oracle"] = oracle
     _emit(args, payload, {"seed": args.seed} if args.verify else None)
-    return EXIT_OK
-
-
-def _cmd_transform(args) -> int:
-    fld = _field_from_args(args)
-    a = _parse_a(fld, args.a)
-    f = Poly.from_string(fld, args.poly)
-    out = recip.quadratic_transform(f, a)
-    _emit(args, {"input": f.to_string(), "a": str(a),
-                 "result": out.to_string(), "pretty": out.pretty()})
-    return EXIT_OK
-
-
-def _cmd_invtransform(args) -> int:
-    fld = _field_from_args(args)
-    a = _parse_a(fld, args.a)
-    f = Poly.from_string(fld, args.poly)
-    out = recip.inverse_quadratic_transform(f, a)
-    _emit(args, {"input": f.to_string(), "a": str(a),
-                 "result": out.to_string(), "pretty": out.pretty()})
     return EXIT_OK
 
 
@@ -169,8 +148,11 @@ def _cmd_census(args) -> int:
     fields = [parse_field_spec(tok) for tok in args.fields.split(",")]
     rows = census.census_sweep(fields, args.nmax)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(census.census_csv(rows))
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(census.census_csv(rows))
+        except OSError as exc:
+            raise DomainError(f"cannot write {args.out}: {exc.strerror}") from None
         _emit(args, {"rows": len(rows), "out": args.out,
                      "all_agree": all(row.agreement for row in rows)})
     elif args.csv:
@@ -214,6 +196,14 @@ def _add_field_args(sub, with_a=True, with_modulus=True):
                               "prime-field coefficients, ascending, monic")
 
 
+def _add_poly_command(subs, name, help_text, func, poly_help=None):
+    sub = subs.add_parser(name, help=help_text)
+    _add_field_args(sub)
+    sub.add_argument("--poly", required=True, help=poly_help)
+    sub.set_defaults(func=func)
+    return sub
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gfrecip",
@@ -221,33 +211,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("recip", help="apply the a-reciprocal operator")
-    _add_field_args(sub)
-    sub.add_argument("--poly", required=True, help="comma-separated ascending coefficients")
-    sub.set_defaults(func=_cmd_recip)
-
-    sub = subs.add_parser("classify", help="self-reciprocal classification")
-    _add_field_args(sub)
-    sub.add_argument("--poly", required=True)
-    sub.set_defaults(func=_cmd_classify)
-
-    sub = subs.add_parser("parity", help="parity of the irreducible factor count")
-    _add_field_args(sub)
-    sub.add_argument("--poly", required=True)
+    _add_poly_command(subs, "recip", "apply the a-reciprocal operator",
+                      _map_command(recip.a_reciprocal),
+                      "comma-separated ascending coefficients")
+    _add_poly_command(subs, "classify", "self-reciprocal classification", _cmd_classify)
+    sub = _add_poly_command(subs, "parity", "parity of the irreducible factor count",
+                            _cmd_parity)
     sub.add_argument("--verify", action="store_true",
                      help="also factor with the oracle and compare")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.set_defaults(func=_cmd_parity)
-
-    sub = subs.add_parser("transform", help="quadratic transform x^n f(x + a/x)")
-    _add_field_args(sub)
-    sub.add_argument("--poly", required=True)
-    sub.set_defaults(func=_cmd_transform)
-
-    sub = subs.add_parser("invtransform", help="invert the quadratic transform")
-    _add_field_args(sub)
-    sub.add_argument("--poly", required=True)
-    sub.set_defaults(func=_cmd_invtransform)
+    _add_poly_command(subs, "transform", "quadratic transform x^n f(x + a/x)",
+                      _map_command(recip.quadratic_transform))
+    _add_poly_command(subs, "invtransform", "invert the quadratic transform",
+                      _map_command(recip.inverse_quadratic_transform))
 
     sub = subs.add_parser("factor", help="factor a polynomial with the oracle")
     _add_field_args(sub, with_a=False)

@@ -66,6 +66,16 @@ class SqrtPairEval(NamedTuple):
     odd_part: FieldElement   # B = sum b_{2i+1} a^i
 
 
+def _x2_minus_a(a: FieldElement) -> Poly:
+    """The trivial a-srm x^2 - a."""
+    return Poly(a.field, (-a, a.field.zero, a.field.one))
+
+
+def _parity_of(count: int) -> Parity:
+    """The verdict a factor count of this parity calls for."""
+    return Parity.EVEN if count % 2 == 0 else Parity.ODD
+
+
 def _check_args(f: Poly, a: FieldElement, op: str) -> FieldElement:
     a = f.field.element(a)
     if not a:
@@ -146,7 +156,7 @@ def strip_x2_minus_a(f: Poly, a: FieldElement) -> tuple[int, Poly]:
     kind = classify(f, a)
     if kind.verdict not in (SrmVerdict.TRIVIAL, SrmVerdict.NONTRIVIAL):
         raise DomainError("expected an a-self-reciprocal polynomial of even degree")
-    quadratic = Poly(f.field, (-a, f.field.zero, f.field.one))
+    quadratic = _x2_minus_a(a)
     k = 0
     g = f
     while True:
@@ -176,8 +186,7 @@ def strip_linear_sqrt(f: Poly, a: FieldElement, sign: int) -> tuple[int, Poly]:
         raise DomainError("expected a nontrivial a-srm polynomial")
     if sign < 0:
         root = -root
-    quadratic = Poly(f.field, (-a, f.field.zero, f.field.one))
-    if not f % quadratic:
+    if not f % _x2_minus_a(a):
         raise DomainError("polynomial is divisible by x^2 - a; strip that first")
     linear = Poly(f.field, (-root, f.field.one))
     k = 0
@@ -217,7 +226,11 @@ def dickson(k: int, a: FieldElement) -> Poly:
 def quadratic_transform(f: Poly, a: FieldElement) -> Poly:
     """x^n f(x + a/x) for monic f of degree n >= 1: the doubled-degree
     nontrivial a-srm whose roots are the solutions of x + a/x = alpha."""
-    a = _check_args_transform(f, a)
+    a = f.field.element(a)
+    if not a:
+        raise DomainError("quadratic_transform requires a nonzero parameter")
+    if not f.is_monic or f.degree < 1:
+        raise DomainError("quadratic_transform requires a monic polynomial of degree >= 1")
     fld = f.field
     n = f.degree
     base = Poly(fld, (a, fld.zero, fld.one))  # x^2 + a
@@ -234,15 +247,6 @@ def quadratic_transform(f: Poly, a: FieldElement) -> Poly:
     if classify(out, a).verdict is not SrmVerdict.NONTRIVIAL:
         raise VerificationError("quadratic transform output failed to classify as nontrivial")
     return out
-
-
-def _check_args_transform(f: Poly, a: FieldElement) -> FieldElement:
-    a = f.field.element(a)
-    if not a:
-        raise DomainError("quadratic_transform requires a nonzero parameter")
-    if not f.is_monic or f.degree < 1:
-        raise DomainError("quadratic_transform requires a monic polynomial of degree >= 1")
-    return a
 
 
 def inverse_quadratic_transform(f: Poly, a: FieldElement) -> Poly:
@@ -281,6 +285,13 @@ def eval_at_sqrt_pair(f: Poly, a: FieldElement) -> SqrtPairEval:
     return SqrtPairEval(even * even - a * odd * odd, even, odd)
 
 
+def _indicator(f: Poly, a: FieldElement) -> FieldElement:
+    """(-1)^n a^(n(n-2)) f(sqrt(a)) f(-sqrt(a)) for f of degree 2n."""
+    n = f.degree // 2
+    value = eval_at_sqrt_pair(f, a).value * a ** (n * (n - 2))
+    return -value if n % 2 == 1 else value
+
+
 def parity_indicator(f: Poly, a: FieldElement) -> ParityVerdict:
     """Decide the parity of the number of irreducible factors (counted
     with multiplicity) of a nontrivial a-srm f of degree 2n.
@@ -293,11 +304,7 @@ def parity_indicator(f: Poly, a: FieldElement) -> ParityVerdict:
     a = f.field.element(a)
     if f.degree < 2 or classify(f, a).verdict is not SrmVerdict.NONTRIVIAL:
         raise DomainError("expected a nontrivial a-srm polynomial of degree >= 2")
-    n = f.degree // 2
-    value = eval_at_sqrt_pair(f, a).value
-    indicator = value * a ** (n * (n - 2))
-    if n % 2 == 1:
-        indicator = -indicator
+    indicator = _indicator(f, a)
     if not indicator:
         return ParityVerdict(Parity.NOT_APPLICABLE, indicator,
                              "f vanishes at +-sqrt(a); the criterion needs "
@@ -312,10 +319,6 @@ def discriminant_identity_check(f: Poly, a: FieldElement) -> bool:
     a nontrivial a-srm f of degree 2n and its inverse transform g."""
     a = f.field.element(a)
     g = inverse_quadratic_transform(f, a)
-    n = f.degree // 2
     lhs = discriminant(f)
-    scale = eval_at_sqrt_pair(f, a).value * a ** (n * (n - 2))
-    if n % 2 == 1:
-        scale = -scale
     dg = discriminant(g)
-    return lhs == scale * dg * dg
+    return lhs == _indicator(f, a) * dg * dg

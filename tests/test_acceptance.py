@@ -32,8 +32,6 @@ from gfrecip import (
     si_enumerated,
     si_formula,
     si_product,
-    verify_count_sum_identity,
-    verify_master_factorization,
 )
 from gfrecip.verify import run_check
 
@@ -105,7 +103,7 @@ def test_criterion_2_divisor_sum_identity(si_table):
                             if n % d == 0 and (n // d) % 2 == 1)
                 if field.q ** n + delta(field, a, n) != total:
                     bad.append((field.q, str(a), n))
-    op_ok = all(verify_count_sum_identity(field, a, n)
+    op_ok = all(run_check("cor2", field, a, n).ok
                 for field in SMALL_GRID_FIELDS
                 for a in field.units()
                 for n in (1, 2, 3))
@@ -149,7 +147,7 @@ def test_criterion_5_master_factor_structure():
         for a in field.units():
             for n in (1, 2, 3):
                 checked += 1
-                if not verify_master_factorization(field, a, n):
+                if not run_check("6", field, a, n).ok:
                     ok = False
     report(5, ok,
            f"all master-polynomial factors are nontrivial a-srim of degree 2d "

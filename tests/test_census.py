@@ -23,8 +23,6 @@ from gfrecip import (
     si_enumerated,
     si_formula,
     si_product,
-    verify_count_sum_identity,
-    verify_master_factorization,
 )
 from gfrecip import verify
 from gfrecip.factor import DEFAULT_SEED
@@ -251,18 +249,18 @@ def test_si_product_small():
 
 
 def test_verify_count_sum_identity():
-    assert verify_count_sum_identity(F5, F5.element(4), 1)
-    assert verify_count_sum_identity(F5, F5.element(2), 1)
-    assert verify_count_sum_identity(F3, F3.element(2), 2)
-    assert verify_count_sum_identity(F9, F9.element([0, 1]), 2)
+    assert verify.run_check("cor2", F5, F5.element(4), 1).ok
+    assert verify.run_check("cor2", F5, F5.element(2), 1).ok
+    assert verify.run_check("cor2", F3, F3.element(2), 2).ok
+    assert verify.run_check("cor2", F9, F9.element([0, 1]), 2).ok
 
 
 def test_verify_master_factorization():
     for a in F3.units():
         for n in (1, 2, 3):
-            assert verify_master_factorization(F3, a, n)
-    assert verify_master_factorization(F5, F5.element(4), 1)
-    assert verify_master_factorization(F5, F5.element(2), 1)
+            assert verify.run_check("6", F3, a, n).ok
+    assert verify.run_check("6", F5, F5.element(4), 1).ok
+    assert verify.run_check("6", F5, F5.element(2), 1).ok
 
 
 def test_check_9_factors_with_the_requested_seed(monkeypatch):

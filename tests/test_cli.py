@@ -1,5 +1,6 @@
 import json
 
+from gfrecip import verify
 from gfrecip.cli import main
 
 
@@ -126,7 +127,7 @@ def test_modulus_override(capsys):
     assert doc["metadata"]["modulus"] == "2,2,1"
 
 
-def test_domain_errors_exit_1(capsys):
+def test_domain_errors_exit_1(capsys, tmp_path):
     cases = [
         ("recip", "--field", "4", "--a", "1", "--poly", "1,1"),        # bad field
         ("recip", "--field", "5", "--a", "0", "--poly", "1,1"),        # zero a
@@ -135,12 +136,24 @@ def test_domain_errors_exit_1(capsys):
         ("classify", "--field", "5", "--a", "x", "--poly", "1,1"),     # bad element
         ("recip", "--field", "3^2", "--a", "1", "--poly", "1,1",
          "--modulus", "a,b"),                                          # bad modulus
+        ("census", "--fields", "3", "--nmax", "1",
+         "--out", str(tmp_path / "missing" / "x.csv")),                # unwritable path
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
         assert err.strip(), argv
         assert not out, argv
+
+
+def test_verify_n_below_1_exits_1(capsys):
+    for token in verify.CHECKS:
+        for n in ("0", "-1"):
+            code, out, err = run(capsys, "verify", "--theorem", token,
+                                 "--field", "5", "--a", "4", "--n", n)
+            assert code == 1, (token, n)
+            assert err == "error: n must be >= 1\n", (token, n)
+            assert not out, (token, n)
 
 
 def test_budget_exit_3(capsys):
@@ -162,3 +175,106 @@ def test_byte_identical_repeat(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+# exact stdout bytes: key order, indentation and the trailing newline
+GOLDEN_STDOUT = {
+    ("recip", "--field", "5", "--a", "3", "--poly", "2,4,3,1"): """\
+{
+  "status": "ok",
+  "schema_version": 1,
+  "command": "recip",
+  "payload": {
+    "input": "2,4,3,1",
+    "a": "3",
+    "result": "1,1,1,1",
+    "pretty": "x^3+x^2+x+1"
+  },
+  "metadata": {
+    "field": "5",
+    "version": "0.1.0"
+  }
+}
+""",
+    ("transform", "--field", "3^2", "--a", "t", "--poly", "1,t,1"): """\
+{
+  "status": "ok",
+  "schema_version": 1,
+  "command": "transform",
+  "payload": {
+    "input": "1,t,1",
+    "a": "t",
+    "result": "2,2,1+2*t,t,1",
+    "pretty": "x^4+tx^3+(1+2*t)x^2+2x+2"
+  },
+  "metadata": {
+    "field": "3^2",
+    "version": "0.1.0"
+  }
+}
+""",
+    ("invtransform", "--field", "5", "--a", "2", "--poly", "2,1,1"): """\
+{
+  "status": "ok",
+  "schema_version": 1,
+  "command": "invtransform",
+  "payload": {
+    "input": "2,1,1",
+    "a": "2",
+    "result": "1,1",
+    "pretty": "x+1"
+  },
+  "metadata": {
+    "field": "5",
+    "version": "0.1.0"
+  }
+}
+""",
+    ("classify", "--field", "5", "--a", "4", "--poly", "4,1,2,4,3,1,1"): """\
+{
+  "status": "ok",
+  "schema_version": 1,
+  "command": "classify",
+  "payload": {
+    "poly": "4,1,2,4,3,1,1",
+    "a": "4",
+    "verdict": "nontrivial",
+    "half_degree": 3
+  },
+  "metadata": {
+    "field": "5",
+    "version": "0.1.0"
+  }
+}
+""",
+    ("parity", "--field", "3^2", "--a", "t", "--poly", "t,1,1", "--verify"): """\
+{
+  "status": "ok",
+  "schema_version": 1,
+  "command": "parity",
+  "payload": {
+    "poly": "t,1,1",
+    "a": "t",
+    "verdict": "odd",
+    "indicator": "1+2*t",
+    "reason": null,
+    "oracle": {
+      "factor_count_with_multiplicity": 1,
+      "agrees": true
+    }
+  },
+  "metadata": {
+    "field": "3^2",
+    "version": "0.1.0",
+    "seed": 1729
+  }
+}
+""",
+}
+
+
+def test_poly_commands_golden_stdout(capsys):
+    for argv, expected in GOLDEN_STDOUT.items():
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out == expected, argv
