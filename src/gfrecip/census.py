@@ -260,6 +260,8 @@ def census_row(field: Field, a: FieldElement, n: int, enumerate_too: bool = True
 
 def census_sweep(fields: list[Field], nmax: int) -> list[CensusRow]:
     """One row per (field, nonzero a, n <= nmax), in deterministic order."""
+    if nmax < 1:
+        raise DomainError("nmax must be >= 1")
     rows = []
     for field in fields:
         for a in field.units():

@@ -21,7 +21,24 @@ int: ``_kron_pack`` joins its codes into byte-aligned slots of
 ``_kron_bytes(terms)`` bytes each, wide enough for a sum of ``terms``
 products of two codes, so one bigint product of two packed polynomials
 convolves their coefficients; ``_kron_unpack`` cuts such an int back
-into its slots and reduces each to a code.
+into its slots and reduces each to a code, and ``_kron_fold`` reduces
+every slot in place, returning a packed int again.
+
+Over F_p with 2p < 256 (p <= 127) those three kernels work on byte
+lanes rather than slot by slot.  Byte j of every W-byte slot forms lane
+j, the slice ``raw[j::W]`` of the int's bytes, and one
+``bytes.translate`` by the table T_j[x] = x 256^j mod p (cached per
+(p, W)) maps a whole lane to residues whose sum, slot by slot, is
+congruent to the slot's value mod p.  The translated lanes are added as
+bigints; each byte stays a separate sum as long as it cannot pass 255,
+so before the next lane could carry (after 255 // (p-1) lanes) the
+running sum is folded through T_0 back to residues, and one last T_0
+pass leaves one residue per byte.  Packing residues is one slice
+assignment, ``buf[::W] = codes``.  A larger p has no room for two
+residues in a byte, and over F_{p^e} with e > 1 a slot holds a packed
+accumulator that ``_reduce`` must fold mod the modulus, so both keep
+the per-slot loop; ``Field._lanes``, set from p and e alone, is the one
+place that choice is made.
 
 The canonical total order on elements — used for square-root tie
 breaking, factor sorting and enumeration streams — is lexicographic on
@@ -64,6 +81,13 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+@functools.cache
+def _lane_tables(p: int, nbytes: int) -> tuple[bytes, ...]:
+    # T_j[x] = x 256^j mod p for each byte lane j of an nbytes-byte slot
+    return tuple(bytes([x * pow(256, j, p) % p for x in range(256)])
+                 for j in range(nbytes))
 
 
 @functools.cache
@@ -241,7 +265,7 @@ class Field:
     """The finite field with p**e elements, p an odd prime."""
 
     __slots__ = ("p", "e", "q", "modulus", "zero", "one",
-                 "_slot_bits", "_slot_mask", "_reduction_codes")
+                 "_slot_bits", "_slot_mask", "_reduction_codes", "_lanes")
 
     def __init__(self, p: int, e: int = 1, modulus: Sequence[int] | None = None):
         if not isinstance(p, int) or not is_prime(p):
@@ -259,6 +283,8 @@ class Field:
         # slots never carry into each other.
         self._slot_bits = (2 ** 32 * e * (p - 1) ** 2).bit_length()
         self._slot_mask = (1 << self._slot_bits) - 1
+        # byte-lane Kronecker kernels: a byte holds two residues mod p
+        self._lanes = e == 1 and 2 * p < 256
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
         if e == 1:
@@ -363,12 +389,16 @@ class Field:
         """One int holding ``codes`` in ``nbytes``-byte slots, lowest
         first: the value at 2^(8 nbytes) of the polynomial they are the
         coefficients of.  Multiplying two such ints convolves the slots."""
+        if self._lanes:
+            return self._lane_pack(bytes(codes), nbytes)
         return int.from_bytes(b"".join([c.to_bytes(nbytes, "little") for c in codes]),
                               "little")
 
     def _kron_unpack(self, v: int, nbytes: int, n: int) -> list[int]:
         """The codes of the ``n`` slots of ``v`` (which must fit in them),
         each slot a packed accumulator."""
+        if self._lanes:
+            return list(self._lane_residues(v, nbytes, n))
         b = v.to_bytes(n * nbytes, "little")
         slots = range(0, n * nbytes, nbytes)
         if self.e == 1:
@@ -376,6 +406,37 @@ class Field:
             return [int.from_bytes(b[i:i + nbytes], "little") % p for i in slots]
         reduce = self._reduce
         return [reduce(int.from_bytes(b[i:i + nbytes], "little")) for i in slots]
+
+    def _kron_fold(self, v: int, nbytes: int, n: int) -> int:
+        """``v``'s ``n`` slots reduced to codes, packed again in place:
+        ``_kron_pack(_kron_unpack(v, nbytes, n), nbytes)``."""
+        if self._lanes:
+            return self._lane_pack(self._lane_residues(v, nbytes, n), nbytes)
+        return self._kron_pack(self._kron_unpack(v, nbytes, n), nbytes)
+
+    @staticmethod
+    def _lane_pack(residues: bytes, nbytes: int) -> int:
+        # one residue in the low byte of each slot
+        buf = bytearray(len(residues) * nbytes)
+        buf[::nbytes] = residues
+        return int.from_bytes(buf, "little")
+
+    def _lane_residues(self, v: int, nbytes: int, n: int) -> bytes:
+        # each of v's n slots mod p, one byte apiece, by whole-lane byte
+        # operations (see the module docstring)
+        raw = v.to_bytes(n * nbytes, "little")
+        tables = _lane_tables(self.p, nbytes)
+        t0 = tables[0]
+        room = 255 // (self.p - 1)  # lanes of residues a byte can sum
+        acc = int.from_bytes(raw[::nbytes].translate(t0), "little")
+        held = 1
+        for j in range(1, nbytes):
+            if held == room:
+                acc = int.from_bytes(acc.to_bytes(n, "little").translate(t0), "little")
+                held = 1
+            acc += int.from_bytes(raw[j::nbytes].translate(tables[j]), "little")
+            held += 1
+        return acc.to_bytes(n, "little").translate(t0)
 
     def _codes(self) -> Iterator[int]:
         """All q codes in the canonical (coordinate-lexicographic) order."""

@@ -42,6 +42,9 @@ and -f mod x^N.  A square or product v of degree <= 2N-2 then reduces by
 two more bigint products: its quotient is (v div x^N) * mu div x^(N-2),
 and its remainder is v mod x^N - quotient * f mod x^N (Barrett
 reduction; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 9).
+The high half, the quotient and the remainder each pass through
+``Field._kron_fold``, which reduces every slot to a code and leaves the
+value packed, so the ladder builds no coefficient list between steps.
 That set-up, ``_barrett(f)``, is built apart from the ladder
 ``_pow_mod_monic``, so a caller that powers again and again by one
 modulus (the Frobenius ladders in factor.py) builds it once.
@@ -409,7 +412,7 @@ def _pow_mod_monic(base: Poly, k: int, f: Poly, barrett) -> Poly:
         return acc
     n = f.degree
     nbytes, mu, neg_low = barrett
-    pack, unpack = fld._kron_pack, fld._kron_unpack
+    fold = fld._kron_fold
     low_bits = 8 * nbytes * n
     low_mask = (1 << low_bits) - 1
     quo_shift = 8 * nbytes * (n - 2)
@@ -417,16 +420,16 @@ def _pow_mod_monic(base: Poly, k: int, f: Poly, barrett) -> Poly:
     def reduce(v):
         # v (2n - 1 slots) mod f: its quotient is (high half * mu) >> (n - 2)
         # slots, and the remainder low half - quo * f needs f mod x^n only
-        high = pack(unpack(v >> low_bits, nbytes, n - 1), nbytes)
-        quo = pack(unpack(high * mu >> quo_shift, nbytes, n - 1), nbytes)
-        return pack(unpack((quo * neg_low + (v & low_mask)) & low_mask, nbytes, n), nbytes)
+        high = fold(v >> low_bits, nbytes, n - 1)
+        quo = fold(high * mu >> quo_shift, nbytes, n - 1)
+        return fold((quo * neg_low + (v & low_mask)) & low_mask, nbytes, n)
 
-    vb = acc = pack(base._codes, nbytes)
+    vb = acc = fld._kron_pack(base._codes, nbytes)
     for bit in bin(k)[3:]:
         acc = reduce(acc * acc)
         if bit == "1":
             acc = reduce(acc * vb)
-    return Poly._raw(fld, unpack(acc, nbytes, n))
+    return Poly._raw(fld, fld._kron_unpack(acc, nbytes, n))
 
 
 def _inverse_series(fld: Field, g, m: int) -> list[int]:

@@ -139,11 +139,18 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         ("census", "--fields", "3", "--nmax", "1",
          "--out", str(tmp_path / "missing" / "x.csv")),                # unwritable path
     ]
+    for nmax in ("0", "-1"):                                           # empty sweep
+        cases += [("census", "--fields", "3", "--nmax", nmax),
+                  ("census", "--fields", "3", "--nmax", nmax,
+                   "--out", str(tmp_path / f"nmax{nmax}.csv"))]
     for argv in cases:
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
         assert err.strip(), argv
         assert not out, argv
+        if "--nmax" in argv and argv[argv.index("--nmax") + 1] != "1":
+            assert err == "error: nmax must be >= 1\n", argv
+    assert not list(tmp_path.glob("nmax*.csv"))
 
 
 def test_verify_n_below_1_exits_1(capsys):

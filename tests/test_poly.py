@@ -151,9 +151,10 @@ def test_long_products_and_divisions_extension(p, e):
 # -- Kronecker products and the precomputed-inverse pow_mod ----------------------
 
 # slots of 1 to 5 bytes over F_p (F_10007 is the widest prime in the
-# benchmark), 16 to 17 over F_(2^61 - 1), 10 to 48 over the extensions
-KRON_FIELDS = [Field(3), Field(7), Field(8191), Field(10007), Field(2 ** 61 - 1),
-               Field(3, 2), Field(17, 2), Field(3, 6)]
+# benchmark), 16 to 17 over F_(2^61 - 1), 10 to 48 over the extensions;
+# F_127 is the largest prime on byte lanes, F_131 the smallest off them
+KRON_FIELDS = [Field(3), Field(7), Field(127), Field(131), Field(8191), Field(10007),
+               Field(2 ** 61 - 1), Field(3, 2), Field(17, 2), Field(3, 6)]
 
 
 def _random_poly(field, degree, rng):
@@ -185,6 +186,36 @@ def test_kronecker_products_match_schoolbook(field):
     # every coordinate p - 1: the largest sum a slot can hold
     top = Poly(field, [[field.p - 1] * field.e] * 300)
     assert top * top == _schoolbook(top, top)
+
+
+def test_byte_lanes_chosen_from_p_and_e():
+    assert all(Field(p)._lanes for p in (3, 5, 7, 13, 31, 127))
+    assert not any(f._lanes for f in (Field(131), Field(257), Field(3, 2), Field(7, 3)))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 127, 131])
+def test_kron_kernels_match_per_slot_reference(p):
+    # the byte-lane kernels (p <= 127) and the per-slot ones (p = 131)
+    # against one slot at a time: int.from_bytes(slot) % p, joined to_bytes
+    field = Field(p)
+    rng = random.Random(p)
+
+    def joined(values, nbytes):
+        return int.from_bytes(b"".join([v.to_bytes(nbytes, "little") for v in values]),
+                              "little")
+
+    for nbytes in (1, 2, 3, 4):
+        top = 256 ** nbytes - 1
+        for n in (1, 2, 7, 300, 2000):
+            for slots in ([rng.randrange(top + 1) for _ in range(n)],
+                          [top] * n,                    # every byte 0xFF
+                          [p - 1] * n):                 # every code p - 1
+                v = joined(slots, nbytes)
+                codes = [s % p for s in slots]
+                packed = joined(codes, nbytes)
+                assert field._kron_unpack(v, nbytes, n) == codes
+                assert field._kron_fold(v, nbytes, n) == packed
+                assert field._kron_pack(codes, nbytes) == packed
 
 
 def _pow_mod_by_products(base, k, f):
