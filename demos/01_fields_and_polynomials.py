@@ -19,8 +19,8 @@ print("\nF_9 modulus coefficients (ascending):", F9.modulus)
 t = F9.element([0, 1])
 print("t * t =", t * t, "   (t + 1)^3 =", (t + 1) ** 3)
 
-# Quadratic residues via Euler's criterion, square roots by scan with a
-# deterministic tie-break: the lexicographically smaller of the pair.
+# Quadratic residues via Euler's criterion, square roots by Cipolla's method
+# with a deterministic tie-break: the lexicographically smaller of the pair.
 print("\nsquares in F_5:", [str(a) for a in F5.units() if a.is_square()])
 print("sqrt(4) =", F5.element(4).sqrt(), "   sqrt(2) =", F5.element(2).sqrt())
 print("squares in F_9:", [str(a) for a in F9.units() if a.is_square()])

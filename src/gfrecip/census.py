@@ -34,7 +34,9 @@ from .recip import _x2_minus_a
 # h_poly degree guard: q^n + 1 may explode; the CLI exposes the knob.
 DEGREE_BUDGET = 100_000
 
-CSV_HEADER = "q,a,n,delta,si_formula,si_enumerated,agreement"
+# a census row's fields, in JSON and CSV column order
+COLUMNS = ("q", "a", "n", "delta", "si_formula", "si_enumerated", "agreement")
+CSV_HEADER = ",".join(COLUMNS)
 
 
 def mobius(d: int) -> int:
@@ -240,10 +242,10 @@ class CensusRow:
             return None
         return self.si_formula == self.si_enumerated
 
-    def csv_line(self) -> str:
-        enum = "" if self.si_enumerated is None else self.si_enumerated
-        agree = "" if self.agreement is None else str(self.agreement).lower()
-        return f"{self.q},{self.a},{self.n},{self.delta},{self.si_formula},{enum},{agree}"
+    def items(self) -> Iterator[tuple[str, object]]:
+        # (column, JSON value) in COLUMNS order, for JSON rows and CSV lines
+        for name in COLUMNS:
+            yield name, str(self.a) if name == "a" else getattr(self, name)
 
 
 def census_row(field: Field, a: FieldElement, n: int, enumerate_too: bool = True) -> CensusRow:
@@ -271,4 +273,7 @@ def census_sweep(fields: list[Field], nmax: int) -> list[CensusRow]:
 
 
 def census_csv(rows: list[CensusRow]) -> str:
-    return "\n".join([CSV_HEADER] + [row.csv_line() for row in rows]) + "\n"
+    # null as an empty cell, booleans as JSON spells them
+    lines = [",".join("" if v is None else str(v).lower() if isinstance(v, bool) else str(v)
+                      for _, v in row.items()) for row in rows]
+    return "\n".join([CSV_HEADER] + lines) + "\n"

@@ -132,15 +132,7 @@ def _cmd_count(args) -> int:
     fld = _field_from_args(args)
     a = _parse_a(fld, args.a)
     row = census.census_row(fld, a, args.n, enumerate_too=args.enumerate)
-    _emit(args, {
-        "q": row.q,
-        "a": str(row.a),
-        "n": row.n,
-        "delta": row.delta,
-        "si_formula": row.si_formula,
-        "si_enumerated": row.si_enumerated,
-        "agreement": row.agreement,
-    })
+    _emit(args, dict(row.items()))
     return EXIT_OK
 
 
@@ -158,11 +150,7 @@ def _cmd_census(args) -> int:
     elif args.csv:
         sys.stdout.write(census.census_csv(rows))
     else:
-        _emit(args, {"rows": [{
-            "q": row.q, "a": str(row.a), "n": row.n, "delta": row.delta,
-            "si_formula": row.si_formula, "si_enumerated": row.si_enumerated,
-            "agreement": row.agreement,
-        } for row in rows]})
+        _emit(args, {"rows": [dict(row.items()) for row in rows]})
     if not all(row.agreement for row in rows):
         return EXIT_VERIFY
     return EXIT_OK

@@ -43,18 +43,19 @@ place that choice is made.
 The canonical total order on elements — used for square-root tie
 breaking, factor sorting and enumeration streams — is lexicographic on
 the coordinate tuple.
+
+Square roots use Cipolla's method: take the first t in canonical order
+with w = t^2 - a zero (t is a root) or a non-square.  In F_q[x]/(x^2 - w)
+x^q = -x, so (x + t)^(q+1) = t^2 - w = a and ``poly.pow_mod`` gives the
+root (x + t)^((q+1)/2): about two trials and one ``pow_mod`` at any q.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Iterator, Sequence
 
-from .errors import DomainError, FieldMismatchError, ResourceError, VerificationError
-
-# sqrt() scans all q elements; plenty at desk scale, guarded beyond it.
-SQRT_SEARCH_LIMIT = 10_000
+from .errors import DomainError, FieldMismatchError, VerificationError
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -93,16 +94,15 @@ def _lane_tables(p: int, nbytes: int) -> tuple[bytes, ...]:
 @functools.cache
 def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     # lexicographically first (c0, ..., c_{e-1}) making x^e + ... + c0
-    # irreducible over F_p; c0 == 0 is always reducible, skip it.  Cached
-    # per (p, e): the search costs about a millisecond for F_{3^6}, and the
+    # irreducible over F_p, read as the base-p digits of i (c0 first) from
+    # i = p^(e-1) up, as c0 == 0 is reducible.  Cached per (p, e): the
     # command line builds its field afresh on every request.
     from .factor import is_irreducible
     from .poly import Poly
 
     base = Field(p)
-    for tail in itertools.product(range(p), repeat=e):
-        if tail[0] == 0:
-            continue
+    for i in range(p ** (e - 1), p ** e):
+        tail = tuple(i // p ** k % p for k in reversed(range(e)))
         if is_irreducible(Poly(base, tail + (1,))):
             return tail + (1,)
     raise VerificationError(  # pragma: no cover - irreducibles always exist
@@ -215,20 +215,25 @@ class FieldElement:
         """Canonical square root, or None for a nonzero non-square.
 
         sqrt(0) == 0.  Of the two roots of a nonzero square the one with
-        the lexicographically smaller coordinate tuple is returned.
-        Exhaustive scan, guarded by SQRT_SEARCH_LIMIT.
+        the lexicographically smaller coordinate tuple is returned.  By
+        Cipolla's method, at any q (see the module docstring).
         """
         f = self.field
         if not self:
             return f.zero
-        if f.q > SQRT_SEARCH_LIMIT:
-            raise ResourceError(
-                f"square-root search over {f} exceeds the scan limit {SQRT_SEARCH_LIMIT}")
-        reduce, target = f._reduce, self.code
-        for r in f._codes():
-            if reduce(r * r) == target:
-                return FieldElement(f, r)
-        return None
+        if not self.is_square():
+            return None
+        from .poly import Poly, pow_mod
+
+        reduce, neg_a = f._reduce, f._neg(self.code)
+        for t in f._codes():
+            w = reduce(t * t + neg_a)
+            if not w or not FieldElement(f, w).is_square():
+                break
+        if w:
+            t = pow_mod(Poly._raw(f, [t, 1]), (f.q + 1) // 2,
+                        Poly._raw(f, [f._neg(w), 0, 1]))[0].code
+        return FieldElement(f, min(t, f._neg(t), key=f._unpack))
 
     def frobenius(self, k: int) -> "FieldElement":
         """The k-fold Frobenius image x**(p**k); the identity when e | k."""
@@ -439,9 +444,11 @@ class Field:
         return acc.to_bytes(n, "little").translate(t0)
 
     def _codes(self) -> Iterator[int]:
-        """All q codes in the canonical (coordinate-lexicographic) order."""
-        return (self._pack(coords)
-                for coords in itertools.product(range(self.p), repeat=self.e))
+        """All q codes in the canonical (coordinate-lexicographic) order,
+        one at a time: i in range(q) as base-p digits, c0 the most significant."""
+        p = self.p
+        for i in range(self.q):
+            yield self._pack([i // p ** k % p for k in reversed(range(self.e))])
 
     # -- public surface -------------------------------------------------------
 

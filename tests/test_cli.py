@@ -38,6 +38,28 @@ def test_classify_example(capsys):
     assert doc["payload"]["half_degree"] == 3
 
 
+def test_classify_odd_degree_over_f10007_golden(capsys):
+    code, out, err = run(capsys, "classify", "--field", "10007", "--a", "4",
+                         "--poly", "2,1")
+    assert (code, err) == (0, "")
+    assert out == """{
+  "status": "ok",
+  "schema_version": 1,
+  "command": "classify",
+  "payload": {
+    "poly": "2,1",
+    "a": "4",
+    "verdict": "odd_srm_plus",
+    "half_degree": null
+  },
+  "metadata": {
+    "field": "10007",
+    "version": "0.1.0"
+  }
+}
+"""
+
+
 def test_parity_with_oracle(capsys):
     doc = run_json(capsys, "parity", "--field", "5", "--a", "1",
                    "--poly", "1,1,1", "--verify")
@@ -84,6 +106,8 @@ def test_count_example(capsys):
     assert payload["agreement"] is True
     doc = run_json(capsys, "count", "--field", "5", "--a", "4", "--n", "2")
     assert doc["payload"]["si_enumerated"] is None
+    # JSON keys in the CSV's column order
+    assert ",".join(doc["payload"]) == "q,a,n,delta,si_formula,si_enumerated,agreement"
 
 
 def test_census_csv_stdout(capsys):

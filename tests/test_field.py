@@ -1,9 +1,11 @@
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gfrecip import DomainError, Field, FieldMismatchError, ResourceError, parse_field_spec
+from gfrecip import DomainError, Field, FieldMismatchError, Poly, is_irreducible, parse_field_spec
 
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4)]
 
@@ -191,11 +193,76 @@ def test_sqrt_spot_values(F5):
     assert F5.zero.sqrt() == F5.zero
 
 
-def test_sqrt_scan_limit_guard():
+def scan_roots(f):
+    """Reference square roots by exhaustive scan: code of a square ->
+    the first root in canonical order, the smaller-coords one."""
+    roots = {}
+    for r in f.elements():
+        roots.setdefault((r * r).code, r)
+    return roots
+
+
+@pytest.mark.parametrize("p,e", [(13, 1), (101, 1), (17, 2), (3, 6)])
+def test_sqrt_matches_scan_on_every_element(p, e):
+    f = Field(p, e)
+    roots = scan_roots(f)
+    for a in f.elements():
+        assert a.sqrt() == roots.get(a.code), a
+
+
+def test_sqrt_matches_scan_on_seeded_sample():
+    f = Field(8191)
+    roots = scan_roots(f)
+    rng = random.Random(8191)
+    for a in (f.element(rng.randrange(f.q)) for _ in range(300)):
+        assert a.sqrt() == roots.get(a.code), a
+
+
+SQRT_FIELDS = [(5, 1), (7, 1), (3, 2), (5, 2), (17, 2), (3, 6), (8191, 1), (10007, 1),
+               (2 ** 61 - 1, 1), (3, 20), (10007, 2)]
+
+
+@given(st.sampled_from(SQRT_FIELDS), st.lists(st.integers(min_value=0), min_size=20,
+                                              max_size=20))
+def test_sqrt_property(spec, digits):
+    # q = 1 and 3 mod 4 alike: a square's root is r or -r, the one with
+    # the smaller coords; a non-square has none
+    f = Field(*spec)
+    r = f.element(digits[:f.e])
+    a = r * r
+    s = a.sqrt()
+    assert s in (r, -r) and s.coords <= (-s).coords
+    x = f.element(digits[-f.e:])
+    if x and not x.is_square():
+        assert x.sqrt() is None
+
+
+@pytest.mark.parametrize("p,e", [(2 ** 61 - 1, 1), (10007, 2), (3, 20)])
+def test_sqrt_large_fields(p, e):
+    f = Field(p, e)
+    rng = random.Random(p + e)
+    r = f.element([rng.randrange(p) for _ in range(e)])
+    start = time.perf_counter()
+    s = (r * r).sqrt()
+    assert time.perf_counter() - start < 1.0
+    assert s * s == r * r and s.coords <= (-s).coords
+
+
+def test_sqrt_over_f10007():
+    # past the size an exhaustive scan could afford
     f = Field(10007)
-    with pytest.raises(ResourceError):
-        f.element(2).sqrt()
-    assert f.element(2).is_square() in (True, False)  # character still cheap
+    assert f.element(4).sqrt() == 2
+    assert f.element(5).sqrt() is None  # (5/10007) = (10007/5) = (2/5) = -1
+
+
+def test_first_unit_of_a_huge_field():
+    # the element walk is lazy: nothing of size q is built up front
+    assert next(Field(2 ** 61 - 1).units()) == 1
+
+
+def test_modulus_search_f3_20():
+    f = Field(3, 20)
+    assert is_irreducible(Poly(Field(3), f.modulus))
 
 
 def test_frobenius(F5, F9):
