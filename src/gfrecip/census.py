@@ -26,12 +26,12 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DomainError, ResourceError, VerificationError
-from .factor import _prime_divisors, is_irreducible
+from .factor import is_irreducible
 from .field import Field, FieldElement
 from .poly import Poly
 from .recip import _x2_minus_a
 
-# h_poly degree guard: q^n + 1 may explode; the CLI exposes the knob.
+# h_poly's degree guard (the CLI exposes the knob) and within_budget's cap
 DEGREE_BUDGET = 100_000
 
 # a census row's fields, in JSON and CSV column order
@@ -39,15 +39,27 @@ COLUMNS = ("q", "a", "n", "delta", "si_formula", "si_enumerated", "agreement")
 CSV_HEADER = ",".join(COLUMNS)
 
 
+def within_budget(size: int, what: str) -> None:
+    """Raise ResourceError, before any work, when an exhaustive loop
+    would take more than DEGREE_BUDGET steps."""
+    if size > DEGREE_BUDGET:
+        raise ResourceError(f"{what} would take more than {DEGREE_BUDGET} steps")
+
+
 def mobius(d: int) -> int:
     """Moebius function: 0 when a prime square divides d, else
-    (-1)^(number of prime factors)."""
+    (-1)^(number of prime factors), by trial division."""
     if d < 1:
         raise DomainError("mobius is defined on positive integers")
-    primes = _prime_divisors(d)
-    if any(d % (p * p) == 0 for p in primes):
-        return 0
-    return (-1) ** len(primes)
+    mu, p = 1, 2
+    while p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if d > 1 else mu
 
 
 def _divisors(n: int) -> list[int]:
@@ -122,6 +134,31 @@ def carlitz_count(q: int, n: int) -> int:
     return total // (2 * n)
 
 
+def _srm_stream(field: Field, a: FieldElement, degree: int, b0: int,
+                free: range) -> Iterator[Poly]:
+    """Monic a-srm polynomials of the given degree with constant code b0.
+
+    The codes at the free indices run over every tuple in the canonical
+    element order, the first index most significant; each b_i with
+    0 < i < degree/2 mirrors b_(degree-i) by b_i = b_(degree-i) b_0 a^(-i),
+    and every other coefficient stays 0."""
+    within_budget(field.q ** len(free), "the a-srm enumeration")
+    reduce = field._reduce
+    inv_a = field._inv(a.code)
+    half = (degree - 1) // 2
+    scale = [b0]  # b_0 a^(-i)
+    for _ in range(half):
+        scale.append(reduce(scale[-1] * inv_a))
+    cut = slice(free.start, free.stop, free.step)
+    for upper in itertools.product(list(field._codes()), repeat=len(free)):
+        b = [0] * (degree + 1)
+        b[0], b[degree] = b0, 1
+        b[cut] = upper
+        for i in range(1, half + 1):
+            b[i] = reduce(b[degree - i] * scale[i])
+        yield Poly._raw(field, b)
+
+
 def enumerate_srm(field: Field, a: FieldElement, n: int, kind: str) -> Iterator[Poly]:
     """All monic a-srm polynomials of degree 2n of the given kind
     ("trivial" or "nontrivial"), each exactly once.
@@ -139,27 +176,15 @@ def enumerate_srm(field: Field, a: FieldElement, n: int, kind: str) -> Iterator[
     if kind not in ("trivial", "nontrivial"):
         raise DomainError(f"kind must be 'trivial' or 'nontrivial', got {kind!r}")
     trivial = kind == "trivial"
-    reduce, neg = field._reduce, field._neg
-    a_powers = [1]
-    for _ in range(n):
-        a_powers.append(reduce(a_powers[-1] * a.code))
-    free = n - 1 if trivial else n
-    top = n + 1 if trivial else n
-    for upper in itertools.product(list(field._codes()), repeat=free):
-        # codes b_0..b_2n: b_2n = 1, the free upper half, then the mirror
-        b = [0] * (2 * n + 1)
-        b[2 * n] = 1
-        b[top:top + free] = upper
-        for i in range(n):
-            mirrored = reduce(b[2 * n - i] * a_powers[n - i])
-            b[i] = neg(mirrored) if trivial else mirrored
-        yield Poly._raw(field, b)
+    b0 = -(a ** n) if trivial else a ** n
+    yield from _srm_stream(field, a, 2 * n, b0.code, range(n + 1 if trivial else n, 2 * n))
 
 
 def enumerate_odd_srm(field: Field, a: FieldElement, n: int) -> Iterator[Poly]:
     """All monic a-srm polynomials of odd degree n (empty unless a is a
     square).  For each sign choice b_0 = +-sqrt(a)^n the upper-half
-    coefficients are free and mirror down via b_i = b_{n-i} b_0 / a^i."""
+    coefficients are free, b_{n-1} most significant, and mirror down via
+    b_i = b_{n-i} b_0 / a^i."""
     a = field.element(a)
     if not a:
         raise DomainError("the parameter must be nonzero")
@@ -168,23 +193,8 @@ def enumerate_odd_srm(field: Field, a: FieldElement, n: int) -> Iterator[Poly]:
     root = a.sqrt()
     if root is None:
         return
-    reduce = field._reduce
-    inv_a = field._inv(a.code)
-    pool = list(field._codes())
-    half = (n - 1) // 2
     for b0 in (root ** n, -(root ** n)):
-        scale = [b0.code]  # b_0 / a^i
-        for _ in range(half):
-            scale.append(reduce(scale[-1] * inv_a))
-        for upper in itertools.product(pool, repeat=half):
-            b = [0] * (n + 1)
-            b[n] = 1
-            b[0] = b0.code
-            for offset, c in enumerate(upper):
-                b[n - 1 - offset] = c
-            for i in range(1, half + 1):
-                b[i] = reduce(b[n - i] * scale[i])
-            yield Poly._raw(field, b)
+        yield from _srm_stream(field, a, n, b0.code, range(n - 1, n // 2, -1))
 
 
 def enumerate_srim(field: Field, a: FieldElement, n: int) -> Iterator[Poly]:
@@ -264,6 +274,9 @@ def census_sweep(fields: list[Field], nmax: int) -> list[CensusRow]:
     """One row per (field, nonzero a, n <= nmax), in deterministic order."""
     if nmax < 1:
         raise DomainError("nmax must be >= 1")
+    # (q - 1)(q + ... + q^nmax) = q^(nmax+1) - q; capped, 3^18 is still over
+    top = min(nmax, DEGREE_BUDGET.bit_length()) + 1
+    within_budget(sum(fld.q ** top - fld.q for fld in fields), "the census grid")
     rows = []
     for field in fields:
         for a in field.units():

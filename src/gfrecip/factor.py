@@ -1,16 +1,17 @@
 """Factorization oracle over F_q, odd characteristic.
 
 This module is the independent referee for every structural claim in the
-package: a Rabin irreducibility test and a complete factorization built
+package: a Ben-Or irreducibility test and a complete factorization built
 from squarefree decomposition (including the zero-derivative p-th-power
 reduction), distinct-degree splitting, and Cantor-Zassenhaus equal-degree
 splitting with the odd-q exponent (q^d - 1)/2.
 
-The q-power ladders of the Rabin test and of the distinct-degree stage
-build the modulus' reduction set-up once and rebuild it only when the
-modulus changes.  Each equal-degree draw r costs one ``pow_mod`` and one
-gcd, gcd(r^((q^d-1)/2) - 1, f): a factor on which r vanishes lands on
-the side where r^((q^d-1)/2) != 1, so it needs no separate gcd(r, f).
+The oracle has one q-power walk, the distinct-degree stage, and Ben-Or's
+test is its first block.  The walk builds the modulus' reduction set-up
+once and rebuilds it only when the modulus changes.  Each equal-degree
+draw r costs one ``pow_mod`` and one gcd, gcd(r^((q^d-1)/2) - 1, f): a
+factor on which r vanishes lands on the side where r^((q^d-1)/2) != 1,
+so it needs no separate gcd(r, f).
 
 Randomness in the equal-degree stage comes from a per-call generator
 seeded by an explicit parameter (default DEFAULT_SEED), so two runs with
@@ -30,42 +31,22 @@ from .poly import Poly, _barrett, _pow_mod_monic, gcd, pow_mod
 DEFAULT_SEED = 1729
 
 
-def _prime_divisors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(f: Poly) -> bool:
-    """Rabin test: f of degree n is irreducible over F_q iff
-    x^(q^n) == x (mod f) and gcd(x^(q^(n/l)) - x, f) = 1 for every prime
-    l dividing n.  The q-power ladder is walked once, checking each
-    divisor condition on the way up so reducible inputs exit early.
+    """Ben-Or test: f of degree n is irreducible over F_q iff the first
+    block of the distinct-degree walk of monic f has d == n.
+
+    This holds for any f, squarefree or not.  The first d with
+    gcd(x^(q^d) - x, f) != 1 is the least degree of an irreducible
+    factor of f, and a reducible f of degree n has a factor of degree
+    <= n/2, which the walk reaches before it stops.  Compare d, not the
+    block's degree: over F_3, x^2 + x is one block of degree 2 at d = 1.
+    An irreducible f takes floor(n/2) Frobenius steps.
     """
     n = f.degree
     if n < 1:
         raise DomainError("irreducibility is undefined for constants")
-    f = f.monic()
-    if n == 1:
-        return True
-    fld = f.field
-    x = Poly.x(fld)
-    checkpoints = {n // l for l in _prime_divisors(n)}
-    barrett = _barrett(f)
-    h = x % f
-    for k in range(1, n + 1):
-        h = _pow_mod_monic(h, fld.q, f, barrett)
-        if k in checkpoints and gcd(h - x, f).degree != 0:
-            return False
-    return h == x % f
+    d, _ = next(_distinct_degree(f.monic()))
+    return d == n
 
 
 @dataclass(frozen=True)
@@ -137,26 +118,26 @@ def _squarefree_parts(f: Poly) -> dict[int, Poly]:
 
 
 def _distinct_degree(f: Poly):
-    """Split a squarefree monic f into (d, product of its degree-d
-    irreducible factors) pairs."""
+    """Yield (d, product of the degree-d irreducible factors of f) for a
+    squarefree monic f, d increasing.  The walk stops when 2(d + 1)
+    exceeds the remainder's degree: a remainder with no factor of degree
+    <= d is then irreducible, and it comes last."""
     fld = f.field
     x = Poly.x(fld)
-    out = []
     barrett = _barrett(f)
     h = x % f
     d = 0
-    while f.degree > 2 * d:
+    while 2 * (d + 1) <= f.degree:
         d += 1
         h = _pow_mod_monic(h, fld.q, f, barrett)
         g = gcd(h - x, f)
         if g.degree > 0:
-            out.append((d, g))
+            yield d, g
             f = f // g
             h = h % f
             barrett = _barrett(f)
     if f.degree > 0:
-        out.append((f.degree, f))
-    return out
+        yield f.degree, f
 
 
 def _random_poly(fld: Field, max_degree: int, rng: random.Random) -> Poly:

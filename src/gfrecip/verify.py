@@ -41,6 +41,7 @@ class CheckReport:
 
 
 def _monic_polys(fld: Field, degree: int, nonzero_constant: bool = False):
+    census.within_budget(fld.q ** degree, f"the degree-{degree} polynomial sweep")
     pool = list(fld._codes())
     for lower in itertools.product(pool, repeat=degree):
         if nonzero_constant and degree > 0 and not lower[0]:
@@ -54,6 +55,8 @@ def check_reciprocal_product(fld: Field, a: FieldElement, n: int, *,
     a-reciprocals, exhaustively over monic f, g of degree <= n with
     nonzero constant terms."""
     report = CheckReport()
+    # (q - 1) q^(d-1) candidates of each degree d <= n: q^n - 1 in all
+    census.within_budget((fld.q ** n - 1) ** 2, "the product-rule pair loop")
     candidates = [f for d in range(1, n + 1)
                   for f in _monic_polys(fld, d, nonzero_constant=True)]
     for f in candidates:
@@ -74,6 +77,7 @@ def check_odd_srm_roots(fld: Field, a: FieldElement, n: int, *,
     root = a.sqrt()
     if root is None:
         report.note = "a is not a square: no odd-degree a-srm polynomials exist"
+        census.within_budget((fld.q - 1) * ((n + 1) // 2), "the constant-term scan")
         for b0 in fld.units():
             for deg in range(1, n + 1, 2):
                 report.checked += 1

@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from gfrecip import verify
 from gfrecip.cli import main
@@ -199,6 +202,24 @@ def test_budget_exit_3(capsys):
     code, out, _ = run(capsys, "verify", "--theorem", "5", "--field", "5",
                        "--a", "2", "--n", "8", "--budget", "400000")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    "count --field 10007 --a 3 --n 3 --enumerate",
+    "census --fields 10007 --nmax 2",
+    "verify --theorem 9 --field 101 --a 2 --n 4",
+    "verify --theorem 1 --field 10007 --a 2 --n 1",
+    "verify --theorem 2 --field 1000003 --a 2 --n 1",
+    "verify --theorem 9 --field 3 --a 1 --n 30000",  # a size of 14314 digits
+])
+def test_exhaustive_loops_capped_exit_3(capsys, argv):
+    # each loop's size is checked against the budget before any work
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert err.startswith("resource limit: ")
+    assert not out
 
 
 def test_byte_identical_repeat(capsys):

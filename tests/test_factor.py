@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from gfrecip import factor
 from gfrecip import (
     DomainError,
     Field,
@@ -43,13 +44,33 @@ def test_is_irreducible_examples():
         is_irreducible(Poly(F5, []))
 
 
-@pytest.mark.parametrize("field,max_degree", [(F3, 4), (F5, 3), (F9, 2)])
+@pytest.mark.parametrize("field,max_degree",
+                         [(F3, 4), (F5, 3), (F9, 2), (F3, 6), (Field(7), 3)])
 def test_is_irreducible_against_trial_division(field, max_degree):
     pool = list(field.elements())
     for d in range(2, max_degree + 1):
         for lower in itertools.product(pool, repeat=d):
             f = Poly(field, lower + (field.one,))
             assert is_irreducible(f) == brute_force_irreducible(f), f.to_string()
+
+
+def test_is_irreducible_frobenius_steps(monkeypatch):
+    # an irreducible of degree n takes floor(n/2) q-power steps, no more
+    calls = []
+    step = factor._pow_mod_monic
+
+    def counted(*args):
+        calls.append(args[1])
+        return step(*args)
+
+    monkeypatch.setattr(factor, "_pow_mod_monic", counted)
+    f = Poly(F3, [1, 1, 0, 1, 0, 0, 0, 1])  # x^7 + x^3 + x + 1
+    assert is_irreducible(f)
+    assert calls == [3, 3, 3]
+    for n, f in ((1, Poly(F5, [1, 1])), (2, Poly(F5, [2, 0, 1])), (4, Poly(F3, [2, 1, 0, 0, 1]))):
+        calls.clear()
+        assert is_irreducible(f)
+        assert len(calls) == n // 2, f.to_string()
 
 
 def test_is_irreducible_scaling_invariant():

@@ -35,6 +35,31 @@ def test_extension_modulus_is_lex_smallest_irreducible():
     assert Field(3, 2).modulus == (1, 0, 1)
 
 
+# default moduli: the lexicographically first irreducible, found by the
+# modulus search through is_irreducible; ascending coefficients
+DEFAULT_MODULI = {
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 0, 2, 1),
+    (3, 4): (1, 0, 1, 1, 1),
+    (3, 5): (1, 0, 0, 0, 2, 1),
+    (3, 6): (1, 0, 0, 0, 1, 1, 1),
+    (3, 7): (1, 0, 0, 0, 0, 1, 2, 1),
+    (3, 8): (1, 0, 0, 0, 0, 1, 1, 0, 1),
+    (5, 2): (1, 1, 1),
+    (5, 3): (1, 0, 1, 1),
+    (5, 4): (1, 0, 1, 1, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (1, 0, 1, 1),
+    (17, 2): (1, 1, 1),
+    (101, 2): (1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("p,e", sorted(DEFAULT_MODULI))
+def test_default_modulus_golden(p, e):
+    assert Field(p, e).modulus == DEFAULT_MODULI[p, e]
+
+
 def test_even_characteristic_rejected():
     with pytest.raises(DomainError):
         Field(2)
