@@ -31,7 +31,7 @@ from .field import Field, FieldElement
 from .poly import Poly
 from .recip import _x2_minus_a
 
-# h_poly's degree guard (the CLI exposes the knob) and within_budget's cap
+# the one size cap, fixed: every exhaustive loop and master polynomial
 DEGREE_BUDGET = 100_000
 
 # a census row's fields, in JSON and CSV column order
@@ -44,6 +44,11 @@ def within_budget(size: int, what: str) -> None:
     would take more than DEGREE_BUDGET steps."""
     if size > DEGREE_BUDGET:
         raise ResourceError(f"{what} would take more than {DEGREE_BUDGET} steps")
+
+
+def capped_power(q: int, k: int) -> int:
+    """q^k (q >= 2) if within DEGREE_BUDGET, else past it without building q^k."""
+    return q ** min(k, DEGREE_BUDGET.bit_length())
 
 
 def mobius(d: int) -> int:
@@ -63,6 +68,7 @@ def mobius(d: int) -> int:
 
 
 def _divisors(n: int) -> list[int]:
+    within_budget(n, "the divisor scan")
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
@@ -77,27 +83,24 @@ def delta(field: Field, a: FieldElement, n: int) -> int:
     return 1
 
 
-def h_poly(field: Field, a: FieldElement, n: int, budget: int = DEGREE_BUDGET) -> Poly:
+def h_poly(field: Field, a: FieldElement, n: int) -> Poly:
     """The two-term master polynomial x^(q^n + 1) - a."""
     a = field.element(a)
     if not a:
         raise DomainError("the parameter must be nonzero")
     if n < 1:
         raise DomainError("n must be >= 1")
-    deg = field.q ** n + 1
-    if deg > budget:
-        raise ResourceError(
-            f"degree {deg} exceeds the budget {budget}; raise the budget to proceed")
-    return Poly._raw(field, (field._neg(a.code),) + (0,) * (deg - 1) + (1,))
+    within_budget(capped_power(field.q, n) + 1, "the master polynomial x^(q^n + 1) - a")
+    return Poly._raw(field, (field._neg(a.code),) + (0,) * field.q ** n + (1,))
 
 
-def m_poly(field: Field, a: FieldElement, n: int, budget: int = DEGREE_BUDGET) -> Poly:
+def m_poly(field: Field, a: FieldElement, n: int) -> Poly:
     """h_poly with the x^2 - a factor removed when delta = -1.
 
     The division must be exact; a nonzero remainder would contradict the
     divisibility law the delta case split encodes."""
     a = field.element(a)
-    h = h_poly(field, a, n, budget)
+    h = h_poly(field, a, n)
     if delta(field, a, n) == 1:
         return h
     quo, rem = divmod(h, _x2_minus_a(a))
@@ -125,6 +128,7 @@ def carlitz_count(q: int, n: int) -> int:
     two, else the odd-divisor Moebius sum."""
     if n < 1 or q < 3 or q % 2 == 0:
         raise DomainError("odd q and n >= 1 required")
+    within_budget(n, "the classical count")
     if n & (n - 1) == 0:
         total = q ** n - 1
     else:
@@ -142,7 +146,7 @@ def _srm_stream(field: Field, a: FieldElement, degree: int, b0: int,
     element order, the first index most significant; each b_i with
     0 < i < degree/2 mirrors b_(degree-i) by b_i = b_(degree-i) b_0 a^(-i),
     and every other coefficient stays 0."""
-    within_budget(field.q ** len(free), "the a-srm enumeration")
+    within_budget(capped_power(field.q, len(free)), "the a-srm enumeration")
     reduce = field._reduce
     inv_a = field._inv(a.code)
     half = (degree - 1) // 2
@@ -209,7 +213,7 @@ def si_enumerated(field: Field, a: FieldElement, n: int) -> int:
     return sum(1 for _ in enumerate_srim(field, a, n))
 
 
-def si_product(field: Field, a: FieldElement, n: int, budget: int = DEGREE_BUDGET) -> Poly:
+def si_product(field: Field, a: FieldElement, n: int) -> Poly:
     """Product of all nontrivial a-srim polynomials of degree 2n.
 
     Computed two ways: directly from the enumeration, and as the Moebius
@@ -226,9 +230,9 @@ def si_product(field: Field, a: FieldElement, n: int, budget: int = DEGREE_BUDGE
             continue
         mu = mobius(d)
         if mu == 1:
-            numerator = numerator * m_poly(field, a, n // d, budget)
+            numerator = numerator * m_poly(field, a, n // d)
         elif mu == -1:
-            denominator = denominator * m_poly(field, a, n // d, budget)
+            denominator = denominator * m_poly(field, a, n // d)
     quo, rem = divmod(numerator, denominator)
     if rem:
         raise VerificationError("the Moebius product did not divide exactly")
@@ -274,9 +278,8 @@ def census_sweep(fields: list[Field], nmax: int) -> list[CensusRow]:
     """One row per (field, nonzero a, n <= nmax), in deterministic order."""
     if nmax < 1:
         raise DomainError("nmax must be >= 1")
-    # (q - 1)(q + ... + q^nmax) = q^(nmax+1) - q; capped, 3^18 is still over
-    top = min(nmax, DEGREE_BUDGET.bit_length()) + 1
-    within_budget(sum(fld.q ** top - fld.q for fld in fields), "the census grid")
+    # (q - 1)(q + ... + q^nmax) = q^(nmax+1) - q
+    within_budget(sum(capped_power(fld.q, nmax + 1) - fld.q for fld in fields), "the census grid")
     rows = []
     for field in fields:
         for a in field.units():

@@ -29,12 +29,11 @@ EXIT_RESOURCE = 3
 
 def _field_from_args(args) -> Field:
     fld = parse_field_spec(args.field)
-    modulus = getattr(args, "modulus", None)
-    if modulus is not None:
+    if args.modulus is not None:
         try:
-            coeffs = [int(tok) for tok in modulus.split(",")]
+            coeffs = [int(tok) for tok in args.modulus.split(",")]
         except ValueError:
-            raise DomainError(f"malformed modulus {modulus!r}") from None
+            raise DomainError(f"malformed modulus {args.modulus!r}") from None
         fld = Field(fld.p, fld.e, coeffs)
     return fld
 
@@ -60,7 +59,11 @@ def _emit(args, payload: dict, extra_meta: dict | None = None) -> None:
         "payload": payload,
         "metadata": meta,
     }
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    try:
+        text = json.dumps(doc, indent=2)
+    except ValueError:  # an exact count past the interpreter's int-to-str digit limit
+        raise ResourceError("an output integer has too many digits to print") from None
+    sys.stdout.write(text + "\n")
 
 
 def _poly_args(args):
@@ -159,8 +162,7 @@ def _cmd_census(args) -> int:
 def _cmd_verify(args) -> int:
     fld = _field_from_args(args)
     a = _parse_a(fld, args.a)
-    report = verify.run_check(args.theorem, fld, a, args.n,
-                              seed=args.seed, budget=args.budget)
+    report = verify.run_check(args.theorem, fld, a, args.n, seed=args.seed)
     _emit(args, {
         "check": report.check,
         "description": verify.CHECKS[report.check].description,
@@ -172,16 +174,15 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
-def _add_field_args(sub, with_a=True, with_modulus=True):
+def _add_field_args(sub, with_a=True):
     sub.add_argument("--field", required=True,
                      help="field spec: a prime p or p^e, e.g. 5 or 3^2")
     if with_a:
         sub.add_argument("--a", required=True,
                          help="nonzero parameter, element text form (e.g. 4 or 1+2*t)")
-    if with_modulus:
-        sub.add_argument("--modulus", default=None,
-                         help="override the extension modulus: comma-separated "
-                              "prime-field coefficients, ascending, monic")
+    sub.add_argument("--modulus", default=None,
+                     help="override the extension modulus: comma-separated "
+                          "prime-field coefficients, ascending, monic")
 
 
 def _add_poly_command(subs, name, help_text, func, poly_help=None):
@@ -239,12 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="CHECK", dest="theorem",
                      help="check id: " + "; ".join(
                          f"{k}: {v.description}" for k, v in verify.CHECKS.items()))
-    sub.add_argument("--n", type=int, default=None,
+    sub.add_argument("--n", type=int, default=2,
                      help="sweep size parameter (see README; default 2)")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--budget", type=int, default=census.DEGREE_BUDGET,
-                     help="degree ceiling for the master polynomials "
-                          f"(default {census.DEGREE_BUDGET})")
     sub.set_defaults(func=_cmd_verify)
 
     return parser

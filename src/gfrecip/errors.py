@@ -15,4 +15,4 @@ class VerificationError(RuntimeError):
 
 
 class ResourceError(RuntimeError):
-    """A computation would exceed the configured size budget."""
+    """A computation or its output would pass a fixed size limit (see census.DEGREE_BUDGET)."""

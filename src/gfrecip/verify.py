@@ -41,7 +41,8 @@ class CheckReport:
 
 
 def _monic_polys(fld: Field, degree: int, nonzero_constant: bool = False):
-    census.within_budget(fld.q ** degree, f"the degree-{degree} polynomial sweep")
+    census.within_budget(census.capped_power(fld.q, degree),
+                         f"the degree-{degree} polynomial sweep")
     pool = list(fld._codes())
     for lower in itertools.product(pool, repeat=degree):
         if nonzero_constant and degree > 0 and not lower[0]:
@@ -50,13 +51,13 @@ def _monic_polys(fld: Field, degree: int, nonzero_constant: bool = False):
 
 
 def check_reciprocal_product(fld: Field, a: FieldElement, n: int, *,
-                             seed: int, budget: int) -> CheckReport:
+                             seed: int) -> CheckReport:
     """Multiplicativity: the a-reciprocal of f*g is the product of the
     a-reciprocals, exhaustively over monic f, g of degree <= n with
     nonzero constant terms."""
     report = CheckReport()
     # (q - 1) q^(d-1) candidates of each degree d <= n: q^n - 1 in all
-    census.within_budget((fld.q ** n - 1) ** 2, "the product-rule pair loop")
+    census.within_budget((census.capped_power(fld.q, n) - 1) ** 2, "the product-rule pair loop")
     candidates = [f for d in range(1, n + 1)
                   for f in _monic_polys(fld, d, nonzero_constant=True)]
     for f in candidates:
@@ -69,7 +70,7 @@ def check_reciprocal_product(fld: Field, a: FieldElement, n: int, *,
 
 
 def check_odd_srm_roots(fld: Field, a: FieldElement, n: int, *,
-                        seed: int, budget: int) -> CheckReport:
+                        seed: int) -> CheckReport:
     """Forced roots of odd-degree a-srm polynomials: the plus branch
     (b_0 = sqrt(a)^deg) vanishes at -sqrt(a), the minus branch at
     +sqrt(a).  Vacuous when a is not a square."""
@@ -84,7 +85,7 @@ def check_odd_srm_roots(fld: Field, a: FieldElement, n: int, *,
                 if b0 * b0 == a ** deg:
                     report.fail(f"odd degree {deg} admits constant term {b0}")
         return report
-    for deg in range(1, n + 1, 2):
+    for deg in reversed(range(1, n + 1, 2)):  # the largest stream, and its guard, first
         for f in census.enumerate_odd_srm(fld, a, deg):
             report.checked += 1
             kind = recip.classify(f, a)
@@ -100,13 +101,13 @@ def check_odd_srm_roots(fld: Field, a: FieldElement, n: int, *,
 
 
 def check_quadratic_strip(fld: Field, a: FieldElement, n: int, *,
-                          seed: int, budget: int) -> CheckReport:
+                          seed: int) -> CheckReport:
     """Exact stripping of x^2 - a from every a-srm of degree 2n: the
     exponent parity matches trivial/nontrivial and the residual is a
     nontrivial a-srm not divisible by x^2 - a."""
     report = CheckReport()
     quadratic = recip._x2_minus_a(a)
-    for kind in ("trivial", "nontrivial"):
+    for kind in ("nontrivial", "trivial"):  # the larger stream, and its guard, first
         for f in census.enumerate_srm(fld, a, n, kind):
             report.checked += 1
             k, g = recip.strip_x2_minus_a(f, a)
@@ -120,7 +121,7 @@ def check_quadratic_strip(fld: Field, a: FieldElement, n: int, *,
 
 
 def check_linear_strip(fld: Field, a: FieldElement, n: int, *,
-                       seed: int, budget: int) -> CheckReport:
+                       seed: int) -> CheckReport:
     """For square a: every nontrivial a-srm of degree 2n not divisible by
     x^2 - a but vanishing at +-sqrt(a) sheds that root an even number of
     times, leaving a nontrivial a-srm nonzero there."""
@@ -149,10 +150,10 @@ def check_linear_strip(fld: Field, a: FieldElement, n: int, *,
 
 
 def check_master_divisibility(fld: Field, a: FieldElement, n: int, *,
-                              seed: int, budget: int) -> CheckReport:
+                              seed: int) -> CheckReport:
     """x^2 - a divides x^(q^n + 1) - a exactly when delta = -1."""
     report = CheckReport(checked=1)
-    h = census.h_poly(fld, a, n, budget)
+    h = census.h_poly(fld, a, n)
     divisible = not h % recip._x2_minus_a(a)
     expected = census.delta(fld, a, n) == -1
     if divisible != expected:
@@ -161,17 +162,17 @@ def check_master_divisibility(fld: Field, a: FieldElement, n: int, *,
 
 
 def check_master_factorization(fld: Field, a: FieldElement, n: int, *,
-                               seed: int, budget: int) -> CheckReport:
+                               seed: int) -> CheckReport:
     """Factor the stripped master polynomial with the oracle and match
     every factor against the allowed nontrivial a-srim shapes."""
     report = CheckReport(checked=1)
     allowed = {2 * d for d in census._divisors(n) if (n // d) % 2 == 1}
-    for g, mult in factorize(census.m_poly(fld, a, n, budget), seed).factors:
+    for g, mult in factorize(census.m_poly(fld, a, n), seed).factors:
         if mult != 1 or g.degree not in allowed:
             report.fail(f"factor {g.to_string()}: degree {g.degree}, multiplicity {mult}")
         elif recip.classify(g, a).verdict is not recip.SrmVerdict.NONTRIVIAL:
             report.fail(f"factor {g.to_string()} is not a nontrivial a-srm")
-    h = census.h_poly(fld, a, n, budget)
+    h = census.h_poly(fld, a, n)
     for f in census.enumerate_srim(fld, a, n):
         if h % f:
             report.fail(f"a-srim {f.to_string()} does not divide the master polynomial")
@@ -179,7 +180,7 @@ def check_master_factorization(fld: Field, a: FieldElement, n: int, *,
 
 
 def check_count_formula(fld: Field, a: FieldElement, n: int, *,
-                        seed: int, budget: int) -> CheckReport:
+                        seed: int) -> CheckReport:
     """Closed-form count equals the enumerated count."""
     report = CheckReport(checked=1)
     formula = census.si_formula(fld, a.is_square(), n)
@@ -191,7 +192,7 @@ def check_count_formula(fld: Field, a: FieldElement, n: int, *,
 
 
 def check_parity_squarefree(fld: Field, a: FieldElement, n: int, *,
-                            seed: int, budget: int) -> CheckReport:
+                            seed: int) -> CheckReport:
     """Squarefree nontrivial a-srm polynomials of degree 2n: the parity
     verdict matches the oracle's distinct factor count, and the
     indicator never vanishes on this family."""
@@ -211,7 +212,7 @@ def check_parity_squarefree(fld: Field, a: FieldElement, n: int, *,
 
 
 def check_transform_irreducibles(fld: Field, a: FieldElement, n: int, *,
-                                 seed: int, budget: int) -> CheckReport:
+                                 seed: int) -> CheckReport:
     """For every monic irreducible f of degree n whose quadratic
     transform does not vanish at +-sqrt(a): the transform is either
     irreducible (an a-srim of degree 2n) or the product of two degree-n
@@ -245,7 +246,7 @@ def check_transform_irreducibles(fld: Field, a: FieldElement, n: int, *,
 
 
 def check_parity_multiplicity(fld: Field, a: FieldElement, n: int, *,
-                              seed: int, budget: int) -> CheckReport:
+                              seed: int) -> CheckReport:
     """All nontrivial a-srm polynomials of degree 2n with nonvanishing
     indicator: parity verdict matches the factor count with
     multiplicity."""
@@ -262,33 +263,33 @@ def check_parity_multiplicity(fld: Field, a: FieldElement, n: int, *,
 
 
 def check_count_sum_identity(fld: Field, a: FieldElement, n: int, *,
-                             seed: int, budget: int) -> CheckReport:
+                             seed: int) -> CheckReport:
     """q^n + delta equals the divisor sum of 2d * si(d) over d | n with
     n/d odd, with si from enumeration."""
     report = CheckReport(checked=1)
+    degree = census.m_poly(fld, a, n).degree  # its guard first: q^n bounds every stream
     total = sum(2 * d * census.si_enumerated(fld, a, d)
                 for d in census._divisors(n) if (n // d) % 2 == 1)
     lhs = fld.q ** n + census.delta(fld, a, n)
     if lhs != total:
         report.fail(f"q^n + delta = {lhs} but the divisor sum is {total}")
-    degree = census.m_poly(fld, a, n, budget).degree
     if degree != total:
         report.fail(f"m_poly has degree {degree} but the divisor sum is {total}")
     return report
 
 
 def check_product_formula(fld: Field, a: FieldElement, n: int, *,
-                          seed: int, budget: int) -> CheckReport:
+                          seed: int) -> CheckReport:
     """The enumerated product of a-srim polynomials equals the Moebius
     quotient of master polynomials (exact division)."""
     report = CheckReport(checked=1)
-    product = census.si_product(fld, a, n, budget)
+    product = census.si_product(fld, a, n)
     report.note = f"product degree {product.degree}"
     return report
 
 
 class Check(NamedTuple):
-    run: Callable[..., CheckReport]  # (fld, a, n, *, seed, budget)
+    run: Callable[..., CheckReport]  # (fld, a, n, *, seed)
     description: str
 
 
@@ -314,18 +315,15 @@ CHECKS = {
 }
 
 
-def run_check(token: str, fld: Field, a: FieldElement, n: int | None = None,
-              seed: int = DEFAULT_SEED,
-              budget: int = census.DEGREE_BUDGET) -> CheckReport:
+def run_check(token: str, fld: Field, a: FieldElement, n: int = 2,
+              seed: int = DEFAULT_SEED) -> CheckReport:
     if token not in CHECKS:
         raise DomainError(f"unknown check {token!r}; choose from {sorted(CHECKS)}")
     a = fld.element(a)
     if not a:
         raise DomainError("the parameter a must be nonzero")
-    if n is None:
-        n = 2
     if n < 1:
         raise DomainError("n must be >= 1")
-    report = CHECKS[token].run(fld, a, n, seed=seed, budget=budget)
+    report = CHECKS[token].run(fld, a, n, seed=seed)
     report.check = token
     return report

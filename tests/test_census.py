@@ -101,11 +101,23 @@ def test_h_poly():
 def test_degree_budget():
     with pytest.raises(ResourceError):
         h_poly(F5, F5.element(1), 8)  # 5^8 + 1 > 100000
+    # the one fixed ceiling, from both sides: 99991 + 1 <= 100000 < 100003 + 1
+    assert h_poly(Field(99991), 1, 1).degree == 99992
     with pytest.raises(ResourceError):
-        h_poly(F3, F3.element(1), 2, budget=5)
-    assert h_poly(F3, F3.element(1), 2, budget=10).degree == 10
+        h_poly(Field(100003), 1, 1)
     with pytest.raises(ResourceError):
         m_poly(F5, F5.element(1), 8)
+
+
+def test_unbounded_n_refused_before_any_work():
+    # q^n is never built for an unbounded n: each guard refuses at once
+    with pytest.raises(ResourceError):
+        next(enumerate_srm(F3, 1, 10**12, "nontrivial"))
+    for n in (10**12, 2**40):
+        with pytest.raises(ResourceError):
+            carlitz_count(3, n)
+        with pytest.raises(ResourceError):
+            h_poly(F3, 1, n)
 
 
 def test_m_poly_values():

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from gfrecip import verify
+from gfrecip import carlitz_count, verify
 from gfrecip.cli import main
 
 
@@ -191,17 +191,30 @@ def test_verify_n_below_1_exits_1(capsys):
 
 
 def test_budget_exit_3(capsys):
-    code, _, err = run(capsys, "verify", "--theorem", "5", "--field", "5",
-                       "--a", "2", "--n", "8")
+    code, out, err = run(capsys, "verify", "--theorem", "5", "--field", "5",
+                         "--a", "2", "--n", "8")
     assert code == 3
-    assert "budget" in err
-    # the ceiling is a flag, both ways
-    code, _, err = run(capsys, "verify", "--theorem", "5", "--field", "3",
-                       "--a", "1", "--n", "2", "--budget", "5")
+    assert err == ("resource limit: the master polynomial x^(q^n + 1) - a "
+                   "would take more than 100000 steps\n")
+    assert not out
+    # the one fixed ceiling, from both sides: degree 99992 runs, 100004 does not
+    code, out, err = run(capsys, "verify", "--theorem", "5", "--field", "99991",
+                         "--a", "1", "--n", "1")
+    assert code == 0, err
+    code, out, err = run(capsys, "verify", "--theorem", "5", "--field", "100003",
+                         "--a", "1", "--n", "1")
     assert code == 3
-    code, out, _ = run(capsys, "verify", "--theorem", "5", "--field", "5",
-                       "--a", "2", "--n", "8", "--budget", "400000")
-    assert code == 0
+    assert err.startswith("resource limit: ")
+    assert not out
+
+
+def test_verify_has_no_budget_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    out, _ = capsys.readouterr()
+    assert "--n N" in out
+    assert "budget" not in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -211,14 +224,32 @@ def test_budget_exit_3(capsys):
     "verify --theorem 1 --field 10007 --a 2 --n 1",
     "verify --theorem 2 --field 1000003 --a 2 --n 1",
     "verify --theorem 9 --field 3 --a 1 --n 30000",  # a size of 14314 digits
+    # the largest stream's guard first, not after 3^10 smaller-stream polynomials
+    "verify --theorem 3 --field 3 --a 1 --n 11",
+    "verify --theorem cor2 --field 3 --a 1 --n 945",
+    # no guard builds q^n, or scans n divisors, before n is bounded
+    *(f"verify --theorem {token} --field 3 --a 1 --n 999999999999" for token in verify.CHECKS),
+    "count --field 3 --a 1 --n 999999999999",
+    "count --field 3 --a 1 --n 1099511627776",  # 2^40: the q^n - 1 branch
 ])
 def test_exhaustive_loops_capped_exit_3(capsys, argv):
-    # each loop's size is checked against the budget before any work
+    # each size is checked against the one budget before any work
     start = time.perf_counter()
     code, out, err = run(capsys, *argv.split())
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert err.startswith("resource limit: ")
+    assert not out
+
+
+def test_count_past_the_digit_limit_exit_3(capsys):
+    # about 4290 digits: printed as before
+    doc = run_json(capsys, "count", "--field", "3", "--a", "1", "--n", "9000")
+    assert doc["payload"]["si_formula"] == carlitz_count(3, 9000)
+    # more than 4300 digits: json.dumps cannot render the exact count
+    code, out, err = run(capsys, "count", "--field", "3", "--a", "1", "--n", "10000")
+    assert code == 3
+    assert err == "resource limit: an output integer has too many digits to print\n"
     assert not out
 
 
