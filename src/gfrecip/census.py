@@ -25,30 +25,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import DomainError, ResourceError, VerificationError
+from .errors import DomainError, VerificationError, capped_power, within_budget
 from .factor import is_irreducible
 from .field import Field, FieldElement
 from .poly import Poly
 from .recip import _x2_minus_a
 
-# the one size cap, fixed: every exhaustive loop and master polynomial
-DEGREE_BUDGET = 100_000
-
 # a census row's fields, in JSON and CSV column order
 COLUMNS = ("q", "a", "n", "delta", "si_formula", "si_enumerated", "agreement")
 CSV_HEADER = ",".join(COLUMNS)
-
-
-def within_budget(size: int, what: str) -> None:
-    """Raise ResourceError, before any work, when an exhaustive loop
-    would take more than DEGREE_BUDGET steps."""
-    if size > DEGREE_BUDGET:
-        raise ResourceError(f"{what} would take more than {DEGREE_BUDGET} steps")
-
-
-def capped_power(q: int, k: int) -> int:
-    """q^k (q >= 2) if within DEGREE_BUDGET, else past it without building q^k."""
-    return q ** min(k, DEGREE_BUDGET.bit_length())
 
 
 def mobius(d: int) -> int:

@@ -7,11 +7,12 @@ reduction), distinct-degree splitting, and Cantor-Zassenhaus equal-degree
 splitting with the odd-q exponent (q^d - 1)/2.
 
 The oracle has one q-power walk, the distinct-degree stage, and Ben-Or's
-test is its first block.  The walk builds the modulus' reduction set-up
-once and rebuilds it only when the modulus changes.  Each equal-degree
-draw r costs one ``pow_mod`` and one gcd, gcd(r^((q^d-1)/2) - 1, f): a
-factor on which r vanishes lands on the side where r^((q^d-1)/2) != 1,
-so it needs no separate gcd(r, f).
+test is its first block.  Each of its steps is one ``pow_mod`` by the
+current remainder.  Each equal-degree draw r costs one ``pow_mod`` and
+one gcd, gcd(r^((q^d-1)/2) - 1, f): a factor on which r vanishes lands
+on the side where r^((q^d-1)/2) != 1, so it needs no separate gcd(r, f).
+Every modulus builds its reduction set-up once (see poly.py), however
+many steps or draws power by it.
 
 Randomness in the equal-degree stage comes from a per-call generator
 seeded by an explicit parameter (default DEFAULT_SEED), so two runs with
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .field import Field, FieldElement
-from .poly import Poly, _barrett, _pow_mod_monic, gcd, pow_mod
+from .poly import Poly, gcd, pow_mod
 
 DEFAULT_SEED = 1729
 
@@ -123,19 +124,15 @@ def _distinct_degree(f: Poly):
     exceeds the remainder's degree: a remainder with no factor of degree
     <= d is then irreducible, and it comes last."""
     fld = f.field
-    x = Poly.x(fld)
-    barrett = _barrett(f)
-    h = x % f
+    h = x = Poly.x(fld)
     d = 0
     while 2 * (d + 1) <= f.degree:
         d += 1
-        h = _pow_mod_monic(h, fld.q, f, barrett)
+        h = pow_mod(h, fld.q, f)
         g = gcd(h - x, f)
         if g.degree > 0:
             yield d, g
             f = f // g
-            h = h % f
-            barrett = _barrett(f)
     if f.degree > 0:
         yield f.degree, f
 

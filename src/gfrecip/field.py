@@ -55,7 +55,7 @@ from __future__ import annotations
 import functools
 from typing import Iterator, Sequence
 
-from .errors import DomainError, FieldMismatchError, VerificationError
+from .errors import DomainError, FieldMismatchError, VerificationError, within_budget
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -129,14 +129,7 @@ class FieldElement:
         return self.field._unpack(self.code)
 
     def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field is self.field:
-                return other
-            if other.field == self.field:
-                return FieldElement(self.field, other.code)
-            raise FieldMismatchError(
-                f"elements of {self.field} and {other.field} cannot be combined")
-        if isinstance(other, int):
+        if isinstance(other, (FieldElement, int)):
             return self.field.element(other)
         return None
 
@@ -279,6 +272,10 @@ class Field:
             raise DomainError("even characteristic is not supported")
         if not isinstance(e, int) or e < 1:
             raise DomainError(f"extension degree must be >= 1, got {e}")
+        # the modulus search tries about e candidates of degree e, each a
+        # Ben-Or test of up to e/2 Frobenius steps of bit_length(p)
+        # squarings; refuse before building q or running it
+        within_budget(e * e * p.bit_length(), f"the degree-{e} modulus search over F_{p}")
         self.p = p
         self.e = e
         self.q = p ** e

@@ -45,9 +45,11 @@ reduction; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 9).
 The high half, the quotient and the remainder each pass through
 ``Field._kron_fold``, which reduces every slot to a code and leaves the
 value packed, so the ladder builds no coefficient list between steps.
-That set-up, ``_barrett(f)``, is built apart from the ladder
-``_pow_mod_monic``, so a caller that powers again and again by one
-modulus (the Frobenius ladders in factor.py) builds it once.
+That set-up, ``_barrett(f)``, lives on the monic modulus itself: it is
+built on the first ``pow_mod`` by f and kept in f's ``_setup`` slot, so
+a caller that powers again and again by one modulus object (the
+distinct-degree walk and the equal-degree draws in factor.py) builds it
+once.  ``pow_mod`` is the only ladder that powers mod a polynomial.
 """
 
 from __future__ import annotations
@@ -74,7 +76,10 @@ def _kron_mul(fld: Field, a, b) -> list[int]:
 
 
 class Poly:
-    __slots__ = ("field", "_codes")
+    # _setup: pow_mod's reduction set-up by this monic modulus of degree
+    # >= KRON_MIN_LENGTH, set on first use (see _barrett); a Poly never
+    # changes, so it never goes stale
+    __slots__ = ("field", "_codes", "_setup")
 
     def __init__(self, field: Field, coeffs=()):
         codes = [c.code if isinstance(c, FieldElement) and c.field is field
@@ -204,7 +209,7 @@ class Poly:
     def __mul__(self, other):
         f = self.field
         if isinstance(other, (int, FieldElement)):
-            s = f.element(other) if isinstance(other, int) else self._scalar(other)
+            s = f.element(other)
             reduce = f._reduce
             return Poly._raw(f, [reduce(c * s.code) for c in self._codes])
         other = self._coerce(other)
@@ -224,11 +229,6 @@ class Poly:
         return Poly._raw(f, [reduce(v) for v in out])
 
     __rmul__ = __mul__
-
-    def _scalar(self, s: FieldElement) -> FieldElement:
-        if s.field is not self.field and s.field != self.field:
-            raise FieldMismatchError("scalar from a different field")
-        return self.field.element(s)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -375,43 +375,27 @@ def pow_mod(base: Poly, k: int, modulus: Poly) -> Poly:
     if k < 0:
         raise DomainError("negative exponent in pow_mod")
     f = modulus.monic()  # same remainders, and a unit leading coefficient
-    return _pow_mod_monic(base % f, k, f, _barrett(f))
-
-
-def _barrett(f: Poly):
-    # the reduction set-up for the monic f of degree n >= KRON_MIN_LENGTH:
-    # slot bytes, packed mu = x^(2n-2) div f and packed -f mod x^n; None
-    # below that degree.  Slots hold up to 2n - 1 products: n - 1 in
-    # quo * (-f) plus the n of the low half of the value being reduced.
-    n = f.degree
-    if n < KRON_MIN_LENGTH:
-        return None
     fld = f.field
-    nbytes = fld._kron_bytes(2 * n)
-    pack = fld._kron_pack
-    # reversed, mu is rev(f)^-1 mod x^(n-1)
-    mu = pack(_inverse_series(fld, f._codes[::-1], n - 1)[::-1], nbytes)
-    neg = fld._neg
-    return nbytes, mu, pack([neg(c) for c in f._codes[:n]], nbytes)
-
-
-def _pow_mod_monic(base: Poly, k: int, f: Poly, barrett) -> Poly:
-    # base**k mod the monic f, for base already reduced mod f and
-    # barrett = _barrett(f)
-    fld = f.field
+    if base.field is not fld and base.field != fld:
+        raise FieldMismatchError("polynomials over different fields")
+    if base.degree >= f.degree:
+        base = base % f
     if not k:
         return Poly.one(fld)
     # left to right over the bits of k: no squaring past the top bit and
     # no product with 1
-    if barrett is None:
+    n = f.degree
+    if n < KRON_MIN_LENGTH:
         acc = base
         for bit in bin(k)[3:]:
             acc = acc * acc % f
             if bit == "1":
                 acc = acc * base % f
         return acc
-    n = f.degree
-    nbytes, mu, neg_low = barrett
+    try:
+        nbytes, mu, neg_low = f._setup
+    except AttributeError:
+        nbytes, mu, neg_low = f._setup = _barrett(f)
     fold = fld._kron_fold
     low_bits = 8 * nbytes * n
     low_mask = (1 << low_bits) - 1
@@ -430,6 +414,21 @@ def _pow_mod_monic(base: Poly, k: int, f: Poly, barrett) -> Poly:
         if bit == "1":
             acc = reduce(acc * vb)
     return Poly._raw(fld, fld._kron_unpack(acc, nbytes, n))
+
+
+def _barrett(f: Poly):
+    # the reduction set-up for the monic f of degree n >= KRON_MIN_LENGTH:
+    # slot bytes, packed mu = x^(2n-2) div f and packed -f mod x^n.
+    # Slots hold up to 2n - 1 products: n - 1 in quo * (-f) plus the n of
+    # the low half of the value being reduced.
+    n = f.degree
+    fld = f.field
+    nbytes = fld._kron_bytes(2 * n)
+    pack = fld._kron_pack
+    # reversed, mu is rev(f)^-1 mod x^(n-1)
+    mu = pack(_inverse_series(fld, f._codes[::-1], n - 1)[::-1], nbytes)
+    neg = fld._neg
+    return nbytes, mu, pack([neg(c) for c in f._codes[:n]], nbytes)
 
 
 def _inverse_series(fld: Field, g, m: int) -> list[int]:

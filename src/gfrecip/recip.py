@@ -104,17 +104,9 @@ def a_reciprocal(f: Poly, a: FieldElement) -> Poly:
 
 
 def is_a_self_reciprocal(f: Poly, a: FieldElement) -> bool:
-    """Coefficient criterion: b_{n-i} b_0 == b_i a^i for all i."""
-    a = _check_args(f, a, "is_a_self_reciprocal")
-    b = f._codes
-    reduce = f.field._reduce
-    b0 = b[0]
-    power = 1  # a^i
-    for i, c in enumerate(b):
-        if reduce(b[-1 - i] * b0) != reduce(c * power):
-            return False
-        power = reduce(power * a.code)
-    return True
+    """Whether f is its own a-reciprocal, i.e. b_{n-i} b_0 == b_i a^i
+    for all i."""
+    return a_reciprocal(f, _check_args(f, a, "is_a_self_reciprocal")) == f
 
 
 def classify(f: Poly, a: FieldElement) -> SrmClassification:
@@ -148,6 +140,17 @@ def classify(f: Poly, a: FieldElement) -> SrmClassification:
     raise VerificationError("odd-degree constant term outside +-sqrt(a)^n")
 
 
+def _strip(f: Poly, factor: Poly) -> tuple[int, Poly]:
+    """(k, f / factor^k) for the largest k with factor^k dividing f."""
+    k = 0
+    while True:
+        quo, rem = divmod(f, factor)
+        if rem:
+            return k, f
+        f = quo
+        k += 1
+
+
 def strip_x2_minus_a(f: Poly, a: FieldElement) -> tuple[int, Poly]:
     """Write an even-degree a-srm f exactly as (x^2 - a)^k * g with g a
     nontrivial a-srm not divisible by x^2 - a.  k is odd exactly for
@@ -156,15 +159,7 @@ def strip_x2_minus_a(f: Poly, a: FieldElement) -> tuple[int, Poly]:
     kind = classify(f, a)
     if kind.verdict not in (SrmVerdict.TRIVIAL, SrmVerdict.NONTRIVIAL):
         raise DomainError("expected an a-self-reciprocal polynomial of even degree")
-    quadratic = _x2_minus_a(a)
-    k = 0
-    g = f
-    while True:
-        quo, rem = divmod(g, quadratic)
-        if rem:
-            break
-        g = quo
-        k += 1
+    k, g = _strip(f, _x2_minus_a(a))
     if (k % 2 == 1) != (kind.verdict is SrmVerdict.TRIVIAL):
         raise VerificationError("stripping parity disagrees with the classification")
     if classify(g, a).verdict is not SrmVerdict.NONTRIVIAL:
@@ -188,15 +183,9 @@ def strip_linear_sqrt(f: Poly, a: FieldElement, sign: int) -> tuple[int, Poly]:
         root = -root
     if not f % _x2_minus_a(a):
         raise DomainError("polynomial is divisible by x^2 - a; strip that first")
-    linear = Poly(f.field, (-root, f.field.one))
-    k = 0
-    g = f
-    while not g(root):
-        quo, rem = divmod(g, linear)
-        if rem:
-            raise VerificationError("inexact division by a known linear root")
-        g = quo
-        k += 1
+    k, g = _strip(f, Poly(f.field, (-root, f.field.one)))
+    if not g(root):
+        raise VerificationError("the root survives stripping its linear factor")
     if k % 2 != 0:
         raise VerificationError("linear stripping produced an odd exponent")
     if classify(g, a).verdict is not SrmVerdict.NONTRIVIAL:
@@ -225,7 +214,9 @@ def dickson(k: int, a: FieldElement) -> Poly:
 
 def quadratic_transform(f: Poly, a: FieldElement) -> Poly:
     """x^n f(x + a/x) for monic f of degree n >= 1: the doubled-degree
-    nontrivial a-srm whose roots are the solutions of x + a/x = alpha."""
+    nontrivial a-srm whose roots are the solutions of x + a/x = alpha.
+    Horner's rule in x^2 + a = x (x + a/x), each step adding one term
+    b_i x^(n-i)."""
     a = f.field.element(a)
     if not a:
         raise DomainError("quadratic_transform requires a nonzero parameter")
@@ -234,16 +225,9 @@ def quadratic_transform(f: Poly, a: FieldElement) -> Poly:
     fld = f.field
     n = f.degree
     base = Poly(fld, (a, fld.zero, fld.one))  # x^2 + a
-    power = Poly.one(fld)
-    out = Poly._raw(fld, ())
-    for i in range(n + 1):
-        if f[i]:
-            term = power * f[i]
-            shift = n - i
-            if shift:
-                term = Poly._raw(fld, (0,) * shift + term._codes)
-            out = out + term
-        power = power * base
+    out = Poly.one(fld)
+    for i in range(n - 1, -1, -1):
+        out = out * base + Poly._raw(fld, [0] * (n - i) + [f._codes[i]])
     if classify(out, a).verdict is not SrmVerdict.NONTRIVIAL:
         raise VerificationError("quadratic transform output failed to classify as nontrivial")
     return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, NamedTuple
 
 from . import census, recip
-from .errors import DomainError
+from .errors import DomainError, capped_power, within_budget
 from .factor import DEFAULT_SEED, factor_count, factorize, is_irreducible
 from .field import Field, FieldElement
 from .poly import Poly, is_squarefree
@@ -41,8 +41,7 @@ class CheckReport:
 
 
 def _monic_polys(fld: Field, degree: int, nonzero_constant: bool = False):
-    census.within_budget(census.capped_power(fld.q, degree),
-                         f"the degree-{degree} polynomial sweep")
+    within_budget(capped_power(fld.q, degree), f"the degree-{degree} polynomial sweep")
     pool = list(fld._codes())
     for lower in itertools.product(pool, repeat=degree):
         if nonzero_constant and degree > 0 and not lower[0]:
@@ -57,7 +56,7 @@ def check_reciprocal_product(fld: Field, a: FieldElement, n: int, *,
     nonzero constant terms."""
     report = CheckReport()
     # (q - 1) q^(d-1) candidates of each degree d <= n: q^n - 1 in all
-    census.within_budget((census.capped_power(fld.q, n) - 1) ** 2, "the product-rule pair loop")
+    within_budget((capped_power(fld.q, n) - 1) ** 2, "the product-rule pair loop")
     candidates = [f for d in range(1, n + 1)
                   for f in _monic_polys(fld, d, nonzero_constant=True)]
     for f in candidates:
@@ -78,7 +77,7 @@ def check_odd_srm_roots(fld: Field, a: FieldElement, n: int, *,
     root = a.sqrt()
     if root is None:
         report.note = "a is not a square: no odd-degree a-srm polynomials exist"
-        census.within_budget((fld.q - 1) * ((n + 1) // 2), "the constant-term scan")
+        within_budget((fld.q - 1) * ((n + 1) // 2), "the constant-term scan")
         for b0 in fld.units():
             for deg in range(1, n + 1, 2):
                 report.checked += 1

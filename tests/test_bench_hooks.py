@@ -47,6 +47,22 @@ def test_wrapped_methods_exist():
     assert callable(gfrecip.FieldElement.sqrt)
 
 
+def test_frobenius_steps_call_pow_mod(monkeypatch):
+    # the tracer counts poly.pow_mod.frobenius_calls from pow_mod calls
+    # with k == q, so the distinct-degree walk must step through that name
+    ks = []
+    step = gfrecip.factor.pow_mod
+
+    def counted(base, k, modulus):
+        ks.append(k)
+        return step(base, k, modulus)
+
+    monkeypatch.setattr(gfrecip.factor, "pow_mod", counted)
+    fld = gfrecip.Field(5)
+    gfrecip.factorize(gfrecip.Poly(fld, (1, 0, 4, 0, 1)))
+    assert fld.q in ks
+
+
 def test_factor_count_accepts_seed():
     f = gfrecip.Poly(gfrecip.Field(5), (1, 0, 4, 0, 1))
     assert gfrecip.factor_count(f, seed=7) == 2

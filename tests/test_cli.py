@@ -231,6 +231,7 @@ def test_verify_has_no_budget_option(capsys):
     *(f"verify --theorem {token} --field 3 --a 1 --n 999999999999" for token in verify.CHECKS),
     "count --field 3 --a 1 --n 999999999999",
     "count --field 3 --a 1 --n 1099511627776",  # 2^40: the q^n - 1 branch
+    "count --field 3^100000 --a 1 --n 1",  # the modulus search of F_3^100000
 ])
 def test_exhaustive_loops_capped_exit_3(capsys, argv):
     # each size is checked against the one budget before any work

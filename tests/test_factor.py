@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gfrecip import factor
+from gfrecip import factor, poly
 from gfrecip import (
     DomainError,
     Field,
@@ -11,6 +11,7 @@ from gfrecip import (
     factor_count,
     factorize,
     is_irreducible,
+    m_poly,
 )
 
 F3 = Field(3)
@@ -57,13 +58,13 @@ def test_is_irreducible_against_trial_division(field, max_degree):
 def test_is_irreducible_frobenius_steps(monkeypatch):
     # an irreducible of degree n takes floor(n/2) q-power steps, no more
     calls = []
-    step = factor._pow_mod_monic
+    step = factor.pow_mod
 
     def counted(*args):
         calls.append(args[1])
         return step(*args)
 
-    monkeypatch.setattr(factor, "_pow_mod_monic", counted)
+    monkeypatch.setattr(factor, "pow_mod", counted)
     f = Poly(F3, [1, 1, 0, 1, 0, 0, 0, 1])  # x^7 + x^3 + x + 1
     assert is_irreducible(f)
     assert calls == [3, 3, 3]
@@ -71,6 +72,22 @@ def test_is_irreducible_frobenius_steps(monkeypatch):
         calls.clear()
         assert is_irreducible(f)
         assert len(calls) == n // 2, f.to_string()
+
+
+def test_factorize_builds_each_setup_once(monkeypatch):
+    # the distinct-degree walk and every equal-degree draw power by a
+    # modulus object that keeps its reduction set-up
+    builds, kept = {}, []
+    build = poly._barrett
+
+    def counted(f):
+        kept.append(f)  # alive, so no other object takes its id
+        builds[id(f)] = builds.get(id(f), 0) + 1
+        return build(f)
+
+    monkeypatch.setattr(poly, "_barrett", counted)
+    factorize(m_poly(F3, 2, 5), seed=1)
+    assert builds and max(builds.values()) == 1
 
 
 def test_is_irreducible_scaling_invariant():

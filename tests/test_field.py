@@ -5,7 +5,8 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from gfrecip import DomainError, Field, FieldMismatchError, Poly, is_irreducible, parse_field_spec
+from gfrecip import (DomainError, Field, FieldMismatchError, Poly, ResourceError, is_irreducible,
+                     parse_field_spec)
 
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4)]
 
@@ -288,6 +289,15 @@ def test_first_unit_of_a_huge_field():
 def test_modulus_search_f3_20():
     f = Field(3, 20)
     assert is_irreducible(Poly(Field(3), f.modulus))
+
+
+@pytest.mark.parametrize("e", [400, 10 ** 12])
+def test_modulus_search_capped(e):
+    # refused from (p, e) alone, before q or any candidate is built
+    start = time.perf_counter()
+    with pytest.raises(ResourceError):
+        Field(3, e)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_frobenius(F5, F9):
