@@ -24,21 +24,28 @@ convolves their coefficients; ``_kron_unpack`` cuts such an int back
 into its slots and reduces each to a code, and ``_kron_fold`` reduces
 every slot in place, returning a packed int again.
 
-Over F_p with 2p < 256 (p <= 127) those three kernels work on byte
-lanes rather than slot by slot.  Byte j of every W-byte slot forms lane
-j, the slice ``raw[j::W]`` of the int's bytes, and one
-``bytes.translate`` by the table T_j[x] = x 256^j mod p (cached per
-(p, W)) maps a whole lane to residues whose sum, slot by slot, is
-congruent to the slot's value mod p.  The translated lanes are added as
-bigints; each byte stays a separate sum as long as it cannot pass 255,
-so before the next lane could carry (after 255 // (p-1) lanes) the
-running sum is folded through T_0 back to residues, and one last T_0
-pass leaves one residue per byte.  Packing residues is one slice
-assignment, ``buf[::W] = codes``.  A larger p has no room for two
-residues in a byte, and over F_{p^e} with e > 1 a slot holds a packed
-accumulator that ``_reduce`` must fold mod the modulus, so both keep
-the per-slot loop; ``Field._lanes``, set from p and e alone, is the one
-place that choice is made.
+With 2p < 256 (p <= 127), over F_p and F_{p^e} alike, those three
+kernels work on byte lanes rather than slot by slot.  Codes are
+byte-aligned (w is a multiple of 8), so coordinate j of a code sits at
+byte j W, W = w / 8.  A packed slot is then 2e-1 tight sub-slots of B
+bytes, one per power t^k of a product of codes, each wide enough for
+``terms`` sums of e products of two coordinates, with no headroom
+beyond that.  Byte i of every sub-slot forms lane i, the slice
+``raw[i::B]`` of the int's bytes, and one ``bytes.translate`` by the
+table T_i[x] = x 256^i mod p (cached per (p, B)) maps a whole lane to
+residues whose sum, sub-slot by sub-slot, is congruent to the
+sub-slot's value mod p.  The translated lanes are added as bigints;
+each byte stays a separate sum as long as it cannot pass 255, so before
+the next lane could carry (after 255 // (p-1) lanes) the running sum is
+folded through T_0 back to residues, and one last T_0 pass leaves one
+residue per byte.  Over F_{p^e} the residues of sub-slots e, ..., 2e-2
+are then folded mod the modulus in the same way: coordinate j of a slot
+is its sub-slot j plus, for each k, sub-slot e+k translated by the
+table x c_kj mod p, c_kj being coordinate j of t^(e+k) mod m.  Packing
+is e slice assignments, ``buf[j*B::slot] = raw[j*W::e*W]``.  A larger p
+has no room for two residues in a byte and keeps the per-slot loop
+(``int.from_bytes`` and ``_reduce`` on each slot); ``Field._lanes``,
+set from p alone, is the one place that choice is made.
 
 The canonical total order on elements — used for square-root tie
 breaking, factor sorting and enumeration streams — is lexicographic on
@@ -85,10 +92,15 @@ def is_prime(n: int) -> bool:
 
 
 @functools.cache
+def _scale_table(p: int, c: int) -> bytes:
+    # x -> x c mod p on every byte value
+    return bytes([x * c % p for x in range(256)])
+
+
+@functools.cache
 def _lane_tables(p: int, nbytes: int) -> tuple[bytes, ...]:
     # T_j[x] = x 256^j mod p for each byte lane j of an nbytes-byte slot
-    return tuple(bytes([x * pow(256, j, p) % p for x in range(256)])
-                 for j in range(nbytes))
+    return tuple(_scale_table(p, pow(256, j, p)) for j in range(nbytes))
 
 
 @functools.cache
@@ -263,7 +275,7 @@ class Field:
     """The finite field with p**e elements, p an odd prime."""
 
     __slots__ = ("p", "e", "q", "modulus", "zero", "one",
-                 "_slot_bits", "_slot_mask", "_reduction_codes", "_lanes")
+                 "_slot_bits", "_slot_mask", "_reduction_codes", "_lanes", "_fold_tables")
 
     def __init__(self, p: int, e: int = 1, modulus: Sequence[int] | None = None):
         if not isinstance(p, int) or not is_prime(p):
@@ -282,11 +294,12 @@ class Field:
         # A slot has room for the sum of 2^32 products of two codes, each
         # adding at most e (p-1)^2 to it.  No accumulator comes near that
         # many terms (a polynomial that long does not fit in memory), so
-        # slots never carry into each other.
-        self._slot_bits = (2 ** 32 * e * (p - 1) ** 2).bit_length()
+        # slots never carry into each other.  Whole bytes, so that the
+        # byte-lane kernels find coordinate j at byte j w / 8.
+        self._slot_bits = -(-(2 ** 32 * e * (p - 1) ** 2).bit_length() // 8) * 8
         self._slot_mask = (1 << self._slot_bits) - 1
         # byte-lane Kronecker kernels: a byte holds two residues mod p
-        self._lanes = e == 1 and 2 * p < 256
+        self._lanes = 2 * p < 256
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
         if e == 1:
@@ -301,6 +314,10 @@ class Field:
         self._reduction_codes = (self._pack([-c % p for c in self.modulus[:e]]),)
         for _ in range(e - 2):
             self._reduction_codes += (self._reduce(self._reduction_codes[-1] << self._slot_bits),)
+        # the lanes' fold mod m: row j holds the tables x c_kj mod p, k < e - 1
+        rows = [self._unpack(code) for code in self._reduction_codes[:e - 1]]
+        self._fold_tables = tuple(tuple(_scale_table(p, row[j]) for row in rows)
+                                  for j in range(e)) if self._lanes else ()
 
     # -- construction helpers ------------------------------------------------
 
@@ -382,28 +399,47 @@ class Field:
         room for the sum of ``terms`` products of two codes.
 
         Such a sum is a packed accumulator of t-degree at most 2e-2 (see
-        ``_reduce``): its lower 2e-2 t-slots have their own headroom, and
-        its top one sums one product of two coordinates per term."""
-        return ((2 * self.e - 2) * self._slot_bits
-                + (terms * (self.p - 1) ** 2).bit_length() + 7) // 8
+        ``_reduce``).  On byte lanes it is held in 2e-1 sub-slots of equal
+        width, each with room for ``terms`` sums of e coordinate products.
+        Otherwise its lower 2e-2 t-slots keep their own headroom, and its
+        top one sums one product of two coordinates per term."""
+        p, e = self.p, self.e
+        if self._lanes:
+            return (2 * e - 1) * (((terms * e * (p - 1) ** 2).bit_length() + 7) // 8)
+        return ((2 * e - 2) * self._slot_bits + (terms * (p - 1) ** 2).bit_length() + 7) // 8
 
     def _kron_pack(self, codes: Sequence[int], nbytes: int) -> int:
         """One int holding ``codes`` in ``nbytes``-byte slots, lowest
         first: the value at 2^(8 nbytes) of the polynomial they are the
         coefficients of.  Multiplying two such ints convolves the slots."""
-        if self._lanes:
-            return self._lane_pack(bytes(codes), nbytes)
-        return int.from_bytes(b"".join([c.to_bytes(nbytes, "little") for c in codes]),
-                              "little")
+        if not self._lanes:
+            return int.from_bytes(b"".join([c.to_bytes(nbytes, "little") for c in codes]),
+                                  "little")
+        e = self.e
+        if e == 1:
+            return self._lane_pack((bytes(codes),), nbytes)
+        width = self._slot_bits // 8
+        stride = e * width
+        raw = b"".join([c.to_bytes(stride, "little") for c in codes])
+        return self._lane_pack([raw[j * width::stride] for j in range(e)], nbytes)
 
     def _kron_unpack(self, v: int, nbytes: int, n: int) -> list[int]:
         """The codes of the ``n`` slots of ``v`` (which must fit in them),
         each slot a packed accumulator."""
+        e = self.e
         if self._lanes:
-            return list(self._lane_residues(v, nbytes, n))
+            if e == 1:
+                return list(self._lane_residues(v, nbytes, n))
+            width = self._slot_bits // 8
+            stride = e * width
+            buf = bytearray(n * stride)
+            for j, lane in enumerate(self._lane_coords(v, nbytes, n)):
+                buf[j * width::stride] = lane
+            return [int.from_bytes(buf[i:i + stride], "little")
+                    for i in range(0, n * stride, stride)]
         b = v.to_bytes(n * nbytes, "little")
         slots = range(0, n * nbytes, nbytes)
-        if self.e == 1:
+        if e == 1:
             p = self.p
             return [int.from_bytes(b[i:i + nbytes], "little") % p for i in slots]
         reduce = self._reduce
@@ -412,15 +448,19 @@ class Field:
     def _kron_fold(self, v: int, nbytes: int, n: int) -> int:
         """``v``'s ``n`` slots reduced to codes, packed again in place:
         ``_kron_pack(_kron_unpack(v, nbytes, n), nbytes)``."""
-        if self._lanes:
-            return self._lane_pack(self._lane_residues(v, nbytes, n), nbytes)
-        return self._kron_pack(self._kron_unpack(v, nbytes, n), nbytes)
+        if not self._lanes:
+            return self._kron_pack(self._kron_unpack(v, nbytes, n), nbytes)
+        if self.e == 1:
+            return self._lane_pack((self._lane_residues(v, nbytes, n),), nbytes)
+        return self._lane_pack(self._lane_coords(v, nbytes, n), nbytes)
 
-    @staticmethod
-    def _lane_pack(residues: bytes, nbytes: int) -> int:
-        # one residue in the low byte of each slot
-        buf = bytearray(len(residues) * nbytes)
-        buf[::nbytes] = residues
+    def _lane_pack(self, lanes: Sequence[bytes], nbytes: int) -> int:
+        # lane j, coordinate j of each code (one byte apiece), into the low
+        # byte of sub-slot j of each nbytes-byte slot
+        sub = nbytes // (2 * self.e - 1)
+        buf = bytearray(len(lanes[0]) * nbytes)
+        for j, lane in enumerate(lanes):
+            buf[j * sub::nbytes] = lane
         return int.from_bytes(buf, "little")
 
     def _lane_residues(self, v: int, nbytes: int, n: int) -> bytes:
@@ -439,6 +479,29 @@ class Field:
             acc += int.from_bytes(raw[j::nbytes].translate(tables[j]), "little")
             held += 1
         return acc.to_bytes(n, "little").translate(t0)
+
+    def _lane_coords(self, v: int, nbytes: int, n: int) -> list[bytes]:
+        # e > 1: the e coordinate lanes of the codes of v's n slots, from
+        # the residues of all n (2e-1) sub-slots folded mod m with the
+        # same carry rule (see the module docstring)
+        e = self.e
+        span = 2 * e - 1
+        res = self._lane_residues(v, nbytes // span, n * span)
+        t0 = _scale_table(self.p, 1)
+        room = 255 // (self.p - 1)
+        highs = [res[e + k::span] for k in range(e - 1)]
+        lanes = []
+        for j, row in enumerate(self._fold_tables):
+            acc = int.from_bytes(res[j::span], "little")
+            held = 1
+            for high, table in zip(highs, row):
+                if held == room:
+                    acc = int.from_bytes(acc.to_bytes(n, "little").translate(t0), "little")
+                    held = 1
+                acc += int.from_bytes(high.translate(table), "little")
+                held += 1
+            lanes.append(acc.to_bytes(n, "little").translate(t0))
+        return lanes
 
     def _codes(self) -> Iterator[int]:
         """All q codes in the canonical (coordinate-lexicographic) order,

@@ -61,8 +61,12 @@ from .field import Field, FieldElement
 # Operands with at least this many coefficients are multiplied by
 # Kronecker substitution, and pow_mod reduces by a modulus of at least
 # this degree with a precomputed inverse; shorter ones take the schoolbook
-# loops, which are faster there.
-KRON_MIN_LENGTH = 16
+# loops, which are faster there.  Measured with byte lanes on every field
+# with p <= 127 (field.py): the product of two length-n operands is
+# faster packed from n = 7 to 9 over F_3, F_7, F_257, F_8191, F_9, F_169,
+# F_125, F_3^6 and F_17^2, and the Barrett ladder, its set-up built,
+# beats the schoolbook one from degree 4 to 6; 8 serves both.
+KRON_MIN_LENGTH = 8
 
 
 def _kron_mul(fld: Field, a, b) -> list[int]:

@@ -151,10 +151,12 @@ def test_long_products_and_divisions_extension(p, e):
 # -- Kronecker products and the precomputed-inverse pow_mod ----------------------
 
 # slots of 1 to 5 bytes over F_p (F_10007 is the widest prime in the
-# benchmark), 16 to 17 over F_(2^61 - 1), 10 to 48 over the extensions;
-# F_127 is the largest prime on byte lanes, F_131 the smallest off them
+# benchmark), 16 to 17 over F_(2^61 - 1), 3 to 22 over the extensions on
+# byte lanes and 14 to 15 over F_131^2; F_127 and F_127^3 are the largest
+# on byte lanes, F_131 and F_131^2 the smallest off them
 KRON_FIELDS = [Field(3), Field(7), Field(127), Field(131), Field(8191), Field(10007),
-               Field(2 ** 61 - 1), Field(3, 2), Field(17, 2), Field(3, 6)]
+               Field(2 ** 61 - 1), Field(3, 2), Field(17, 2), Field(3, 6), Field(5, 3),
+               Field(127, 3), Field(131, 2)]
 
 
 def _random_poly(field, degree, rng):
@@ -190,29 +192,53 @@ def test_kronecker_products_match_schoolbook(field):
 
 def test_byte_lanes_chosen_from_p_and_e():
     assert all(Field(p)._lanes for p in (3, 5, 7, 13, 31, 127))
-    assert not any(f._lanes for f in (Field(131), Field(257), Field(3, 2), Field(7, 3)))
+    assert all(Field(p, e)._lanes for p, e in ((3, 2), (7, 3), (127, 3)))
+    assert not any(f._lanes for f in (Field(131), Field(257), Field(131, 2)))
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 127, 131])
-def test_kron_kernels_match_per_slot_reference(p):
+LANE_KERNEL_FIELDS = [Field(3), Field(5), Field(7), Field(13), Field(31), Field(127),
+                      Field(131), Field(3, 2), Field(5, 3), Field(3, 6), Field(13, 2),
+                      Field(127, 3), Field(131, 2)]
+
+
+@pytest.mark.parametrize("field", LANE_KERNEL_FIELDS, ids=Field.spec_string)
+def test_kron_kernels_match_per_slot_reference(field):
     # the byte-lane kernels (p <= 127) and the per-slot ones (p = 131)
-    # against one slot at a time: int.from_bytes(slot) % p, joined to_bytes
-    field = Field(p)
-    rng = random.Random(p)
+    # against one slot at a time: each slot's accumulator, its t^k parts
+    # moved to bit w k, through Field._reduce
+    p, e, w = field.p, field.e, field._slot_bits
+    span = 2 * e - 1
+    rng = random.Random(field.q)
 
-    def joined(values, nbytes):
-        return int.from_bytes(b"".join([v.to_bytes(nbytes, "little") for v in values]),
-                              "little")
+    for terms in (1, 60, 70000, 2 ** 26):
+        nbytes = field._kron_bytes(terms)
+        # where a slot holds its t^k part, and the most each part can hold
+        # that the reference takes too (_reduce: 2^32 products a part)
+        if field._lanes:
+            shift = 8 * (nbytes // span)
+            caps = [(1 << shift) - 1] * span
+        else:
+            shift = w
+            caps = [(1 << w) - 1] * (span - 1) + [(1 << 8 * nbytes - (span - 1) * w) - 1]
+        caps = [min(cap, 2 ** 32 * e * (p - 1) ** 2) for cap in caps]
 
-    for nbytes in (1, 2, 3, 4):
-        top = 256 ** nbytes - 1
+        def joined(accs):
+            return int.from_bytes(b"".join([sum(a << shift * k for k, a in enumerate(acc))
+                                            .to_bytes(nbytes, "little") for acc in accs]),
+                                  "little")
+
+        # a sum of `terms` products of codes: at most min(k+1, 2e-1-k)
+        # products of two coordinates in each of them at t^k
+        bound = [terms * min(k + 1, span - k) * (p - 1) ** 2 for k in range(span)]
         for n in (1, 2, 7, 300, 2000):
-            for slots in ([rng.randrange(top + 1) for _ in range(n)],
-                          [top] * n,                    # every byte 0xFF
-                          [p - 1] * n):                 # every code p - 1
-                v = joined(slots, nbytes)
-                codes = [s % p for s in slots]
-                packed = joined(codes, nbytes)
+            for accs in ([[rng.randrange(cap + 1) for cap in caps] for _ in range(n)],
+                         [caps] * n,                    # every part full (0xFF bytes)
+                         [[p - 1] * span] * n,          # every part p - 1
+                         [bound] * n):                  # every part at the bound
+                v = joined(accs)
+                codes = [field._reduce(sum(a << w * k for k, a in enumerate(acc)))
+                         for acc in accs]
+                packed = joined([field._unpack(c) for c in codes])
                 assert field._kron_unpack(v, nbytes, n) == codes
                 assert field._kron_fold(v, nbytes, n) == packed
                 assert field._kron_pack(codes, nbytes) == packed
@@ -364,7 +390,7 @@ def test_gcd_against_reference_euclid(field):
         assert gcd(f * h * h, g * h) == _euclid(f * h * h, g * h)
     # zero, equal and constant arguments
     zero, one = Poly(field, []), Poly.one(field)
-    f = _random_poly(field, 2 * k, rng) * field.element([2] * field.e)
+    f = _random_poly(field, 2 * k, rng).monic() * field.element([2] * field.e)
     c = Poly.constant(field, field.element([field.p - 1] * field.e))
     assert not f.is_monic
     assert gcd(f, zero) == gcd(zero, f) == gcd(f, f) == gcd(f, f * c) == f.monic()
