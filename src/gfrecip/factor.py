@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .field import Field, FieldElement
+from .field import Field, FieldElement, _digits
 from .poly import Poly, gcd, pow_mod
 
 DEFAULT_SEED = 1729
@@ -95,11 +95,9 @@ def _squarefree_parts(f: Poly) -> dict[int, Poly]:
     def accumulate(g: Poly, scale: int):
         if g.degree < 1:
             return
-        gp = g.derivative()
-        if not gp:
-            accumulate(_pth_root(g), scale * fld.p)
-            return
-        c = gcd(g, gp)
+        # a p-th power has g' == 0, so c == g and all of it goes to the
+        # p-th root below
+        c = gcd(g, g.derivative())
         w = g // c
         i = 1
         while w.degree > 0:
@@ -138,15 +136,10 @@ def _distinct_degree(f: Poly):
 
 
 def _random_poly(fld: Field, max_degree: int, rng: random.Random) -> Poly:
-    draws = [rng.randrange(fld.q) for _ in range(max_degree + 1)]
-    codes = []
-    for v in draws:
-        digits = []
-        for _ in range(fld.e):
-            v, r = divmod(v, fld.p)
-            digits.append(r)
-        codes.append(fld._pack(digits))
-    return Poly._raw(fld, codes)
+    # each draw's base-p digits, least significant first, are c0, c1, ...
+    p, e = fld.p, fld.e
+    return Poly._raw(fld, [fld._pack(_digits(rng.randrange(fld.q), p, e))
+                           for _ in range(max_degree + 1)])
 
 
 def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:

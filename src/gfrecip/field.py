@@ -42,7 +42,9 @@ residue per byte.  Over F_{p^e} the residues of sub-slots e, ..., 2e-2
 are then folded mod the modulus in the same way: coordinate j of a slot
 is its sub-slot j plus, for each k, sub-slot e+k translated by the
 table x c_kj mod p, c_kj being coordinate j of t^(e+k) mod m.  Packing
-is e slice assignments, ``buf[j*B::slot] = raw[j*W::e*W]``.  A larger p
+is e slice assignments, ``buf[j*B::slot] = raw[j*W::e*W]``, and
+unpacking joins the e coordinate lanes into codes by shifts,
+c_0 | c_1 << w | ..., F_p being the one-lane case.  A larger p
 has no room for two residues in a byte and keeps the per-slot loop
 (``int.from_bytes`` and ``_reduce`` on each slot); ``Field._lanes``,
 set from p alone, is the one place that choice is made.
@@ -71,7 +73,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin (exact for n < 3.3e24)."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small
     d, s = n - 1, 0
@@ -91,6 +93,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _ladder(x, k: int, mul):
+    # x^k for k >= 1 under the product mul(a, b), by left-to-right binary
+    # powering (von zur Gathen & Gerhard, Modern Computer Algebra, 4.3):
+    # never a product with 1.  The package's one powering loop.
+    acc = x
+    for bit in bin(k)[3:]:
+        acc = mul(acc, acc)
+        if bit == "1":
+            acc = mul(acc, x)
+    return acc
+
+
+def _digits(i: int, p: int, e: int) -> list[int]:
+    # the e base-p digits of i, least significant first
+    return [i // p ** k % p for k in range(e)]
+
+
 @functools.cache
 def _scale_table(p: int, c: int) -> bytes:
     # x -> x c mod p on every byte value
@@ -106,15 +125,15 @@ def _lane_tables(p: int, nbytes: int) -> tuple[bytes, ...]:
 @functools.cache
 def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     # lexicographically first (c0, ..., c_{e-1}) making x^e + ... + c0
-    # irreducible over F_p, read as the base-p digits of i (c0 first) from
-    # i = p^(e-1) up, as c0 == 0 is reducible.  Cached per (p, e): the
-    # command line builds its field afresh on every request.
+    # irreducible over F_p, read as the base-p digits of i (c0 the most
+    # significant) from i = p^(e-1) up, as c0 == 0 is reducible.  Cached
+    # per (p, e): the command line builds its field afresh on every request.
     from .factor import is_irreducible
     from .poly import Poly
 
     base = Field(p)
     for i in range(p ** (e - 1), p ** e):
-        tail = tuple(i // p ** k % p for k in reversed(range(e)))
+        tail = tuple(_digits(i, p, e)[::-1])
         if is_irreducible(Poly(base, tail + (1,))):
             return tail + (1,)
     raise VerificationError(  # pragma: no cover - irreducibles always exist
@@ -245,10 +264,7 @@ class FieldElement:
         if k < 0:
             raise DomainError("Frobenius exponent must be nonnegative")
         f = self.field
-        out = self
-        for _ in range(k % f.e):
-            out = out ** f.p
-        return out
+        return self ** (f.p ** (k % f.e))
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -378,13 +394,8 @@ class Field:
     def _pow(self, code: int, k: int) -> int:
         if self.e == 1:
             return pow(code, k, self.p)
-        acc = 1
-        while k:
-            if k & 1:
-                acc = self._reduce(acc * code)
-            code = self._reduce(code * code)
-            k >>= 1
-        return acc
+        reduce = self._reduce
+        return _ladder(code, k, lambda a, b: reduce(a * b)) if k else 1
 
     def _inv(self, code: int) -> int:
         # code is nonzero; monic divisors make 1 the common case
@@ -426,20 +437,17 @@ class Field:
     def _kron_unpack(self, v: int, nbytes: int, n: int) -> list[int]:
         """The codes of the ``n`` slots of ``v`` (which must fit in them),
         each slot a packed accumulator."""
-        e = self.e
         if self._lanes:
-            if e == 1:
-                return list(self._lane_residues(v, nbytes, n))
-            width = self._slot_bits // 8
-            stride = e * width
-            buf = bytearray(n * stride)
-            for j, lane in enumerate(self._lane_coords(v, nbytes, n)):
-                buf[j * width::stride] = lane
-            return [int.from_bytes(buf[i:i + stride], "little")
-                    for i in range(0, n * stride, stride)]
+            # coordinate j joins each code at bit j w
+            lanes = self._lane_coords(v, nbytes, n)
+            codes = list(lanes[0])
+            for j in range(1, self.e):
+                shift = j * self._slot_bits
+                codes = [c | d << shift for c, d in zip(codes, lanes[j])]
+            return codes
         b = v.to_bytes(n * nbytes, "little")
         slots = range(0, n * nbytes, nbytes)
-        if e == 1:
+        if self.e == 1:
             p = self.p
             return [int.from_bytes(b[i:i + nbytes], "little") % p for i in slots]
         reduce = self._reduce
@@ -450,8 +458,6 @@ class Field:
         ``_kron_pack(_kron_unpack(v, nbytes, n), nbytes)``."""
         if not self._lanes:
             return self._kron_pack(self._kron_unpack(v, nbytes, n), nbytes)
-        if self.e == 1:
-            return self._lane_pack((self._lane_residues(v, nbytes, n),), nbytes)
         return self._lane_pack(self._lane_coords(v, nbytes, n), nbytes)
 
     def _lane_pack(self, lanes: Sequence[bytes], nbytes: int) -> int:
@@ -481,12 +487,14 @@ class Field:
         return acc.to_bytes(n, "little").translate(t0)
 
     def _lane_coords(self, v: int, nbytes: int, n: int) -> list[bytes]:
-        # e > 1: the e coordinate lanes of the codes of v's n slots, from
-        # the residues of all n (2e-1) sub-slots folded mod m with the
-        # same carry rule (see the module docstring)
+        # the e coordinate lanes of the codes of v's n slots: over F_p the
+        # slots' residues, otherwise the residues of all n (2e-1) sub-slots
+        # folded mod m with the same carry rule (see the module docstring)
         e = self.e
         span = 2 * e - 1
         res = self._lane_residues(v, nbytes // span, n * span)
+        if e == 1:
+            return [res]
         t0 = _scale_table(self.p, 1)
         room = 255 // (self.p - 1)
         highs = [res[e + k::span] for k in range(e - 1)]
@@ -506,9 +514,9 @@ class Field:
     def _codes(self) -> Iterator[int]:
         """All q codes in the canonical (coordinate-lexicographic) order,
         one at a time: i in range(q) as base-p digits, c0 the most significant."""
-        p = self.p
+        p, e = self.p, self.e
         for i in range(self.q):
-            yield self._pack([i // p ** k % p for k in reversed(range(self.e))])
+            yield self._pack(_digits(i, p, e)[::-1])
 
     # -- public surface -------------------------------------------------------
 

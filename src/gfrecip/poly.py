@@ -5,8 +5,8 @@ is the empty tuple and has degree -1.  Polynomials are immutable values
 with overloaded ``+ - * ** // % divmod`` and call-for-evaluation.  The
 module-level functions supply the ring utilities the rest of the package
 needs: monic gcd, modular powering, resultants, discriminants and a
-squarefreeness test that handles the characteristic-p zero-derivative
-case.
+squarefreeness test, gcd(f, f'), which is f itself when f is a p-th
+power and f' vanishes.
 
 Text formats: ``to_string`` emits comma-separated ascending coefficients
 ("4,1,2,4,3,1,1"), the round-trippable form used by the command line;
@@ -27,18 +27,23 @@ remainder's accumulators are reduced once, at the end.  ``gcd`` and
 ``resultant`` run their whole remainder sequence on two such lists and
 build a ``Poly`` or element only for the answer.
 
-Once both operands have at least ``KRON_MIN_LENGTH`` coefficients a
-product is one bigint product instead (Kronecker substitution): each
+Multiplication is likewise one kernel on code lists, ``_mul``, and it
+serves ``*``, ``pow_mod`` and the Newton inversion behind Barrett
+reduction.  Once both operands have at least ``KRON_MIN_LENGTH``
+coefficients it takes one bigint product (Kronecker substitution): each
 operand is packed into a single int with one byte-aligned slot per
 coefficient, wide enough that the convolution never carries between
 slots, and the interpreter's Karatsuba multiplier does the work; the
-product's slots are then reduced back to codes.  Below that length the
+product's slots are then reduced back to codes.  Below that length its
 schoolbook loop is faster, and it stays the reference in the tests.
 
-``pow_mod`` by a modulus f of degree N >= ``KRON_MIN_LENGTH`` works on
-packed ints alone.  It makes f monic (the remainders are the same) and
-precomputes mu = x^(2N-2) div f, by Newton iteration on the reversed f,
-and -f mod x^N.  A square or product v of degree <= 2N-2 then reduces by
+``pow_mod`` makes the modulus f monic (the remainders are the same) and
+runs field.py's one powering ladder, ``_ladder``, over one of two
+reductions.  Below degree N = ``KRON_MIN_LENGTH`` a step is ``_mul`` and
+``_remainder`` on code lists, with no quotient and no ``Poly`` built.
+From there on the ladder works on packed ints alone: it precomputes
+mu = x^(2N-2) div f, by Newton iteration on the reversed f, and
+-f mod x^N.  A square or product v of degree <= 2N-2 then reduces by
 two more bigint products: its quotient is (v div x^N) * mu div x^(N-2),
 and its remainder is v mod x^N - quotient * f mod x^N (Barrett
 reduction; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 9).
@@ -49,34 +54,47 @@ That set-up, ``_barrett(f)``, lives on the monic modulus itself: it is
 built on the first ``pow_mod`` by f and kept in f's ``_setup`` slot, so
 a caller that powers again and again by one modulus object (the
 distinct-degree walk and the equal-degree draws in factor.py) builds it
-once.  ``pow_mod`` is the only ladder that powers mod a polynomial.
+once.  ``pow_mod`` is the only routine that powers mod a polynomial.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, FieldMismatchError
-from .field import Field, FieldElement
+from .field import Field, FieldElement, _ladder
 
 
 # Operands with at least this many coefficients are multiplied by
 # Kronecker substitution, and pow_mod reduces by a modulus of at least
 # this degree with a precomputed inverse; shorter ones take the schoolbook
-# loops, which are faster there.  Measured with byte lanes on every field
-# with p <= 127 (field.py): the product of two length-n operands is
-# faster packed from n = 7 to 9 over F_3, F_7, F_257, F_8191, F_9, F_169,
-# F_125, F_3^6 and F_17^2, and the Barrett ladder, its set-up built,
-# beats the schoolbook one from degree 4 to 6; 8 serves both.
+# product and _remainder, which are faster there.  Measured with byte
+# lanes on every field with p <= 127 (field.py): the product of two
+# length-n operands is faster packed from n = 7 to 9 over F_3, F_7, F_257,
+# F_8191, F_9, F_169, F_125, F_3^6 and F_17^2, and the Barrett ladder, its
+# set-up built, beats the code-list one from degree 4 to 6 over F_3, F_7,
+# F_8191, F_9 and F_125; 8 serves both.
 KRON_MIN_LENGTH = 8
 
 
-def _kron_mul(fld: Field, a, b) -> list[int]:
-    # codes of the product of two nonempty code sequences, as one bigint
-    # product; a squaring packs once and lets the int multiplier see it
-    nbytes = fld._kron_bytes(min(len(a), len(b)))
-    pack = fld._kron_pack
-    va = pack(a, nbytes)
-    vb = va if a is b else pack(b, nbytes)
-    return fld._kron_unpack(va * vb, nbytes, len(a) + len(b) - 1)
+def _mul(fld: Field, a, b) -> list[int]:
+    """The codes of the product of two code sequences, len(a) + len(b) - 1
+    of them (none if either is empty): one bigint product once both have
+    ``KRON_MIN_LENGTH`` codes, where a squaring packs once and lets the
+    int multiplier see it, and the schoolbook loop below that."""
+    if len(a) >= KRON_MIN_LENGTH <= len(b):
+        nbytes = fld._kron_bytes(min(len(a), len(b)))
+        pack = fld._kron_pack
+        va = pack(a, nbytes)
+        vb = va if a is b else pack(b, nbytes)
+        return fld._kron_unpack(va * vb, nbytes, len(a) + len(b) - 1)
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, av in enumerate(a):
+        if av:
+            for j, bv in enumerate(b):
+                out[i + j] += av * bv
+    reduce = fld._reduce
+    return [reduce(v) for v in out]
 
 
 class Poly:
@@ -219,18 +237,7 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._codes, other._codes
-        if len(a) >= KRON_MIN_LENGTH <= len(b):
-            return Poly._raw(f, _kron_mul(f, a, b))
-        if not a or not b:
-            return Poly._raw(f, ())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, av in enumerate(a):
-            if av:
-                for j, bv in enumerate(b):
-                    out[i + j] += av * bv
-        reduce = f._reduce
-        return Poly._raw(f, [reduce(v) for v in out])
+        return Poly._raw(f, _mul(f, self._codes, other._codes))
 
     __rmul__ = __mul__
 
@@ -239,14 +246,7 @@ class Poly:
             return NotImplemented
         if k < 0:
             raise DomainError("negative polynomial power")
-        acc = Poly.one(self.field)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        return _ladder(self, k, Poly.__mul__) if k else Poly.one(self.field)
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -373,7 +373,7 @@ def gcd(f: Poly, g: Poly) -> Poly:
 
 
 def pow_mod(base: Poly, k: int, modulus: Poly) -> Poly:
-    """base**k reduced mod modulus, by square and multiply."""
+    """base**k reduced mod modulus, by ``_ladder``."""
     if modulus.degree < 1:
         raise DomainError("pow_mod modulus must be nonconstant")
     if k < 0:
@@ -386,16 +386,16 @@ def pow_mod(base: Poly, k: int, modulus: Poly) -> Poly:
         base = base % f
     if not k:
         return Poly.one(fld)
-    # left to right over the bits of k: no squaring past the top bit and
-    # no product with 1
     n = f.degree
     if n < KRON_MIN_LENGTH:
-        acc = base
-        for bit in bin(k)[3:]:
-            acc = acc * acc % f
-            if bit == "1":
-                acc = acc * base % f
-        return acc
+        div = f._codes
+
+        def mulmod(a, b):
+            rem = _mul(fld, a, b)
+            _remainder(fld, rem, div)
+            return rem
+
+        return Poly._raw(fld, _ladder(base._codes, k, mulmod))
     try:
         nbytes, mu, neg_low = f._setup
     except AttributeError:
@@ -405,18 +405,15 @@ def pow_mod(base: Poly, k: int, modulus: Poly) -> Poly:
     low_mask = (1 << low_bits) - 1
     quo_shift = 8 * nbytes * (n - 2)
 
-    def reduce(v):
-        # v (2n - 1 slots) mod f: its quotient is (high half * mu) >> (n - 2)
-        # slots, and the remainder low half - quo * f needs f mod x^n only
+    def mulmod(a, b):
+        # v = a b (2n - 1 slots) mod f: its quotient is (high half * mu) >>
+        # (n - 2) slots, and the remainder low half - quo * f needs f mod x^n
+        v = a * b
         high = fold(v >> low_bits, nbytes, n - 1)
         quo = fold(high * mu >> quo_shift, nbytes, n - 1)
         return fold((quo * neg_low + (v & low_mask)) & low_mask, nbytes, n)
 
-    vb = acc = fld._kron_pack(base._codes, nbytes)
-    for bit in bin(k)[3:]:
-        acc = reduce(acc * acc)
-        if bit == "1":
-            acc = reduce(acc * vb)
+    acc = _ladder(fld._kron_pack(base._codes, nbytes), k, mulmod)
     return Poly._raw(fld, fld._kron_unpack(acc, nbytes, n))
 
 
@@ -444,8 +441,8 @@ def _inverse_series(fld: Field, g, m: int) -> list[int]:
     while len(h) < m:
         k = len(h)
         top = min(2 * k, m)
-        e = _kron_mul(fld, g[:top], h)[k:top]
-        h += [neg(c) for c in _kron_mul(fld, h, e)[:top - k]]
+        e = _mul(fld, g[:top], h)[k:top]
+        h += [neg(c) for c in _mul(fld, h, e)[:top - k]]
     return h
 
 
@@ -501,16 +498,10 @@ def discriminant(f: Poly) -> FieldElement:
 
 
 def is_squarefree(f: Poly) -> bool:
-    """Whether f has no repeated irreducible factor.
-
-    gcd(f, f') must be constant; a vanishing derivative means f is a p-th
-    power (degree >= 1), hence not squarefree.
+    """Whether f has no repeated irreducible factor: gcd(f, f') is
+    constant.  A p-th power of degree >= 1 has f' == 0, and gcd(f, 0) is
+    f made monic, so it is not squarefree.
     """
     if not f:
         raise DomainError("squarefreeness of the zero polynomial")
-    if f.degree == 0:
-        return True
-    fp = f.derivative()
-    if not fp:
-        return False
-    return gcd(f, fp).degree == 0
+    return gcd(f, f.derivative()).degree == 0

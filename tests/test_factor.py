@@ -117,6 +117,13 @@ def test_factorize_pth_power():
     # (x^2 + 1)^3 over F_3 likewise
     result = factorize(Poly(F3, [1, 0, 1]) ** 3)
     assert [(g.to_string(), m) for g, m in result.factors] == [("1,0,1", 3)]
+    # a p^2-th power: the p-th root is itself a p-th power
+    result = factorize(Poly(F3, [1, 0, 1]) ** 9)
+    assert [(g.to_string(), m) for g, m in result.factors] == [("1,0,1", 9)]
+    # over F_9 the p-th root takes a Frobenius inverse of each coefficient
+    t = F9.element([0, 1])
+    result = factorize((Poly(F9, [t, 1]) * Poly(F9, [1, 1]) ** 2) ** 3)
+    assert [(g.to_string(), m) for g, m in result.factors] == [("t,1", 3), ("1,1", 6)]
 
 
 def test_factorize_master_poly_structure():

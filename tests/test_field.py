@@ -312,6 +312,13 @@ def test_frobenius(F5, F9):
             assert (x + y).frobenius(1) == x.frobenius(1) + y.frobenius(1)
     with pytest.raises(DomainError):
         t.frobenius(-1)
+    # over F_3^6, against k-fold cubing, past e
+    f729 = Field(3, 6)
+    for x in (f729.element([0, 1, 0, 0, 0, 0]), f729.element([2, 1, 0, 1, 2, 1])):
+        y = x
+        for k in range(8):
+            assert x.frobenius(k) == y
+            y = y ** 3
 
 
 # -- text formats ------------------------------------------------------------------

@@ -255,7 +255,8 @@ def _pow_mod_by_products(base, k, f):
 def test_pow_mod_against_repeated_products(field):
     rng = random.Random(field.q + 1)
     top = [[field.p - 1] * field.e]
-    for n in (KRON_MIN_LENGTH - 1, KRON_MIN_LENGTH, KRON_MIN_LENGTH + 1, 45):
+    # degree 2 is Cipolla's modulus, degrees up to 6 Ben-Or's on small a-srm
+    for n in (2, 4, KRON_MIN_LENGTH - 1, KRON_MIN_LENGTH, KRON_MIN_LENGTH + 1, 45):
         # random, then every coordinate p - 1 (the largest slot sums)
         for f, base in ((_random_poly(field, n, rng), _random_poly(field, n - 1, rng)),
                         (Poly(field, top * n + [1]), Poly(field, top * n))):
@@ -326,6 +327,14 @@ def test_pow():
     f = Poly(F5, [1, 1])
     assert f ** 0 == Poly.one(F5)
     assert f ** 3 == f * f * f
+    # short and long bases: the powers from KRON_MIN_LENGTH on are Kronecker products
+    big = _random_poly(F9, KRON_MIN_LENGTH, random.Random(12))
+    for base in (f, Poly(F9, [[1, 2], 0, [0, 1]]), big):
+        for k in (1, 2, 8, 13):
+            acc = base
+            for _ in range(k - 1):
+                acc = acc * base
+            assert base ** k == acc
     with pytest.raises(DomainError):
         f ** -1
 
@@ -531,6 +540,9 @@ def test_is_squarefree():
     assert is_squarefree(Poly(F5, [-4, 0, 1]))
     assert not is_squarefree(Poly(F5, [-4, 0, 1]) ** 2)
     assert not is_squarefree(Poly(F5, [-2, 0, 0, 0, 0, 1]))  # p-th power
+    assert not is_squarefree(Poly(Field(3), [1, 0, 1]) ** 9)  # p^2-th power
+    assert not is_squarefree(Poly(F9, [[0, 1], 1]) ** 3)  # p-th power over F_9
+    assert is_squarefree(Poly(F9, [[0, 1], 1]))
     assert is_squarefree(Poly(F5, [3]))
     with pytest.raises(DomainError):
         is_squarefree(Poly(F5, []))
