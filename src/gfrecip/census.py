@@ -52,9 +52,10 @@ def mobius(d: int) -> int:
     return -mu if d > 1 else mu
 
 
-def _divisors(n: int) -> list[int]:
+def _master_divisors(n: int) -> list[int]:
+    # the d | n with n/d odd: the master polynomial's factors have degree 2d
     within_budget(n, "the divisor scan")
-    return [d for d in range(1, n + 1) if n % d == 0]
+    return [d for d in range(1, n + 1) if n % d == 0 and n // d % 2]
 
 
 def delta(field: Field, a: FieldElement, n: int) -> int:
@@ -117,7 +118,7 @@ def carlitz_count(q: int, n: int) -> int:
     if n & (n - 1) == 0:
         total = q ** n - 1
     else:
-        total = sum(mobius(d) * q ** (n // d) for d in _divisors(n) if d % 2 == 1)
+        total = sum(mobius(n // d) * q ** d for d in _master_divisors(n))
     if total % (2 * n) != 0:
         raise VerificationError("classical count is not integral")
     return total // (2 * n)
@@ -202,7 +203,7 @@ def si_product(field: Field, a: FieldElement, n: int) -> Poly:
     """Product of all nontrivial a-srim polynomials of degree 2n.
 
     Computed two ways: directly from the enumeration, and as the Moebius
-    product over odd divisors d of n of m_poly(n/d)^mu(d) with the
+    product over d | n with n/d odd of m_poly(d)^mu(n/d) with the
     mu = -1 terms divided out exactly.  Disagreement raises."""
     a = field.element(a)
     direct = Poly.one(field)
@@ -210,14 +211,12 @@ def si_product(field: Field, a: FieldElement, n: int) -> Poly:
         direct = direct * f
     numerator = Poly.one(field)
     denominator = Poly.one(field)
-    for d in _divisors(n):
-        if d % 2 == 0:
-            continue
-        mu = mobius(d)
+    for d in _master_divisors(n):
+        mu = mobius(n // d)
         if mu == 1:
-            numerator = numerator * m_poly(field, a, n // d)
+            numerator = numerator * m_poly(field, a, d)
         elif mu == -1:
-            denominator = denominator * m_poly(field, a, n // d)
+            denominator = denominator * m_poly(field, a, d)
     quo, rem = divmod(numerator, denominator)
     if rem:
         raise VerificationError("the Moebius product did not divide exactly")

@@ -13,8 +13,10 @@ F_p, and sum c_i 2^(w i) over F_{p^e}, each coordinate c_i in its own
 w-bit slot (Kronecker substitution applied to F_p[t]/(m)).  Adding or
 multiplying codes as plain ints adds or convolves the coordinates
 slot by slot, so polynomial kernels can accumulate sums of products
-with int arithmetic and call ``Field._reduce`` once per result; the
-``Field._*`` methods are the only int kernels in the package.
+with int arithmetic and call ``Field._reduce`` once per result.
+``Field.__init__`` binds ``_reduce``, ``_pow`` and ``_inv`` once: to the
+int builtins over F_p, to the slot kernels over F_{p^e}.  They and the
+other ``Field._*`` methods are the only int kernels in the package.
 
 The same substitution one level up packs a whole polynomial into one
 int: ``_kron_pack`` joins its codes into byte-aligned slots of
@@ -55,8 +57,10 @@ the coordinate tuple.
 
 Square roots use Cipolla's method: take the first t in canonical order
 with w = t^2 - a zero (t is a root) or a non-square.  In F_q[x]/(x^2 - w)
-x^q = -x, so (x + t)^(q+1) = t^2 - w = a and ``poly.pow_mod`` gives the
-root (x + t)^((q+1)/2): about two trials and one ``pow_mod`` at any q.
+x^q = -x, so (x + t)^(q+1) = t^2 - w = a and the root is
+(x + t)^((q+1)/2).  ``_ladder`` computes it on pairs of codes (u, v),
+standing for u + v x, whose product is (u u' + v v' w, u v' + u' v):
+about two trials and one ladder at any q, with no ``Poly`` built.
 """
 
 from __future__ import annotations
@@ -247,16 +251,18 @@ class FieldElement:
             return f.zero
         if not self.is_square():
             return None
-        from .poly import Poly, pow_mod
-
-        reduce, neg_a = f._reduce, f._neg(self.code)
+        reduce, neg_a, half = f._reduce, f._neg(self.code), (f.q - 1) // 2
         for t in f._codes():
             w = reduce(t * t + neg_a)
-            if not w or not FieldElement(f, w).is_square():
+            if not w or f._pow(w, half) != 1:
                 break
         if w:
-            t = pow_mod(Poly._raw(f, [t, 1]), (f.q + 1) // 2,
-                        Poly._raw(f, [f._neg(w), 0, 1]))[0].code
+            # u + v x times u' + v' x; reduce(v v') keeps the t-degree <= 2e-2
+            def mul(a, b):
+                (u, v), (u2, v2) = a, b
+                return reduce(u * u2 + reduce(v * v2) * w), reduce(u * v2 + u2 * v)
+
+            t = _ladder((t, 1), (f.q + 1) // 2, mul)[0]
         return FieldElement(f, min(t, f._neg(t), key=f._unpack))
 
     def frobenius(self, k: int) -> "FieldElement":
@@ -290,7 +296,7 @@ class FieldElement:
 class Field:
     """The finite field with p**e elements, p an odd prime."""
 
-    __slots__ = ("p", "e", "q", "modulus", "zero", "one",
+    __slots__ = ("p", "e", "q", "modulus", "zero", "one", "_reduce", "_pow", "_inv",
                  "_slot_bits", "_slot_mask", "_reduction_codes", "_lanes", "_fold_tables")
 
     def __init__(self, p: int, e: int = 1, modulus: Sequence[int] | None = None):
@@ -318,14 +324,19 @@ class Field:
         self._lanes = 2 * p < 256
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
+        # _reduce, _pow, _inv: the int builtins over F_p, the slot kernels over F_{p^e}
         if e == 1:
             if modulus is not None and tuple(c % p for c in modulus) != (0, 1):
                 raise DomainError("prime fields use the fixed modulus x")
             self.modulus = (0, 1)
-        elif modulus is None:
-            self.modulus = _smallest_irreducible(p, e)
+            # closures: partial(pow, mod=p) takes ~300 ns more a call (Python 3.11)
+            self._reduce = p.__rmod__
+            self._pow = lambda code, k: pow(code, k, p)
+            self._inv = lambda code: pow(code, -1, p)
         else:
-            self.modulus = self._checked_modulus(modulus)
+            self.modulus = (_smallest_irreducible(p, e) if modulus is None
+                            else self._checked_modulus(modulus))
+            self._reduce, self._pow, self._inv = self._slot_reduce, self._slot_pow, self._slot_inv
         # codes of t^e, ..., t^(2e-2) mod modulus, each t times the one before
         self._reduction_codes = (self._pack([-c % p for c in self.modulus[:e]]),)
         for _ in range(e - 2):
@@ -365,12 +376,10 @@ class Field:
             code >>= w
         return tuple(out)
 
-    def _reduce(self, v: int) -> int:
-        """The code of a packed accumulator: nonnegative slots, t-degree
-        at most 2e-2, e.g. a sum of products of codes."""
+    def _slot_reduce(self, v: int) -> int:
+        """``_reduce`` over F_{p^e}: the code of a packed accumulator
+        (nonnegative slots, t-degree at most 2e-2), e.g. a sum of products of codes."""
         p = self.p
-        if self.e == 1:
-            return v % p
         w, mask = self._slot_bits, self._slot_mask
         low_bits = w * self.e
         high = v >> low_bits
@@ -391,19 +400,13 @@ class Field:
         # -x = (p - 1) x, and scaling a code scales every slot
         return self._reduce(code * (self.p - 1))
 
-    def _pow(self, code: int, k: int) -> int:
-        if self.e == 1:
-            return pow(code, k, self.p)
+    def _slot_pow(self, code: int, k: int) -> int:
         reduce = self._reduce
         return _ladder(code, k, lambda a, b: reduce(a * b)) if k else 1
 
-    def _inv(self, code: int) -> int:
-        # code is nonzero; monic divisors make 1 the common case
-        if code == 1:
-            return 1
-        if self.e == 1:
-            return pow(code, -1, self.p)
-        return self._pow(code, self.q - 2)
+    def _slot_inv(self, code: int) -> int:
+        # monic divisors make 1 the common case
+        return code if code == 1 else self._slot_pow(code, self.q - 2)
 
     def _kron_bytes(self, terms: int) -> int:
         """Bytes per slot of a packed polynomial (see ``_kron_pack``) with
@@ -446,12 +449,9 @@ class Field:
                 codes = [c | d << shift for c, d in zip(codes, lanes[j])]
             return codes
         b = v.to_bytes(n * nbytes, "little")
-        slots = range(0, n * nbytes, nbytes)
-        if self.e == 1:
-            p = self.p
-            return [int.from_bytes(b[i:i + nbytes], "little") % p for i in slots]
         reduce = self._reduce
-        return [reduce(int.from_bytes(b[i:i + nbytes], "little")) for i in slots]
+        return [reduce(int.from_bytes(b[i:i + nbytes], "little"))
+                for i in range(0, n * nbytes, nbytes)]
 
     def _kron_fold(self, v: int, nbytes: int, n: int) -> int:
         """``v``'s ``n`` slots reduced to codes, packed again in place:

@@ -54,7 +54,8 @@ That set-up, ``_barrett(f)``, lives on the monic modulus itself: it is
 built on the first ``pow_mod`` by f and kept in f's ``_setup`` slot, so
 a caller that powers again and again by one modulus object (the
 distinct-degree walk and the equal-degree draws in factor.py) builds it
-once.  ``pow_mod`` is the only routine that powers mod a polynomial.
+once.  ``pow_mod`` is the only routine that powers mod a ``Poly``
+(square roots power pairs of codes mod x^2 - w in field.py).
 """
 
 from __future__ import annotations

@@ -165,7 +165,7 @@ def check_master_factorization(fld: Field, a: FieldElement, n: int, *,
     """Factor the stripped master polynomial with the oracle and match
     every factor against the allowed nontrivial a-srim shapes."""
     report = CheckReport(checked=1)
-    allowed = {2 * d for d in census._divisors(n) if (n // d) % 2 == 1}
+    allowed = {2 * d for d in census._master_divisors(n)}
     for g, mult in factorize(census.m_poly(fld, a, n), seed).factors:
         if mult != 1 or g.degree not in allowed:
             report.fail(f"factor {g.to_string()}: degree {g.degree}, multiplicity {mult}")
@@ -267,8 +267,7 @@ def check_count_sum_identity(fld: Field, a: FieldElement, n: int, *,
     n/d odd, with si from enumeration."""
     report = CheckReport(checked=1)
     degree = census.m_poly(fld, a, n).degree  # its guard first: q^n bounds every stream
-    total = sum(2 * d * census.si_enumerated(fld, a, d)
-                for d in census._divisors(n) if (n // d) % 2 == 1)
+    total = sum(2 * d * census.si_enumerated(fld, a, d) for d in census._master_divisors(n))
     lhs = fld.q ** n + census.delta(fld, a, n)
     if lhs != total:
         report.fail(f"q^n + delta = {lhs} but the divisor sum is {total}")

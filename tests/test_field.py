@@ -5,6 +5,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+import gfrecip.poly
 from gfrecip import (DomainError, Field, FieldMismatchError, Poly, ResourceError, is_irreducible,
                      parse_field_spec)
 
@@ -104,6 +105,9 @@ def test_spot_arithmetic(F5, F9):
     assert F5.element(4) ** 3 == F5.element(4)  # 64 mod 5
     t = F9.element([0, 1])
     assert (t * t).coords == (2, 0)  # t^2 = -1 over x^2 + 1
+    for f in (F5, F9):
+        assert f.element(2) ** 0 == f.one and f.zero ** 0 == f.one
+        assert f.one.inverse() == f.one
 
 
 def test_field_axioms_exhaustive_f9(F9):
@@ -272,6 +276,22 @@ def test_sqrt_large_fields(p, e):
     s = (r * r).sqrt()
     assert time.perf_counter() - start < 1.0
     assert s * s == r * r and s.coords <= (-s).coords
+
+
+@pytest.mark.parametrize("p,e", [(5, 2), (3, 6), (8191, 1), (10007, 2)])
+def test_sqrt_stays_in_the_field_layer(monkeypatch, p, e):
+    # Cipolla's power runs on pairs of codes, never on a Poly modulus:
+    # byte-lane and per-slot fields, e = 1 and e > 1
+    def refuse(*args):
+        raise AssertionError("sqrt called pow_mod")
+
+    monkeypatch.setattr(gfrecip.poly, "pow_mod", refuse)
+    f = Field(p, e)
+    rng = random.Random(p * e)
+    for _ in range(20):
+        r = f.element([rng.randrange(p) for _ in range(e)])
+        s = (r * r).sqrt()
+        assert s in (r, -r) and s.coords <= (-s).coords
 
 
 def test_sqrt_over_f10007():
