@@ -24,15 +24,20 @@ int: ``_kron_pack`` joins its codes into byte-aligned slots of
 products of two codes, so one bigint product of two packed polynomials
 convolves their coefficients; ``_kron_unpack`` cuts such an int back
 into its slots and reduces each to a code, and ``_kron_fold`` reduces
-every slot in place, returning a packed int again.
+every slot in place, returning a packed int again.  A packed slot is
+2e-1 tight sub-slots of B bytes, one per power t^k of a product of
+codes, each wide enough for ``terms`` sums of e products of two
+coordinates, with no headroom beyond that.  Codes are byte-aligned (w
+is a multiple of 8), so coordinate j of a code sits at byte j W,
+W = w / 8, and packing moves its R = ceil(bitlen(p) / 8) residue bytes
+into sub-slot j by slice assignments, ``buf[j*B+i::slot] =
+raw[j*W+i::stride]`` for i < R.  Unpacking joins the e coordinates of
+the reduced slots into codes by shifts, c_0 | c_1 << w | ..., F_p
+being the one-coordinate case.  No kernel reduces the slots one at a
+time: both reductions below work on whole ints or byte strings.
 
-With 2p < 256 (p <= 127), over F_p and F_{p^e} alike, those three
-kernels work on byte lanes rather than slot by slot.  Codes are
-byte-aligned (w is a multiple of 8), so coordinate j of a code sits at
-byte j W, W = w / 8.  A packed slot is then 2e-1 tight sub-slots of B
-bytes, one per power t^k of a product of codes, each wide enough for
-``terms`` sums of e products of two coordinates, with no headroom
-beyond that.  Byte i of every sub-slot forms lane i, the slice
+With 2p < 256 (p <= 127), over F_p and F_{p^e} alike, they work on
+byte lanes.  Byte i of every sub-slot forms lane i, the slice
 ``raw[i::B]`` of the int's bytes, and one ``bytes.translate`` by the
 table T_i[x] = x 256^i mod p (cached per (p, B)) maps a whole lane to
 residues whose sum, sub-slot by sub-slot, is congruent to the
@@ -43,13 +48,31 @@ folded through T_0 back to residues, and one last T_0 pass leaves one
 residue per byte.  Over F_{p^e} the residues of sub-slots e, ..., 2e-2
 are then folded mod the modulus in the same way: coordinate j of a slot
 is its sub-slot j plus, for each k, sub-slot e+k translated by the
-table x c_kj mod p, c_kj being coordinate j of t^(e+k) mod m.  Packing
-is e slice assignments, ``buf[j*B::slot] = raw[j*W::e*W]``, and
-unpacking joins the e coordinate lanes into codes by shifts,
-c_0 | c_1 << w | ..., F_p being the one-lane case.  A larger p
-has no room for two residues in a byte and keeps the per-slot loop
-(``int.from_bytes`` and ``_reduce`` on each slot); ``Field._lanes``,
-set from p alone, is the one place that choice is made.
+table x c_kj mod p, c_kj being coordinate j of t^(e+k) mod m.
+
+A larger p has no room for two residues in a byte.  There every
+sub-slot of the int is reduced at once by Barrett reduction (P.
+Barrett, CRYPTO '86; von zur Gathen & Gerhard, ch. 9) as SIMD within a
+register (SWAR), the bigint being the register: a fixed number of
+bigint operations, whatever the slot count.  With k = 8B bits a
+sub-slot and m = floor(2^k / p), a sub-slot x < 2^k takes the quotient
+q = floor(x m / 2^k).  As p m > 2^k - p, x/p - x m / 2^k < x / 2^k < 1,
+so q falls short of floor(x/p) by at most one and r = x - q p lies in
+[0, 2p).  The product x m needs up to 2k bits, so the even and the odd
+sub-slots are reduced as two halves, each masked out with k zero bits
+above every sub-slot for its product to fill; the same mask picks the
+quotients out of (half * m) >> k.  One correction then suffices: with
+g = bitlen(2p), r + 2^g - p lies below 2^(g+1) and has bit g set just
+where r >= p, so subtracting p times that bit leaves every residue in
+[0, p).  As g + 1 <= k, the correction runs once on the rejoined
+halves.  Over F_{p^e} the fold mod m is e-1 more products: sub-slot e+k
+of every slot, masked and moved to sub-slot 0, times
+sum_j c_kj 2^(k j) adds c_kj times it to each sub-slot j, and the sums,
+below e (p-1)^2, are reduced by a second pass.  Unpacking reads the
+residue bytes of each coordinate, up to 8 at a time, as the machine
+words of an ``array``.  ``Field._lanes``, set from p alone, is the one
+place the choice between the two reductions is made: on extension
+folds of 2n-1 slots, n >= 60, the lanes measured 1.4-2.2 times faster.
 
 The canonical total order on elements — used for square-root tie
 breaking, factor sorting and enumeration streams — is lexicographic on
@@ -66,6 +89,8 @@ about two trials and one ladder at any q, with no ``Poly`` built.
 from __future__ import annotations
 
 import functools
+import sys
+from array import array
 from typing import Iterator, Sequence
 
 from .errors import DomainError, FieldMismatchError, VerificationError, within_budget
@@ -112,6 +137,20 @@ def _ladder(x, k: int, mul):
 def _digits(i: int, p: int, e: int) -> list[int]:
     # the e base-p digits of i, least significant first
     return [i // p ** k % p for k in range(e)]
+
+
+def _words(raw: bytes, start: int, stride: int, width: int) -> list[int]:
+    # the little-endian ints of width <= 8 bytes at raw[start::stride], read
+    # as the machine words of an array("Q")
+    words = array("Q")
+    item = words.itemsize
+    buf = bytearray(len(raw) // stride * item)
+    for i in range(width):
+        buf[i::item] = raw[start + i::stride]
+    words.frombytes(buf)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tolist()
 
 
 @functools.cache
@@ -317,7 +356,7 @@ class Field:
         # adding at most e (p-1)^2 to it.  No accumulator comes near that
         # many terms (a polynomial that long does not fit in memory), so
         # slots never carry into each other.  Whole bytes, so that the
-        # byte-lane kernels find coordinate j at byte j w / 8.
+        # Kronecker kernels find coordinate j at byte j w / 8.
         self._slot_bits = -(-(2 ** 32 * e * (p - 1) ** 2).bit_length() // 8) * 8
         self._slot_mask = (1 << self._slot_bits) - 1
         # byte-lane Kronecker kernels: a byte holds two residues mod p
@@ -413,52 +452,88 @@ class Field:
         room for the sum of ``terms`` products of two codes.
 
         Such a sum is a packed accumulator of t-degree at most 2e-2 (see
-        ``_reduce``).  On byte lanes it is held in 2e-1 sub-slots of equal
-        width, each with room for ``terms`` sums of e coordinate products.
-        Otherwise its lower 2e-2 t-slots keep their own headroom, and its
-        top one sums one product of two coordinates per term."""
+        ``_reduce``), held in 2e-1 sub-slots of equal width, each with room
+        for ``terms`` sums of e coordinate products."""
         p, e = self.p, self.e
-        if self._lanes:
-            return (2 * e - 1) * (((terms * e * (p - 1) ** 2).bit_length() + 7) // 8)
-        return ((2 * e - 2) * self._slot_bits + (terms * (p - 1) ** 2).bit_length() + 7) // 8
+        return (2 * e - 1) * (((terms * e * (p - 1) ** 2).bit_length() + 7) // 8)
 
     def _kron_pack(self, codes: Sequence[int], nbytes: int) -> int:
         """One int holding ``codes`` in ``nbytes``-byte slots, lowest
         first: the value at 2^(8 nbytes) of the polynomial they are the
         coefficients of.  Multiplying two such ints convolves the slots."""
-        if not self._lanes:
-            return int.from_bytes(b"".join([c.to_bytes(nbytes, "little") for c in codes]),
-                                  "little")
-        e = self.e
-        if e == 1:
-            return self._lane_pack((bytes(codes),), nbytes)
-        width = self._slot_bits // 8
-        stride = e * width
-        raw = b"".join([c.to_bytes(stride, "little") for c in codes])
-        return self._lane_pack([raw[j * width::stride] for j in range(e)], nbytes)
+        e, width = self.e, self._slot_bits // 8
+        size = (self.p.bit_length() + 7) // 8  # bytes of a residue
+        if e > 1 or size > 8:
+            stride = e * width
+            raw = b"".join([c.to_bytes(stride, "little") for c in codes])
+        elif size == 1:
+            raw, stride = bytes(codes), 1
+        else:
+            words = array("Q", codes)
+            if sys.byteorder == "big":
+                words.byteswap()
+            raw, stride = words.tobytes(), words.itemsize
+        # byte i of coordinate j, at byte j W + i of a code, to sub-slot j
+        sub = nbytes // (2 * e - 1)
+        buf = bytearray(len(codes) * nbytes)
+        for j in range(e):
+            for i in range(size):
+                buf[j * sub + i::nbytes] = raw[j * width + i::stride]
+        return int.from_bytes(buf, "little")
 
     def _kron_unpack(self, v: int, nbytes: int, n: int) -> list[int]:
         """The codes of the ``n`` slots of ``v`` (which must fit in them),
         each slot a packed accumulator."""
+        w = self._slot_bits
         if self._lanes:
-            # coordinate j joins each code at bit j w
-            lanes = self._lane_coords(v, nbytes, n)
-            codes = list(lanes[0])
-            for j in range(1, self.e):
-                shift = j * self._slot_bits
-                codes = [c | d << shift for c, d in zip(codes, lanes[j])]
-            return codes
-        b = v.to_bytes(n * nbytes, "little")
-        reduce = self._reduce
-        return [reduce(int.from_bytes(b[i:i + nbytes], "little"))
-                for i in range(0, n * nbytes, nbytes)]
+            parts = [(lane, j * w) for j, lane in enumerate(self._lane_coords(v, nbytes, n))]
+        else:
+            # the residue bytes of each coordinate, up to 8 at a time
+            raw = self._kron_fold(v, nbytes, n).to_bytes(n * nbytes, "little")
+            size = (self.p.bit_length() + 7) // 8
+            sub = nbytes // (2 * self.e - 1)
+            parts = [(_words(raw, j * sub + i, nbytes, min(8, size - i)), j * w + 8 * i)
+                     for j in range(self.e) for i in range(0, size, 8)]
+        # each part joins each code at its bit
+        codes = list(parts[0][0])
+        for part, shift in parts[1:]:
+            codes = [c | d << shift for c, d in zip(codes, part)]
+        return codes
 
     def _kron_fold(self, v: int, nbytes: int, n: int) -> int:
         """``v``'s ``n`` slots reduced to codes, packed again in place:
         ``_kron_pack(_kron_unpack(v, nbytes, n), nbytes)``."""
-        if not self._lanes:
-            return self._kron_pack(self._kron_unpack(v, nbytes, n), nbytes)
-        return self._lane_pack(self._lane_coords(v, nbytes, n), nbytes)
+        if self._lanes:
+            return self._lane_pack(self._lane_coords(v, nbytes, n), nbytes)
+        e = self.e
+        span = 2 * e - 1
+        sub = nbytes // span
+        res = self._swar_residues(v, sub, n * span)
+        if e == 1:
+            return res
+        # coordinate j of a slot gains c_kj times its sub-slot e + k, c_kj
+        # coordinate j of t^(e+k) mod m: one product per k, as sub-slot e + k
+        # of every slot, moved to sub-slot 0, times sum c_kj 2^(8 sub j)
+        bits = 8 * sub
+        acc = res & int.from_bytes((b"\xff" * (e * sub) + bytes((e - 1) * sub)) * n, "little")
+        first = int.from_bytes((b"\xff" * sub + bytes((span - 1) * sub)) * n, "little")
+        for k, code in enumerate(self._reduction_codes):
+            row = sum(c << bits * j for j, c in enumerate(self._unpack(code)))
+            acc += (res >> bits * (e + k) & first) * row
+        return self._swar_residues(acc, sub, n * span)
+
+    def _swar_residues(self, v: int, sub: int, n: int) -> int:
+        # each of v's n slots of sub bytes mod p, in place, by Barrett
+        # reduction on all slots at once (see the module docstring)
+        p, k = self.p, 8 * sub
+        g = (2 * p).bit_length()
+        m = (1 << k) // p
+        evens = int.from_bytes((b"\xff" * sub + bytes(sub)) * ((n + 1) // 2), "little")
+        ones = int.from_bytes((b"\x01" + bytes(sub - 1)) * n, "little")
+        even, odd = v & evens, v >> k & evens
+        r = even - (even * m >> k & evens) * p | (odd - (odd * m >> k & evens) * p) << k
+        # r < 2p in every slot; bit g of r + 2^g - p is set where r >= p
+        return r - ((r + ones * ((1 << g) - p)) >> g & ones) * p
 
     def _lane_pack(self, lanes: Sequence[bytes], nbytes: int) -> int:
         # lane j, coordinate j of each code (one byte apiece), into the low

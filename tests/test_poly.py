@@ -150,13 +150,15 @@ def test_long_products_and_divisions_extension(p, e):
 
 # -- Kronecker products and the precomputed-inverse pow_mod ----------------------
 
-# slots of 1 to 5 bytes over F_p (F_10007 is the widest prime in the
-# benchmark), 16 to 17 over F_(2^61 - 1), 3 to 22 over the extensions on
-# byte lanes and 14 to 15 over F_131^2; F_127 and F_127^3 are the largest
-# on byte lanes, F_131 and F_131^2 the smallest off them
-KRON_FIELDS = [Field(3), Field(7), Field(127), Field(131), Field(8191), Field(10007),
-               Field(2 ** 61 - 1), Field(3, 2), Field(17, 2), Field(3, 6), Field(5, 3),
-               Field(127, 3), Field(131, 2)]
+# slots of 1 to 5 bytes over F_p up to F_10007 (the widest prime in the
+# benchmark), up to 24 beyond it and 3 to 22 over the extensions; F_127 and
+# F_127^3 are the largest on byte lanes, F_131 and F_131^2 the smallest off
+# them, where residues take 1 byte (F_131), 2 (F_257, F_8191, F_10007^2),
+# 3 (F_65537), 4 (F_(2^31 - 1)), 8 (F_(2^61 - 1)) and 12 (F_(2^89 - 1))
+KRON_FIELDS = [Field(3), Field(7), Field(127), Field(131), Field(257), Field(8191),
+               Field(10007), Field(65537), Field(2 ** 31 - 1), Field(2 ** 61 - 1),
+               Field(2 ** 89 - 1), Field(3, 2), Field(17, 2), Field(3, 6), Field(5, 3),
+               Field(127, 3), Field(131, 2), Field(10007, 2)]
 
 
 def _random_poly(field, degree, rng):
@@ -197,13 +199,14 @@ def test_byte_lanes_chosen_from_p_and_e():
 
 
 LANE_KERNEL_FIELDS = [Field(3), Field(5), Field(7), Field(13), Field(31), Field(127),
-                      Field(131), Field(3, 2), Field(5, 3), Field(3, 6), Field(13, 2),
-                      Field(127, 3), Field(131, 2)]
+                      Field(131), Field(257), Field(65537), Field(2 ** 31 - 1),
+                      Field(2 ** 89 - 1), Field(3, 2), Field(5, 3), Field(3, 6), Field(13, 2),
+                      Field(127, 3), Field(131, 2), Field(10007, 2)]
 
 
 @pytest.mark.parametrize("field", LANE_KERNEL_FIELDS, ids=Field.spec_string)
 def test_kron_kernels_match_per_slot_reference(field):
-    # the byte-lane kernels (p <= 127) and the per-slot ones (p = 131)
+    # the byte-lane kernels (p <= 127) and the Barrett ones (p >= 131)
     # against one slot at a time: each slot's accumulator, its t^k parts
     # moved to bit w k, through Field._reduce
     p, e, w = field.p, field.e, field._slot_bits
@@ -214,13 +217,8 @@ def test_kron_kernels_match_per_slot_reference(field):
         nbytes = field._kron_bytes(terms)
         # where a slot holds its t^k part, and the most each part can hold
         # that the reference takes too (_reduce: 2^32 products a part)
-        if field._lanes:
-            shift = 8 * (nbytes // span)
-            caps = [(1 << shift) - 1] * span
-        else:
-            shift = w
-            caps = [(1 << w) - 1] * (span - 1) + [(1 << 8 * nbytes - (span - 1) * w) - 1]
-        caps = [min(cap, 2 ** 32 * e * (p - 1) ** 2) for cap in caps]
+        shift = 8 * (nbytes // span)
+        caps = [min((1 << shift) - 1, 2 ** 32 * e * (p - 1) ** 2)] * span
 
         def joined(accs):
             return int.from_bytes(b"".join([sum(a << shift * k for k, a in enumerate(acc))
