@@ -17,6 +17,12 @@ with int arithmetic and call ``Field._reduce`` once per result.
 ``Field.__init__`` binds ``_reduce``, ``_pow`` and ``_inv`` once: to the
 int builtins over F_p, to the slot kernels over F_{p^e}.  They and the
 other ``Field._*`` methods are the only int kernels in the package.
+The inverse over F_{p^e}, ``_slot_inv``, is the extended Euclidean
+algorithm on the coordinates modulo the field's modulus, run with the
+int builtins over F_p (von zur Gathen & Gerhard, Modern Computer
+Algebra, 3.2 and 4.2): O(e^2) operations on residues and no
+``_reduce``, where the power a^(q-2) would take about 2 log2(q)
+reduced products.
 
 The same substitution one level up packs a whole polynomial into one
 int: ``_kron_pack`` joins its codes into byte-aligned slots of
@@ -24,8 +30,10 @@ int: ``_kron_pack`` joins its codes into byte-aligned slots of
 products of two codes, so one bigint product of two packed polynomials
 convolves their coefficients; ``_kron_unpack`` cuts such an int back
 into its slots and reduces each to a code, and ``_kron_fold`` reduces
-every slot in place, returning a packed int again.  A packed slot is
-2e-1 tight sub-slots of B bytes, one per power t^k of a product of
+every slot in place, returning a packed int again.  ``_kron_codes``
+reads the codes of slots that already hold codes, one slot at a time,
+for the few top slots gcd reads of a folded int.  A packed slot is 2e-1
+tight sub-slots of B bytes, one per power t^k of a product of
 codes, each wide enough for ``terms`` sums of e products of two
 coordinates, with no headroom beyond that.  Codes are byte-aligned (w
 is a multiple of 8), so coordinate j of a code sits at byte j W,
@@ -445,7 +453,32 @@ class Field:
 
     def _slot_inv(self, code: int) -> int:
         # monic divisors make 1 the common case
-        return code if code == 1 else self._slot_pow(code, self.q - 2)
+        if code == 1:
+            return code
+        # the extended Euclid on coordinates over F_p: s0 a = r0 and
+        # s1 a = r1 mod m throughout, until r1 is a constant
+        p, e = self.p, self.e
+        r0, r1 = list(self.modulus), list(self._unpack(code))
+        s0, s1 = [0] * e, [1] + [0] * (e - 1)
+        while True:
+            while not r1[-1]:
+                r1.pop()
+            d = len(r1) - 1
+            if not d:
+                c = pow(r1[0], -1, p)
+                return self._pack([v * c % p for v in s1])
+            # r0 mod r1 in place, and s0 - quotient s1 alongside; the s
+            # stay below degree e, so c x^k s1 has no term past t^(e-1)
+            inv = pow(r1[-1], -1, p)
+            for k in range(len(r0) - 1 - d, -1, -1):
+                c = r0[k + d] * inv % p
+                if c:
+                    for j in range(d):
+                        r0[k + j] -= c * r1[j]
+                    for j in range(e - k):
+                        s0[k + j] -= c * s1[j]
+            r0, r1 = r1, [v % p for v in r0[:d]]
+            s0, s1 = s1, [v % p for v in s0]
 
     def _kron_bytes(self, terms: int) -> int:
         """Bytes per slot of a packed polynomial (see ``_kron_pack``) with
@@ -498,6 +531,21 @@ class Field:
         codes = list(parts[0][0])
         for part, shift in parts[1:]:
             codes = [c | d << shift for c, d in zip(codes, part)]
+        return codes
+
+    def _kron_codes(self, v: int, nbytes: int, n: int) -> list[int]:
+        """The codes of the ``n`` lowest slots of ``v``, each slot already
+        a code in the packed layout, as ``_kron_fold`` leaves them."""
+        bits, e, w = 8 * nbytes, self.e, self._slot_bits
+        sub = bits // (2 * e - 1)
+        mask = (1 << sub) - 1
+        codes = []
+        for _ in range(n):
+            code = 0
+            for j in range(e):
+                code |= (v >> sub * j & mask) << w * j
+            codes.append(code)
+            v >>= bits
         return codes
 
     def _kron_fold(self, v: int, nbytes: int, n: int) -> int:

@@ -19,13 +19,31 @@ only when it is read or returned.  ``coeffs``, indexing and ``lc()``
 hand out ``FieldElement``s.
 
 Division with remainder is one loop on code lists, ``_remainder``, and
-it serves ``divmod``, ``gcd`` and ``resultant`` alike.  It reduces a list
-in place: each quotient term, highest first, is reduced, negated on its
-own (times -lc^-1 of the divisor) and added times the divisor's codes,
-so the divisor itself is never negated or copied into a ``Poly``.  The
-remainder's accumulators are reduced once, at the end.  ``gcd`` and
-``resultant`` run their whole remainder sequence on two such lists and
-build a ``Poly`` or element only for the answer.
+it serves ``divmod``, ``gcd``, ``resultant`` and ``pow_mod`` alike.  It
+reduces a list in place: each quotient term, highest first, is reduced,
+negated on its own (times -lc^-1 of the divisor) and added times the
+divisor's codes, so the divisor itself is never negated or copied into a
+``Poly``.  The list may hold unreduced sums of products of codes, such
+as the schoolbook product's (``_sums``): the loop reduces each entry it
+reads, and the remainder's entries once, at the end, also when the list
+is shorter than the divisor.  ``resultant`` runs its whole remainder
+sequence on two such lists and builds an element only for the answer.
+
+``gcd`` runs on such lists too once the shorter operand has fewer than
+``GCD_PACKED_MIN`` coefficients.  Above that it runs the remainder
+sequence on two packed ints (``Field._kron_pack``), in slots with room
+for a code plus one product of two codes per coefficient of the shorter
+operand.  A step divides a by b, of degree gap t: it reads the top t + 1
+codes of each, solves for the t + 1 quotient codes from those alone
+(``_remainder`` on the few codes), and takes quotient * b + (p - 1) a,
+one bigint product and one scalar one.  That is -(a mod b), as a times
+the code p - 1 is -a; gcd's answer is monic, so the sign never matters
+and no code is negated.  One ``Field._kron_fold`` reduces every slot,
+the top t + 1 slots come out zero, and the new degree is the value's
+bit length over the slot width.  Each step costs a few bigint
+operations on the whole remainder instead of one reduction per
+coefficient (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 3
+and 9).
 
 Multiplication is likewise one kernel on code lists, ``_mul``, and it
 serves ``*``, ``pow_mod`` and the Newton inversion behind Barrett
@@ -35,12 +53,15 @@ operand is packed into a single int with one byte-aligned slot per
 coefficient, wide enough that the convolution never carries between
 slots, and the interpreter's Karatsuba multiplier does the work; the
 product's slots are then reduced back to codes.  Below that length its
-schoolbook loop is faster, and it stays the reference in the tests.
+schoolbook loop, ``_sums``, is faster, and it stays the reference in the
+tests; ``_mul`` reduces its sums, ``pow_mod`` takes them unreduced.
 
 ``pow_mod`` makes the modulus f monic (the remainders are the same) and
 runs field.py's one powering ladder, ``_ladder``, over one of two
-reductions.  Below degree N = ``KRON_MIN_LENGTH`` a step is ``_mul`` and
-``_remainder`` on code lists, with no quotient and no ``Poly`` built.
+reductions.  Below degree N = ``KRON_MIN_LENGTH`` a step is ``_sums``
+and ``_remainder`` on code lists, with no quotient and no ``Poly``
+built: the schoolbook product's sums go to ``_remainder`` unreduced, so
+each coefficient is reduced once, where the division reads it.
 From there on the ladder works on packed ints alone: it precomputes
 mu = x^(2N-2) div f, by Newton iteration on the reversed f, and
 -f mod x^N.  A square or product v of degree <= 2N-2 then reduces by
@@ -75,6 +96,14 @@ from .field import Field, FieldElement, _ladder
 # F_8191, F_9 and F_125; 8 serves both.
 KRON_MIN_LENGTH = 8
 
+# gcd runs its remainder sequence on packed ints while the shorter operand
+# has at least this many coefficients, and on code lists below.  Measured
+# as the length from which a packed step costs less than a code-list one
+# (gcd of random pairs of degrees n and n - 1, all packed against all
+# lists): from n = 40 to 64 over F_3, F_7, F_257 and F_8191, and 32 to 40
+# over F_9, F_169, F_125 and F_3^6; 48 serves both.
+GCD_PACKED_MIN = 48
+
 
 def _mul(fld: Field, a, b) -> list[int]:
     """The codes of the product of two code sequences, len(a) + len(b) - 1
@@ -87,6 +116,13 @@ def _mul(fld: Field, a, b) -> list[int]:
         va = pack(a, nbytes)
         vb = va if a is b else pack(b, nbytes)
         return fld._kron_unpack(va * vb, nbytes, len(a) + len(b) - 1)
+    reduce = fld._reduce
+    return [reduce(v) for v in _sums(a, b)]
+
+
+def _sums(a, b) -> list[int]:
+    # the schoolbook product of two code sequences, its sums of products
+    # left unreduced (none if either is empty)
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -94,8 +130,7 @@ def _mul(fld: Field, a, b) -> list[int]:
         if av:
             for j, bv in enumerate(b):
                 out[i + j] += av * bv
-    reduce = fld._reduce
-    return [reduce(v) for v in out]
+    return out
 
 
 class Poly:
@@ -334,14 +369,12 @@ class Poly:
 
 
 def _remainder(fld: Field, rem: list, div, quo: list | None = None) -> None:
-    """Reduce the code list ``rem`` mod the codes ``div`` (nonzero last
-    code) in place, leaving the remainder without trailing zeros; store
-    the quotient's codes in ``quo`` if given (``len(rem) - deg div`` or
-    more zeros)."""
+    """Reduce the list ``rem`` of codes or unreduced sums of products of
+    codes mod the codes ``div`` (nonzero last code) in place, leaving the
+    remainder's codes without trailing zeros; store the quotient's codes
+    in ``quo`` if given (``len(rem) - deg div`` or more zeros)."""
     db = len(div) - 1
     top = len(rem) - 1 - db
-    if top < 0:
-        return
     reduce = fld._reduce
     inv = fld._inv(div[-1])
     ninv = fld._neg(inv)
@@ -366,6 +399,27 @@ def gcd(f: Poly, g: Poly) -> Poly:
         raise FieldMismatchError("polynomials over different fields")
     fld = f.field
     a, b = list(f._codes), list(g._codes)
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) >= GCD_PACKED_MIN:
+        # the remainder sequence on packed ints while b is that long; a
+        # slot sums one product (a times p - 1) and up to len(b) more
+        # (quotient times b)
+        nbytes = fld._kron_bytes(len(b) + 1)
+        bits = 8 * nbytes
+        pack, codes, fold, neg_one = fld._kron_pack, fld._kron_codes, fld._kron_fold, fld.p - 1
+        va, vb, na, nb = pack(a, nbytes), pack(b, nbytes), len(a), len(b)
+        while nb >= GCD_PACKED_MIN:
+            # the t + 1 quotient codes from the top t + 1 codes of a and of
+            # b, then quotient * b - a = -(a mod b), its top t + 1 slots zero
+            t = na - nb
+            top = min(t + 1, nb)
+            rem = [0] * (top - 1) + codes(va >> bits * (na - t - 1), nbytes, t + 1)
+            quo = [0] * (t + 1)
+            _remainder(fld, rem, codes(vb >> bits * (nb - top), nbytes, top), quo)
+            va = fold(pack(quo, nbytes) * vb + neg_one * va, nbytes, na)
+            va, vb, na, nb = vb, va, nb, -(-va.bit_length() // bits)
+        a, b = fld._kron_unpack(va, nbytes, na), fld._kron_unpack(vb, nbytes, nb)
     while b:
         _remainder(fld, a, b)
         a, b = b, a
@@ -392,7 +446,8 @@ def pow_mod(base: Poly, k: int, modulus: Poly) -> Poly:
         div = f._codes
 
         def mulmod(a, b):
-            rem = _mul(fld, a, b)
+            # _remainder reduces the sums it reads and the remainder
+            rem = _sums(a, b)
             _remainder(fld, rem, div)
             return rem
 

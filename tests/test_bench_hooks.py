@@ -63,6 +63,23 @@ def test_frobenius_steps_call_pow_mod(monkeypatch):
     assert fld.q in ks
 
 
+def test_factorize_calls_gcd(monkeypatch):
+    # the tracer counts poly.gcd.calls and times poly.gcd.total_s through
+    # the name factor.gcd, so the oracle's gcds, packed or not, go through it
+    calls = []
+    step = gfrecip.factor.gcd
+
+    def counted(f, g):
+        calls.append(max(f.degree, g.degree))
+        return step(f, g)
+
+    monkeypatch.setattr(gfrecip.factor, "gcd", counted)
+    fld = gfrecip.Field(3)
+    f = gfrecip.m_poly(fld, 1, 4)
+    assert gfrecip.factorize(f).expand() == f
+    assert calls and max(calls) >= gfrecip.poly.GCD_PACKED_MIN
+
+
 def test_factor_count_accepts_seed():
     f = gfrecip.Poly(gfrecip.Field(5), (1, 0, 4, 0, 1))
     assert gfrecip.factor_count(f, seed=7) == 2

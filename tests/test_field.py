@@ -413,6 +413,26 @@ def test_large_extension_field_paths():
                 assert r is None
 
 
+@pytest.mark.parametrize("p,e,sample", [(3, 3, None), (3, 4, None), (5, 3, None), (13, 2, None),
+                                        (3, 6, None), (131, 2, 500), (10007, 2, 500),
+                                        (3, 20, 500)])
+def test_inverse_against_fermat(p, e, sample):
+    # every unit of the small fields, seeded units of the large ones; the
+    # inverse runs the extended Euclid, a ** (q - 2) the powering ladder
+    f = Field(p, e)
+    if sample is None:
+        units = list(f.units())
+    else:
+        rng = random.Random(p * e)
+        units = [f.element([rng.randrange(p) for _ in range(e)]) for _ in range(sample)]
+        units = [a for a in units if a]
+    for a in units:
+        assert a * a.inverse() == f.one
+        assert a.inverse() == a ** (f.q - 2)
+    with pytest.raises(ZeroDivisionError):
+        f.zero.inverse()
+
+
 def test_large_prime_field_paths():
     f = Field(1009)
     x = f.element(123)

@@ -16,7 +16,7 @@ from gfrecip import (
     pow_mod,
     resultant,
 )
-from gfrecip.poly import KRON_MIN_LENGTH
+from gfrecip.poly import GCD_PACKED_MIN, KRON_MIN_LENGTH
 
 F5 = Field(5)
 F7 = Field(7)
@@ -357,7 +357,10 @@ def test_gcd_divides_both(f, g):
         assert not g % d
 
 
-GCD_FIELDS = [Field(3), Field(7), Field(8191), Field(3, 2), Field(17, 2), Field(3, 6)]
+# F_257 reduces packed slots by SWAR Barrett, F_3^4 and F_5^3 on byte lanes
+# with e = 4 and 3, F_10007^2 is an extension off the lanes
+GCD_FIELDS = [Field(3), Field(7), Field(257), Field(8191), Field(3, 2), Field(17, 2),
+              Field(3, 4), Field(5, 3), Field(3, 6), Field(10007, 2)]
 
 
 def _euclid(f, g):
@@ -395,6 +398,18 @@ def test_gcd_against_reference_euclid(field):
         f, g = _coprime_pair(field, df, dg, rng)
         assert gcd(f * h, g * h) == h.monic() == _euclid(f * h, g * h)
         assert gcd(f * h * h, g * h) == _euclid(f * h * h, g * h)
+    # the shorter operand one coefficient short of the packed remainder
+    # sequence, at its first length and one past it, degree gaps 0, 1 and 3;
+    # random pairs, then pairs with a planted degree-5 common factor
+    m = GCD_PACKED_MIN
+    for length in (m - 1, m, m + 1):
+        for gap in (0, 1, 3):
+            dg = length - 1
+            f, g = _random_poly(field, dg + gap, rng), _random_poly(field, dg, rng)
+            assert gcd(f, g) == _euclid(f, g) == gcd(g, f)
+            h = _random_poly(field, 5, rng)
+            f, g = _coprime_pair(field, dg + gap - 5, dg - 5, rng)
+            assert gcd(f * h, g * h) == h.monic() == _euclid(f * h, g * h)
     # zero, equal and constant arguments
     zero, one = Poly(field, []), Poly.one(field)
     f = _random_poly(field, 2 * k, rng).monic() * field.element([2] * field.e)
@@ -403,6 +418,32 @@ def test_gcd_against_reference_euclid(field):
     assert gcd(f, zero) == gcd(zero, f) == gcd(f, f) == gcd(f, f * c) == f.monic()
     assert gcd(c, zero) == gcd(zero, c) == gcd(c, f) == gcd(f, c) == gcd(c, c) == one
     assert gcd(zero, zero) == zero
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(257), Field(3, 2), Field(10007, 2)], ids=str)
+def test_packed_gcd_steps_match_euclid(field, monkeypatch):
+    # a wrong quotient still leaves a remainder with the same gcd, only a
+    # longer sequence: the packed steps, each reading the top codes of both
+    # operands once, must be the reference Euclid's divisions by divisors
+    # of GCD_PACKED_MIN or more coefficients
+    reads = []
+    codes = Field._kron_codes
+
+    def counted(self, v, nbytes, n):
+        reads.append(n)
+        return codes(self, v, nbytes, n)
+
+    monkeypatch.setattr(Field, "_kron_codes", counted)
+    rng = random.Random(field.q + 3)
+    for df, dg in ((120, 119), (130, 100), (60, 60)):
+        f, g = _random_poly(field, df, rng), _random_poly(field, dg, rng)
+        reads.clear()
+        gcd(f, g)
+        steps = 0
+        while g.degree + 1 >= GCD_PACKED_MIN:
+            f, g = g, f % g
+            steps += 1
+        assert len(reads) == 2 * steps
 
 
 def test_pow_mod_against_naive():
