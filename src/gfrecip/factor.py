@@ -93,8 +93,6 @@ def _squarefree_parts(f: Poly) -> dict[int, Poly]:
     out: dict[int, Poly] = {}
 
     def accumulate(g: Poly, scale: int):
-        if g.degree < 1:
-            return
         # a p-th power has g' == 0, so c == g and all of it goes to the
         # p-th root below
         c = gcd(g, g.derivative())

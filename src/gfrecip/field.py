@@ -31,56 +31,56 @@ products of two codes, so one bigint product of two packed polynomials
 convolves their coefficients; ``_kron_unpack`` cuts such an int back
 into its slots and reduces each to a code, and ``_kron_fold`` reduces
 every slot in place, returning a packed int again.  ``_kron_codes``
-reads the codes of slots that already hold codes, one slot at a time,
-for the few top slots gcd reads of a folded int.  A packed slot is 2e-1
-tight sub-slots of B bytes, one per power t^k of a product of
-codes, each wide enough for ``terms`` sums of e products of two
-coordinates, with no headroom beyond that.  Codes are byte-aligned (w
-is a multiple of 8), so coordinate j of a code sits at byte j W,
-W = w / 8, and packing moves its R = ceil(bitlen(p) / 8) residue bytes
-into sub-slot j by slice assignments, ``buf[j*B+i::slot] =
-raw[j*W+i::stride]`` for i < R.  Unpacking joins the e coordinates of
+reads the codes of slots that already hold codes, the top slots gcd
+reads of a folded int: one at a time if few, else by ``_kron_unpack``.
+A packed slot is 2e-1 tight sub-slots of B bytes, one per power t^k of
+a product of codes, each wide enough for ``terms`` sums of e products
+of two coordinates, with no headroom beyond that.  Codes are
+byte-aligned (w is a multiple of 8), so coordinate j of a code sits at
+byte j W, W = w / 8, and packing moves its R = ceil(bitlen(p) / 8)
+residue bytes into sub-slot j by slice assignments, ``buf[j*B+i::slot]
+= raw[j*W+i::stride]`` for i < R.  Unpacking joins the e coordinates of
 the reduced slots into codes by shifts, c_0 | c_1 << w | ..., F_p
 being the one-coordinate case.  No kernel reduces the slots one at a
 time: both reductions below work on whole ints or byte strings.
 
-With 2p < 256 (p <= 127), over F_p and F_{p^e} alike, they work on
-byte lanes.  Byte i of every sub-slot forms lane i, the slice
-``raw[i::B]`` of the int's bytes, and one ``bytes.translate`` by the
-table T_i[x] = x 256^i mod p (cached per (p, B)) maps a whole lane to
-residues whose sum, sub-slot by sub-slot, is congruent to the
-sub-slot's value mod p.  The translated lanes are added as bigints;
-each byte stays a separate sum as long as it cannot pass 255, so before
-the next lane could carry (after 255 // (p-1) lanes) the running sum is
-folded through T_0 back to residues, and one last T_0 pass leaves one
-residue per byte.  Over F_{p^e} the residues of sub-slots e, ..., 2e-2
-are then folded mod the modulus in the same way: coordinate j of a slot
-is its sub-slot j plus, for each k, sub-slot e+k translated by the
-table x c_kj mod p, c_kj being coordinate j of t^(e+k) mod m.
+Over F_p, and over F_{p^e} for p >= 131, every sub-slot of the int is
+reduced at once by Barrett reduction (P. Barrett, CRYPTO '86; von zur
+Gathen & Gerhard, ch. 9) as SIMD within a register (SWAR), the bigint
+being the register: a fixed number of bigint operations, whatever the
+slot count.  With k = 8B bits a sub-slot and m = floor(2^k / p), a
+sub-slot x < 2^k takes the quotient q = floor(x m / 2^k).  As p m >
+2^k - p, x/p - x m / 2^k < x / 2^k < 1, so q falls short of floor(x/p)
+by at most one and r = x - q p lies in [0, 2p).  The product x m needs
+up to 2k bits, so the even and the odd sub-slots are reduced as two
+halves, each masked out with k zero bits above every sub-slot for its
+product to fill; the same mask picks the quotients out of
+(half * m) >> k.  One correction then suffices: with g = bitlen(2p),
+r + 2^g - p lies below 2^(g+1) and has bit g set just where r >= p, so
+subtracting p times that bit leaves every residue in [0, p).  As
+g + 1 <= k, the correction runs once on the rejoined halves.  Over
+F_{p^e} the fold mod m is e-1 more products: sub-slot e+k of every slot,
+masked and moved to sub-slot 0, times sum_j c_kj 2^(k j) adds c_kj times
+it to each sub-slot j, and the sums, below e (p-1)^2, are reduced by a
+second pass.  Unpacking reads the residue bytes of each coordinate, up
+to 8 at a time, as the machine words of an ``array``.
 
-A larger p has no room for two residues in a byte.  There every
-sub-slot of the int is reduced at once by Barrett reduction (P.
-Barrett, CRYPTO '86; von zur Gathen & Gerhard, ch. 9) as SIMD within a
-register (SWAR), the bigint being the register: a fixed number of
-bigint operations, whatever the slot count.  With k = 8B bits a
-sub-slot and m = floor(2^k / p), a sub-slot x < 2^k takes the quotient
-q = floor(x m / 2^k).  As p m > 2^k - p, x/p - x m / 2^k < x / 2^k < 1,
-so q falls short of floor(x/p) by at most one and r = x - q p lies in
-[0, 2p).  The product x m needs up to 2k bits, so the even and the odd
-sub-slots are reduced as two halves, each masked out with k zero bits
-above every sub-slot for its product to fill; the same mask picks the
-quotients out of (half * m) >> k.  One correction then suffices: with
-g = bitlen(2p), r + 2^g - p lies below 2^(g+1) and has bit g set just
-where r >= p, so subtracting p times that bit leaves every residue in
-[0, p).  As g + 1 <= k, the correction runs once on the rejoined
-halves.  Over F_{p^e} the fold mod m is e-1 more products: sub-slot e+k
-of every slot, masked and moved to sub-slot 0, times
-sum_j c_kj 2^(k j) adds c_kj times it to each sub-slot j, and the sums,
-below e (p-1)^2, are reduced by a second pass.  Unpacking reads the
-residue bytes of each coordinate, up to 8 at a time, as the machine
-words of an ``array``.  ``Field._lanes``, set from p alone, is the one
-place the choice between the two reductions is made: on extension
-folds of 2n-1 slots, n >= 60, the lanes measured 1.4-2.2 times faster.
+Over F_{p^e} with 2p < 256 (p <= 127), whose bytes hold two residues,
+the lanes do both reductions instead.  Byte i of every sub-slot forms
+lane i, the slice ``raw[i::B]`` of the int's bytes, and one
+``bytes.translate`` by the table T_i[x] = x 256^i mod p (cached per
+(p, B)) maps a whole lane to residues whose sum, sub-slot by sub-slot,
+is congruent to the sub-slot's value mod p.  The translated lanes are
+added as bigints; each byte stays a separate sum as long as it cannot
+pass 255, so before the next lane could carry (after 255 // (p-1) lanes)
+the running sum is folded through T_0 back to residues, and one last T_0
+pass leaves one residue per byte.  The residues of sub-slots
+e, ..., 2e-2 are then folded mod the modulus in the same way: coordinate
+j of a slot is its sub-slot j plus, for each k, sub-slot e+k translated
+by the table x c_kj mod p, c_kj being coordinate j of t^(e+k) mod m.
+``Field._lanes`` makes the choice, once: the lanes ran extension folds
+of 2n-1 slots, n >= 60, 1.4-2.2 times faster than SWAR, and won no
+benchmark workload over F_p.
 
 The canonical total order on elements — used for square-root tie
 breaking, factor sorting and enumeration streams — is lexicographic on
@@ -103,11 +103,12 @@ from typing import Iterator, Sequence
 
 from .errors import DomainError, FieldMismatchError, VerificationError, within_budget
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24)."""
+    """Miller-Rabin to the prime bases up to 41: exact below
+    3317044064679887385961981 (Sorenson & Webster 2015), else a strong probable-prime test."""
     if n < 2:
         return False
     for small in _MR_WITNESSES:
@@ -367,8 +368,8 @@ class Field:
         # Kronecker kernels find coordinate j at byte j w / 8.
         self._slot_bits = -(-(2 ** 32 * e * (p - 1) ** 2).bit_length() // 8) * 8
         self._slot_mask = (1 << self._slot_bits) - 1
-        # byte-lane Kronecker kernels: a byte holds two residues mod p
-        self._lanes = 2 * p < 256
+        # byte-lane Kronecker kernels for extensions whose bytes hold two residues
+        self._lanes = e > 1 and 2 * p < 256
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
         # _reduce, _pow, _inv: the int builtins over F_p, the slot kernels over F_{p^e}
@@ -536,6 +537,10 @@ class Field:
     def _kron_codes(self, v: int, nbytes: int, n: int) -> list[int]:
         """The codes of the ``n`` lowest slots of ``v``, each slot already
         a code in the packed layout, as ``_kron_fold`` leaves them."""
+        # the loop shifts all of v per slot; _kron_unpack, which leaves codes as they
+        # are, costs as much from 14-24 slots over F_3, F_257, F_9, F_125, less above
+        if n >= 16:
+            return self._kron_unpack(v & ((1 << 8 * nbytes * n) - 1), nbytes, n)
         bits, e, w = 8 * nbytes, self.e, self._slot_bits
         sub = bits // (2 * e - 1)
         mask = (1 << sub) - 1
@@ -610,14 +615,11 @@ class Field:
         return acc.to_bytes(n, "little").translate(t0)
 
     def _lane_coords(self, v: int, nbytes: int, n: int) -> list[bytes]:
-        # the e coordinate lanes of the codes of v's n slots: over F_p the
-        # slots' residues, otherwise the residues of all n (2e-1) sub-slots
-        # folded mod m with the same carry rule (see the module docstring)
+        # the e coordinate lanes of the codes of v's n slots: the residues of all
+        # n (2e-1) sub-slots folded mod m with the same carry rule (module docstring)
         e = self.e
         span = 2 * e - 1
         res = self._lane_residues(v, nbytes // span, n * span)
-        if e == 1:
-            return [res]
         t0 = _scale_table(self.p, 1)
         room = 255 // (self.p - 1)
         highs = [res[e + k::span] for k in range(e - 1)]

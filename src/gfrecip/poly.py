@@ -34,16 +34,17 @@ sequence on two such lists and builds an element only for the answer.
 sequence on two packed ints (``Field._kron_pack``), in slots with room
 for a code plus one product of two codes per coefficient of the shorter
 operand.  A step divides a by b, of degree gap t: it reads the top t + 1
-codes of each, solves for the t + 1 quotient codes from those alone
-(``_remainder`` on the few codes), and takes quotient * b + (p - 1) a,
-one bigint product and one scalar one.  That is -(a mod b), as a times
-the code p - 1 is -a; gcd's answer is monic, so the sign never matters
-and no code is negated.  One ``Field._kron_fold`` reduces every slot,
-the top t + 1 slots come out zero, and the new degree is the value's
-bit length over the slot width.  Each step costs a few bigint
+codes of each (``Field._kron_codes``; in bulk for a large t, as in the
+walk's gcd(x^(q^d) - x, f)), solves for the t + 1 quotient codes from
+those alone (``_remainder`` on those codes), and takes quotient * b +
+(p - 1) a, one bigint product and one scalar one.  That is -(a mod b),
+as a times the code p - 1 is -a; gcd's answer is monic, so the sign
+never matters and no code is negated.  One ``Field._kron_fold`` reduces
+every slot, the top t + 1 slots come out zero, and the new degree is the
+value's bit length over the slot width.  Each step costs a few bigint
 operations on the whole remainder instead of one reduction per
-coefficient (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 3
-and 9).
+coefficient (von zur Gathen & Gerhard, Modern Computer Algebra,
+ch. 3 and 9).
 
 Multiplication is likewise one kernel on code lists, ``_mul``, and it
 serves ``*``, ``pow_mod`` and the Newton inversion behind Barrett
@@ -88,12 +89,11 @@ from .field import Field, FieldElement, _ladder
 # Operands with at least this many coefficients are multiplied by
 # Kronecker substitution, and pow_mod reduces by a modulus of at least
 # this degree with a precomputed inverse; shorter ones take the schoolbook
-# product and _remainder, which are faster there.  Measured with byte
-# lanes on every field with p <= 127 (field.py): the product of two
-# length-n operands is faster packed from n = 7 to 9 over F_3, F_7, F_257,
-# F_8191, F_9, F_169, F_125, F_3^6 and F_17^2, and the Barrett ladder, its
-# set-up built, beats the code-list one from degree 4 to 6 over F_3, F_7,
-# F_8191, F_9 and F_125; 8 serves both.
+# product and _remainder, which are faster there.  Packed, the product of two
+# length-n operands wins from n = 7 to 9 over F_257, F_8191, F_9, F_169,
+# F_125, F_3^6 and F_17^2, and from 10 or 11 over F_3 and F_7; the Barrett
+# ladder, set-up built, wins from degree 4 to 6 over F_3, F_7, F_8191, F_9
+# and F_125.  8 serves both: 10 or 11 ran oracle-prime and sweep-small no faster.
 KRON_MIN_LENGTH = 8
 
 # gcd runs its remainder sequence on packed ints while the shorter operand

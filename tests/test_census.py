@@ -25,7 +25,8 @@ from gfrecip import (
     si_product,
 )
 from gfrecip import verify
-from gfrecip.factor import DEFAULT_SEED
+from gfrecip.census import _master_divisors
+from gfrecip.factor import DEFAULT_SEED, factor_count
 
 F3 = Field(3)
 F5 = Field(5)
@@ -265,6 +266,17 @@ def test_verify_count_sum_identity():
     assert verify.run_check("cor2", F5, F5.element(2), 1).ok
     assert verify.run_check("cor2", F3, F3.element(2), 2).ok
     assert verify.run_check("cor2", F9, F9.element([0, 1]), 2).ok
+
+
+def test_master_factor_count_at_degree_6560():
+    # the walk's packed gcd takes its unbalanced first step, gcd(x^(q^d) - x,
+    # m_poly) with a degree gap near 6500, and the count identity holds
+    # beyond the exhaustive checks' reach: F_3, a = 2 (a non-square), n = 8
+    f = m_poly(F3, F3.element(2), 8)
+    assert f.degree == 6560
+    want = sum(si_formula(F3, False, d) for d in _master_divisors(8))
+    assert want == 410
+    assert factor_count(f, with_multiplicity=False) == want
 
 
 def test_verify_master_factorization():

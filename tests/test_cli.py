@@ -157,6 +157,8 @@ def test_modulus_override(capsys):
 def test_domain_errors_exit_1(capsys, tmp_path):
     cases = [
         ("recip", "--field", "4", "--a", "1", "--poly", "1,1"),        # bad field
+        ("recip", "--field", "318665857834031151167461", "--a", "1",
+         "--poly", "1,1"),                                             # pseudoprime p
         ("recip", "--field", "5", "--a", "0", "--poly", "1,1"),        # zero a
         ("recip", "--field", "5", "--a", "1", "--poly", "1,,1"),       # bad poly
         ("recip", "--field", "5", "--a", "1", "--poly", "0,1,1"),      # zero constant

@@ -270,7 +270,7 @@ def test_factorize_against_third_party_cas():
         for _ in range(150):
             check(field, rng.randrange(2, 11))
     # degrees 40-200, where products and pow_mod take the Kronecker path,
-    # on byte lanes (p <= 127) and off them
+    # with residues of one byte (p <= 127) and of two or three
     for p, degree in ((3, 40), (3, 200), (7, 60), (7, 120), (8191, 40), (8191, 100),
                       (257, 100), (65537, 40)):
         check(Field(p), degree)

@@ -8,6 +8,11 @@ from hypothesis import given, strategies as st
 import gfrecip.poly
 from gfrecip import (DomainError, Field, FieldMismatchError, Poly, ResourceError, is_irreducible,
                      parse_field_spec)
+from gfrecip.field import is_prime
+
+# 399165290221 * 798330580441: a strong pseudoprime to every prime base
+# up to 37, the least one to all twelve (Sorenson & Webster 2015)
+STRONG_PSEUDOPRIME_TO_37 = 318665857834031151167461
 
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4)]
 
@@ -17,6 +22,14 @@ def all_fields():
 
 
 # -- construction -------------------------------------------------------------
+
+
+def test_is_prime():
+    assert [n for n in range(60) if is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 89 - 1)
+    assert not is_prime(STRONG_PSEUDOPRIME_TO_37)
+    assert STRONG_PSEUDOPRIME_TO_37 == 399165290221 * 798330580441
 
 
 def test_prime_field_basics(F5):
@@ -92,7 +105,7 @@ def test_reducible_modulus_rejected():
 def test_parse_field_spec():
     assert parse_field_spec("5").q == 5
     assert parse_field_spec("3^2").q == 9
-    for bad in ("4", "2^3", "abc", "5^0"):
+    for bad in ("4", "2^3", "abc", "5^0", str(STRONG_PSEUDOPRIME_TO_37)):
         with pytest.raises(DomainError):
             parse_field_spec(bad)
 

@@ -151,10 +151,11 @@ def test_long_products_and_divisions_extension(p, e):
 # -- Kronecker products and the precomputed-inverse pow_mod ----------------------
 
 # slots of 1 to 5 bytes over F_p up to F_10007 (the widest prime in the
-# benchmark), up to 24 beyond it and 3 to 22 over the extensions; F_127 and
-# F_127^3 are the largest on byte lanes, F_131 and F_131^2 the smallest off
-# them, where residues take 1 byte (F_131), 2 (F_257, F_8191, F_10007^2),
-# 3 (F_65537), 4 (F_(2^31 - 1)), 8 (F_(2^61 - 1)) and 12 (F_(2^89 - 1))
+# benchmark), up to 24 beyond it and 3 to 22 over the extensions; every
+# prime field reduces by SWAR Barrett, F_127^3 is the largest extension on
+# byte lanes and F_131^2 the smallest off them; residues take 1 byte (F_3
+# to F_131), 2 (F_257, F_8191, F_10007^2), 3 (F_65537), 4 (F_(2^31 - 1)),
+# 8 (F_(2^61 - 1)) and 12 (F_(2^89 - 1))
 KRON_FIELDS = [Field(3), Field(7), Field(127), Field(131), Field(257), Field(8191),
                Field(10007), Field(65537), Field(2 ** 31 - 1), Field(2 ** 61 - 1),
                Field(2 ** 89 - 1), Field(3, 2), Field(17, 2), Field(3, 6), Field(5, 3),
@@ -193,9 +194,10 @@ def test_kronecker_products_match_schoolbook(field):
 
 
 def test_byte_lanes_chosen_from_p_and_e():
-    assert all(Field(p)._lanes for p in (3, 5, 7, 13, 31, 127))
+    # extensions with p <= 127 only: no prime field is on the lanes
+    assert not any(Field(p)._lanes for p in (3, 5, 7, 13, 31, 127, 131, 257, 10007))
     assert all(Field(p, e)._lanes for p, e in ((3, 2), (7, 3), (127, 3)))
-    assert not any(f._lanes for f in (Field(131), Field(257), Field(131, 2)))
+    assert not any(Field(p, e)._lanes for p, e in ((131, 2), (10007, 2)))
 
 
 LANE_KERNEL_FIELDS = [Field(3), Field(5), Field(7), Field(13), Field(31), Field(127),
@@ -206,9 +208,10 @@ LANE_KERNEL_FIELDS = [Field(3), Field(5), Field(7), Field(13), Field(31), Field(
 
 @pytest.mark.parametrize("field", LANE_KERNEL_FIELDS, ids=Field.spec_string)
 def test_kron_kernels_match_per_slot_reference(field):
-    # the byte-lane kernels (p <= 127) and the Barrett ones (p >= 131)
-    # against one slot at a time: each slot's accumulator, its t^k parts
-    # moved to bit w k, through Field._reduce
+    # the Barrett kernels (every F_p, and F_{p^e} with p >= 131) and the
+    # byte-lane ones (F_{p^e} with p <= 127) against one slot at a time:
+    # each slot's accumulator, its t^k parts moved to bit w k, through
+    # Field._reduce
     p, e, w = field.p, field.e, field._slot_bits
     span = 2 * e - 1
     rng = random.Random(field.q)
@@ -357,8 +360,8 @@ def test_gcd_divides_both(f, g):
         assert not g % d
 
 
-# F_257 reduces packed slots by SWAR Barrett, F_3^4 and F_5^3 on byte lanes
-# with e = 4 and 3, F_10007^2 is an extension off the lanes
+# the prime fields reduce packed slots by SWAR Barrett, F_3^4 and F_5^3 on
+# byte lanes with e = 4 and 3, F_10007^2 is an extension off the lanes
 GCD_FIELDS = [Field(3), Field(7), Field(257), Field(8191), Field(3, 2), Field(17, 2),
               Field(3, 4), Field(5, 3), Field(3, 6), Field(10007, 2)]
 
@@ -444,6 +447,22 @@ def test_packed_gcd_steps_match_euclid(field, monkeypatch):
             f, g = g, f % g
             steps += 1
         assert len(reads) == 2 * steps
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(257), Field(3, 2), Field(10007, 2)], ids=str)
+def test_kron_codes_match_kron_unpack(field):
+    # the low n slots of a folded int, read one slot at a time (few slots)
+    # or in bulk (many), with slots above n that the read must ignore
+    rng = random.Random(field.q + 4)
+    nbytes = field._kron_bytes(200)
+    for n in (1, 7, 8, 9, 15, 16, 17, 40, 2000):
+        for codes in ([field._pack([rng.randrange(field.p) for _ in range(field.e)])
+                       for _ in range(n + 5)],
+                      [field._pack([field.p - 1] * field.e)] * (n + 5)):
+            v = field._kron_pack(codes, nbytes)
+            low = field._kron_pack(codes[:n], nbytes)
+            assert field._kron_codes(v, nbytes, n) == field._kron_unpack(low, nbytes, n) \
+                == codes[:n]
 
 
 def test_pow_mod_against_naive():
