@@ -42,13 +42,15 @@ residue bytes into sub-slot j by slice assignments, ``buf[j*B+i::slot]
 = raw[j*W+i::stride]`` for i < R.  Unpacking joins the e coordinates of
 the reduced slots into codes by shifts, c_0 | c_1 << w | ..., F_p
 being the one-coordinate case.  No kernel reduces the slots one at a
-time: both reductions below work on whole ints or byte strings.
+time.
 
-Over F_p, and over F_{p^e} for p >= 131, every sub-slot of the int is
-reduced at once by Barrett reduction (P. Barrett, CRYPTO '86; von zur
-Gathen & Gerhard, ch. 9) as SIMD within a register (SWAR), the bigint
-being the register: a fixed number of bigint operations, whatever the
-slot count.  With k = 8B bits a sub-slot and m = floor(2^k / p), a
+Over every F_{p^e}, every sub-slot of the int is reduced at once by
+Barrett reduction (P. Barrett, CRYPTO '86; von zur Gathen & Gerhard,
+ch. 9) as SIMD within a register (SWAR), the bigint being the register:
+a fixed number of bigint operations, whatever the slot count.  Its
+masks depend only on the shape (B, the slot count and e), so they are
+built once per shape and kept in a small cache, ``_swar_masks``.  With
+k = 8B bits a sub-slot and m = floor(2^k / p), a
 sub-slot x < 2^k takes the quotient q = floor(x m / 2^k).  As p m >
 2^k - p, x/p - x m / 2^k < x / 2^k < 1, so q falls short of floor(x/p)
 by at most one and r = x - q p lies in [0, 2p).  The product x m needs
@@ -64,23 +66,6 @@ masked and moved to sub-slot 0, times sum_j c_kj 2^(k j) adds c_kj times
 it to each sub-slot j, and the sums, below e (p-1)^2, are reduced by a
 second pass.  Unpacking reads the residue bytes of each coordinate, up
 to 8 at a time, as the machine words of an ``array``.
-
-Over F_{p^e} with 2p < 256 (p <= 127), whose bytes hold two residues,
-the lanes do both reductions instead.  Byte i of every sub-slot forms
-lane i, the slice ``raw[i::B]`` of the int's bytes, and one
-``bytes.translate`` by the table T_i[x] = x 256^i mod p (cached per
-(p, B)) maps a whole lane to residues whose sum, sub-slot by sub-slot,
-is congruent to the sub-slot's value mod p.  The translated lanes are
-added as bigints; each byte stays a separate sum as long as it cannot
-pass 255, so before the next lane could carry (after 255 // (p-1) lanes)
-the running sum is folded through T_0 back to residues, and one last T_0
-pass leaves one residue per byte.  The residues of sub-slots
-e, ..., 2e-2 are then folded mod the modulus in the same way: coordinate
-j of a slot is its sub-slot j plus, for each k, sub-slot e+k translated
-by the table x c_kj mod p, c_kj being coordinate j of t^(e+k) mod m.
-``Field._lanes`` makes the choice, once: the lanes ran extension folds
-of 2n-1 slots, n >= 60, 1.4-2.2 times faster than SWAR, and won no
-benchmark workload over F_p.
 
 The canonical total order on elements — used for square-root tie
 breaking, factor sorting and enumeration streams — is lexicographic on
@@ -162,16 +147,20 @@ def _words(raw: bytes, start: int, stride: int, width: int) -> list[int]:
     return words.tolist()
 
 
-@functools.cache
-def _scale_table(p: int, c: int) -> bytes:
-    # x -> x c mod p on every byte value
-    return bytes([x * c % p for x in range(256)])
-
-
-@functools.cache
-def _lane_tables(p: int, nbytes: int) -> tuple[bytes, ...]:
-    # T_j[x] = x 256^j mod p for each byte lane j of an nbytes-byte slot
-    return tuple(_scale_table(p, pow(256, j, p)) for j in range(nbytes))
+@functools.lru_cache(maxsize=16)
+def _swar_masks(sub: int, n: int, e: int) -> tuple[int, ...]:
+    # the masks of _kron_fold on n slots of 2e-1 sub-slots of sub bytes:
+    # every other sub-slot and the low byte of every sub-slot (Barrett),
+    # then, for e > 1, the low e sub-slots and the first sub-slot of every
+    # slot (the fold mod m).  Bounded: gcd folds at a new n every step.
+    span = 2 * e - 1
+    full, zero = b"\xff" * sub, bytes(sub)
+    masks = (int.from_bytes((full + zero) * ((n * span + 1) // 2), "little"),
+             int.from_bytes((b"\x01" + zero[1:]) * (n * span), "little"))
+    if e > 1:
+        masks += (int.from_bytes((full * e + zero * (e - 1)) * n, "little"),
+                  int.from_bytes((full + zero * (span - 1)) * n, "little"))
+    return masks
 
 
 @functools.cache
@@ -345,7 +334,7 @@ class Field:
     """The finite field with p**e elements, p an odd prime."""
 
     __slots__ = ("p", "e", "q", "modulus", "zero", "one", "_reduce", "_pow", "_inv",
-                 "_slot_bits", "_slot_mask", "_reduction_codes", "_lanes", "_fold_tables")
+                 "_slot_bits", "_slot_mask", "_reduction_codes", "_fold_rows")
 
     def __init__(self, p: int, e: int = 1, modulus: Sequence[int] | None = None):
         if not isinstance(p, int) or not is_prime(p):
@@ -368,8 +357,6 @@ class Field:
         # Kronecker kernels find coordinate j at byte j w / 8.
         self._slot_bits = -(-(2 ** 32 * e * (p - 1) ** 2).bit_length() // 8) * 8
         self._slot_mask = (1 << self._slot_bits) - 1
-        # byte-lane Kronecker kernels for extensions whose bytes hold two residues
-        self._lanes = e > 1 and 2 * p < 256
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
         # _reduce, _pow, _inv: the int builtins over F_p, the slot kernels over F_{p^e}
@@ -389,10 +376,8 @@ class Field:
         self._reduction_codes = (self._pack([-c % p for c in self.modulus[:e]]),)
         for _ in range(e - 2):
             self._reduction_codes += (self._reduce(self._reduction_codes[-1] << self._slot_bits),)
-        # the lanes' fold mod m: row j holds the tables x c_kj mod p, k < e - 1
-        rows = [self._unpack(code) for code in self._reduction_codes[:e - 1]]
-        self._fold_tables = tuple(tuple(_scale_table(p, row[j]) for row in rows)
-                                  for j in range(e)) if self._lanes else ()
+        # their coordinates, for _kron_fold's fold mod m
+        self._fold_rows = tuple(self._unpack(code) for code in self._reduction_codes[:e - 1])
 
     # -- construction helpers ------------------------------------------------
 
@@ -518,16 +503,13 @@ class Field:
     def _kron_unpack(self, v: int, nbytes: int, n: int) -> list[int]:
         """The codes of the ``n`` slots of ``v`` (which must fit in them),
         each slot a packed accumulator."""
+        # the residue bytes of each coordinate, up to 8 at a time
         w = self._slot_bits
-        if self._lanes:
-            parts = [(lane, j * w) for j, lane in enumerate(self._lane_coords(v, nbytes, n))]
-        else:
-            # the residue bytes of each coordinate, up to 8 at a time
-            raw = self._kron_fold(v, nbytes, n).to_bytes(n * nbytes, "little")
-            size = (self.p.bit_length() + 7) // 8
-            sub = nbytes // (2 * self.e - 1)
-            parts = [(_words(raw, j * sub + i, nbytes, min(8, size - i)), j * w + 8 * i)
-                     for j in range(self.e) for i in range(0, size, 8)]
+        raw = self._kron_fold(v, nbytes, n).to_bytes(n * nbytes, "little")
+        size = (self.p.bit_length() + 7) // 8
+        sub = nbytes // (2 * self.e - 1)
+        parts = [(_words(raw, j * sub + i, nbytes, min(8, size - i)), j * w + 8 * i)
+                 for j in range(self.e) for i in range(0, size, 8)]
         # each part joins each code at its bit
         codes = list(parts[0][0])
         for part, shift in parts[1:]:
@@ -538,7 +520,8 @@ class Field:
         """The codes of the ``n`` lowest slots of ``v``, each slot already
         a code in the packed layout, as ``_kron_fold`` leaves them."""
         # the loop shifts all of v per slot; _kron_unpack, which leaves codes as they
-        # are, costs as much from 14-24 slots over F_3, F_257, F_9, F_125, less above
+        # are, costs 4-7 times as much at 2 slots and as much from 12-16 slots over
+        # F_3 and F_257 and 24 over F_9 and F_125 (masks cached), less above
         if n >= 16:
             return self._kron_unpack(v & ((1 << 8 * nbytes * n) - 1), nbytes, n)
         bits, e, w = 8 * nbytes, self.e, self._slot_bits
@@ -556,85 +539,33 @@ class Field:
     def _kron_fold(self, v: int, nbytes: int, n: int) -> int:
         """``v``'s ``n`` slots reduced to codes, packed again in place:
         ``_kron_pack(_kron_unpack(v, nbytes, n), nbytes)``."""
-        if self._lanes:
-            return self._lane_pack(self._lane_coords(v, nbytes, n), nbytes)
         e = self.e
-        span = 2 * e - 1
-        sub = nbytes // span
-        res = self._swar_residues(v, sub, n * span)
+        sub = nbytes // (2 * e - 1)
+        evens, ones, *fold = _swar_masks(sub, n, e)
+        res = self._swar_residues(v, sub, evens, ones)
         if e == 1:
             return res
         # coordinate j of a slot gains c_kj times its sub-slot e + k, c_kj
         # coordinate j of t^(e+k) mod m: one product per k, as sub-slot e + k
         # of every slot, moved to sub-slot 0, times sum c_kj 2^(8 sub j)
+        low, first = fold
         bits = 8 * sub
-        acc = res & int.from_bytes((b"\xff" * (e * sub) + bytes((e - 1) * sub)) * n, "little")
-        first = int.from_bytes((b"\xff" * sub + bytes((span - 1) * sub)) * n, "little")
-        for k, code in enumerate(self._reduction_codes):
-            row = sum(c << bits * j for j, c in enumerate(self._unpack(code)))
-            acc += (res >> bits * (e + k) & first) * row
-        return self._swar_residues(acc, sub, n * span)
+        acc = res & low
+        for k, row in enumerate(self._fold_rows):
+            acc += (res >> bits * (e + k) & first) * sum(c << bits * j for j, c in enumerate(row))
+        return self._swar_residues(acc, sub, evens, ones)
 
-    def _swar_residues(self, v: int, sub: int, n: int) -> int:
-        # each of v's n slots of sub bytes mod p, in place, by Barrett
-        # reduction on all slots at once (see the module docstring)
+    def _swar_residues(self, v: int, sub: int, evens: int, ones: int) -> int:
+        # each of v's slots of sub bytes mod p, in place, by Barrett
+        # reduction on all slots at once (see the module docstring), with
+        # the masks of _swar_masks
         p, k = self.p, 8 * sub
         g = (2 * p).bit_length()
         m = (1 << k) // p
-        evens = int.from_bytes((b"\xff" * sub + bytes(sub)) * ((n + 1) // 2), "little")
-        ones = int.from_bytes((b"\x01" + bytes(sub - 1)) * n, "little")
         even, odd = v & evens, v >> k & evens
         r = even - (even * m >> k & evens) * p | (odd - (odd * m >> k & evens) * p) << k
         # r < 2p in every slot; bit g of r + 2^g - p is set where r >= p
         return r - ((r + ones * ((1 << g) - p)) >> g & ones) * p
-
-    def _lane_pack(self, lanes: Sequence[bytes], nbytes: int) -> int:
-        # lane j, coordinate j of each code (one byte apiece), into the low
-        # byte of sub-slot j of each nbytes-byte slot
-        sub = nbytes // (2 * self.e - 1)
-        buf = bytearray(len(lanes[0]) * nbytes)
-        for j, lane in enumerate(lanes):
-            buf[j * sub::nbytes] = lane
-        return int.from_bytes(buf, "little")
-
-    def _lane_residues(self, v: int, nbytes: int, n: int) -> bytes:
-        # each of v's n slots mod p, one byte apiece, by whole-lane byte
-        # operations (see the module docstring)
-        raw = v.to_bytes(n * nbytes, "little")
-        tables = _lane_tables(self.p, nbytes)
-        t0 = tables[0]
-        room = 255 // (self.p - 1)  # lanes of residues a byte can sum
-        acc = int.from_bytes(raw[::nbytes].translate(t0), "little")
-        held = 1
-        for j in range(1, nbytes):
-            if held == room:
-                acc = int.from_bytes(acc.to_bytes(n, "little").translate(t0), "little")
-                held = 1
-            acc += int.from_bytes(raw[j::nbytes].translate(tables[j]), "little")
-            held += 1
-        return acc.to_bytes(n, "little").translate(t0)
-
-    def _lane_coords(self, v: int, nbytes: int, n: int) -> list[bytes]:
-        # the e coordinate lanes of the codes of v's n slots: the residues of all
-        # n (2e-1) sub-slots folded mod m with the same carry rule (module docstring)
-        e = self.e
-        span = 2 * e - 1
-        res = self._lane_residues(v, nbytes // span, n * span)
-        t0 = _scale_table(self.p, 1)
-        room = 255 // (self.p - 1)
-        highs = [res[e + k::span] for k in range(e - 1)]
-        lanes = []
-        for j, row in enumerate(self._fold_tables):
-            acc = int.from_bytes(res[j::span], "little")
-            held = 1
-            for high, table in zip(highs, row):
-                if held == room:
-                    acc = int.from_bytes(acc.to_bytes(n, "little").translate(t0), "little")
-                    held = 1
-                acc += int.from_bytes(high.translate(table), "little")
-                held += 1
-            lanes.append(acc.to_bytes(n, "little").translate(t0))
-        return lanes
 
     def _codes(self) -> Iterator[int]:
         """All q codes in the canonical (coordinate-lexicographic) order,
@@ -745,11 +676,9 @@ class Field:
 
 def parse_field_spec(spec: str) -> Field:
     """Build a field from a spec string: "p" or "p^e", e.g. "5" or "3^2"."""
-    s = spec.strip()
     try:
-        if "^" in s:
-            p_text, e_text = s.split("^", 1)
-            return Field(int(p_text), int(e_text))
-        return Field(int(s))
+        p_e = [int(text) for text in spec.strip().split("^", 1)]
     except ValueError:
         raise DomainError(f"unknown field spec {spec!r}") from None
+    # Field's own refusals (even p, e < 1, a composite p) keep their reasons
+    return Field(*p_e)

@@ -180,6 +180,13 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         if "--nmax" in argv and argv[argv.index("--nmax") + 1] != "1":
             assert err == "error: nmax must be >= 1\n", argv
     assert not list(tmp_path.glob("nmax*.csv"))
+    # a field spec that parses keeps Field's own reason for refusing it
+    for spec, reason in (("2", "even characteristic is not supported"),
+                         ("3^0", "extension degree must be >= 1, got 0"),
+                         ("318665857834031151167461", "field characteristic must be prime, "
+                                                      "got 318665857834031151167461")):
+        code, out, err = run(capsys, "recip", "--field", spec, "--a", "1", "--poly", "1,1")
+        assert (code, out, err) == (1, "", f"error: {reason}\n"), spec
 
 
 def test_verify_n_below_1_exits_1(capsys):

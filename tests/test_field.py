@@ -294,7 +294,7 @@ def test_sqrt_large_fields(p, e):
 @pytest.mark.parametrize("p,e", [(5, 2), (3, 6), (8191, 1), (10007, 2)])
 def test_sqrt_stays_in_the_field_layer(monkeypatch, p, e):
     # Cipolla's power runs on pairs of codes, never on a Poly modulus:
-    # byte-lane and Barrett fields, e = 1 and e > 1
+    # e = 1 and e > 1, small and large p
     def refuse(*args):
         raise AssertionError("sqrt called pow_mod")
 

@@ -151,11 +151,10 @@ def test_long_products_and_divisions_extension(p, e):
 # -- Kronecker products and the precomputed-inverse pow_mod ----------------------
 
 # slots of 1 to 5 bytes over F_p up to F_10007 (the widest prime in the
-# benchmark), up to 24 beyond it and 3 to 22 over the extensions; every
-# prime field reduces by SWAR Barrett, F_127^3 is the largest extension on
-# byte lanes and F_131^2 the smallest off them; residues take 1 byte (F_3
-# to F_131), 2 (F_257, F_8191, F_10007^2), 3 (F_65537), 4 (F_(2^31 - 1)),
-# 8 (F_(2^61 - 1)) and 12 (F_(2^89 - 1))
+# benchmark), up to 24 beyond it and 3 to 22 over the extensions, every
+# one reduced by SWAR Barrett; residues take 1 byte (F_3 to F_131), 2
+# (F_257, F_8191, F_10007^2), 3 (F_65537), 4 (F_(2^31 - 1)), 8
+# (F_(2^61 - 1)) and 12 (F_(2^89 - 1))
 KRON_FIELDS = [Field(3), Field(7), Field(127), Field(131), Field(257), Field(8191),
                Field(10007), Field(65537), Field(2 ** 31 - 1), Field(2 ** 61 - 1),
                Field(2 ** 89 - 1), Field(3, 2), Field(17, 2), Field(3, 6), Field(5, 3),
@@ -193,25 +192,18 @@ def test_kronecker_products_match_schoolbook(field):
     assert top * top == _schoolbook(top, top)
 
 
-def test_byte_lanes_chosen_from_p_and_e():
-    # extensions with p <= 127 only: no prime field is on the lanes
-    assert not any(Field(p)._lanes for p in (3, 5, 7, 13, 31, 127, 131, 257, 10007))
-    assert all(Field(p, e)._lanes for p, e in ((3, 2), (7, 3), (127, 3)))
-    assert not any(Field(p, e)._lanes for p, e in ((131, 2), (10007, 2)))
+# F_3^10 runs the fold mod m with e = 10, 9 products a fold
+KERNEL_FIELDS = [Field(3), Field(5), Field(7), Field(13), Field(31), Field(127),
+                 Field(131), Field(257), Field(65537), Field(2 ** 31 - 1),
+                 Field(2 ** 89 - 1), Field(3, 2), Field(5, 3), Field(3, 6), Field(13, 2),
+                 Field(127, 3), Field(131, 2), Field(10007, 2), Field(3, 10)]
 
 
-LANE_KERNEL_FIELDS = [Field(3), Field(5), Field(7), Field(13), Field(31), Field(127),
-                      Field(131), Field(257), Field(65537), Field(2 ** 31 - 1),
-                      Field(2 ** 89 - 1), Field(3, 2), Field(5, 3), Field(3, 6), Field(13, 2),
-                      Field(127, 3), Field(131, 2), Field(10007, 2)]
-
-
-@pytest.mark.parametrize("field", LANE_KERNEL_FIELDS, ids=Field.spec_string)
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=Field.spec_string)
 def test_kron_kernels_match_per_slot_reference(field):
-    # the Barrett kernels (every F_p, and F_{p^e} with p >= 131) and the
-    # byte-lane ones (F_{p^e} with p <= 127) against one slot at a time:
-    # each slot's accumulator, its t^k parts moved to bit w k, through
-    # Field._reduce
+    # the SWAR Barrett kernels, and over F_{p^e} their fold mod m, against
+    # one slot at a time: each slot's accumulator, its t^k parts moved to
+    # bit w k, through Field._reduce
     p, e, w = field.p, field.e, field._slot_bits
     span = 2 * e - 1
     rng = random.Random(field.q)
@@ -360,8 +352,8 @@ def test_gcd_divides_both(f, g):
         assert not g % d
 
 
-# the prime fields reduce packed slots by SWAR Barrett, F_3^4 and F_5^3 on
-# byte lanes with e = 4 and 3, F_10007^2 is an extension off the lanes
+# prime fields, and extensions with e = 2 to 6, from 1-byte residues (F_3^4,
+# F_5^3) to 2-byte ones (F_10007^2)
 GCD_FIELDS = [Field(3), Field(7), Field(257), Field(8191), Field(3, 2), Field(17, 2),
               Field(3, 4), Field(5, 3), Field(3, 6), Field(10007, 2)]
 
