@@ -28,11 +28,11 @@ The same substitution one level up packs a whole polynomial into one
 int: ``_kron_pack`` joins its codes into byte-aligned slots of
 ``_kron_bytes(terms)`` bytes each, wide enough for a sum of ``terms``
 products of two codes, so one bigint product of two packed polynomials
-convolves their coefficients; ``_kron_unpack`` cuts such an int back
-into its slots and reduces each to a code, and ``_kron_fold`` reduces
-every slot in place, returning a packed int again.  ``_kron_codes``
-reads the codes of slots that already hold codes, the top slots gcd
-reads of a folded int: one at a time if few, else by ``_kron_unpack``.
+convolves their coefficients.  ``_kron_fold``, called only where slots
+hold such sums, reduces every slot to a code in place, returning a packed
+int again.  ``_kron_unpack``, the one reader, cuts an int whose slots
+hold codes, as ``_kron_pack`` and ``_kron_fold`` leave them, into those
+codes: one slot at a time if few, else all at once.
 A packed slot is 2e-1 tight sub-slots of B bytes, one per power t^k of
 a product of codes, each wide enough for ``terms`` sums of e products
 of two coordinates, with no headroom beyond that.  Codes are
@@ -502,43 +502,38 @@ class Field:
 
     def _kron_unpack(self, v: int, nbytes: int, n: int) -> list[int]:
         """The codes of the ``n`` slots of ``v`` (which must fit in them),
-        each slot a packed accumulator."""
+        each slot already a code, as ``_kron_pack`` and ``_kron_fold`` leave it."""
+        e, w = self.e, self._slot_bits
+        sub = nbytes // (2 * e - 1)
+        # the loop shifts all of v per slot; the bulk read costs 3-5x as much at 2 slots,
+        # about as much at 8 over F_3 and F_257 and 12 over F_9 and F_125 (slots for gcds
+        # of 100 and 400 terms, best of 9 x 2000 calls; loop/bulk at 12 slots, 100 terms:
+        # F_3 4.3/2.5, F_257 3.9/2.7, F_9 5.3/5.5, F_125 7.3/8.6 us)
+        if n < 12:
+            bits, k = 8 * nbytes, 8 * sub
+            mask = (1 << k) - 1
+            codes = []
+            for _ in range(n):
+                code = 0
+                for j in range(e):
+                    code |= (v >> k * j & mask) << w * j
+                codes.append(code)
+                v >>= bits
+            return codes
         # the residue bytes of each coordinate, up to 8 at a time
-        w = self._slot_bits
-        raw = self._kron_fold(v, nbytes, n).to_bytes(n * nbytes, "little")
+        raw = v.to_bytes(n * nbytes, "little")
         size = (self.p.bit_length() + 7) // 8
-        sub = nbytes // (2 * self.e - 1)
         parts = [(_words(raw, j * sub + i, nbytes, min(8, size - i)), j * w + 8 * i)
-                 for j in range(self.e) for i in range(0, size, 8)]
+                 for j in range(e) for i in range(0, size, 8)]
         # each part joins each code at its bit
         codes = list(parts[0][0])
         for part, shift in parts[1:]:
             codes = [c | d << shift for c, d in zip(codes, part)]
         return codes
 
-    def _kron_codes(self, v: int, nbytes: int, n: int) -> list[int]:
-        """The codes of the ``n`` lowest slots of ``v``, each slot already
-        a code in the packed layout, as ``_kron_fold`` leaves them."""
-        # the loop shifts all of v per slot; _kron_unpack, which leaves codes as they
-        # are, costs 4-7 times as much at 2 slots and as much from 12-16 slots over
-        # F_3 and F_257 and 24 over F_9 and F_125 (masks cached), less above
-        if n >= 16:
-            return self._kron_unpack(v & ((1 << 8 * nbytes * n) - 1), nbytes, n)
-        bits, e, w = 8 * nbytes, self.e, self._slot_bits
-        sub = bits // (2 * e - 1)
-        mask = (1 << sub) - 1
-        codes = []
-        for _ in range(n):
-            code = 0
-            for j in range(e):
-                code |= (v >> sub * j & mask) << w * j
-            codes.append(code)
-            v >>= bits
-        return codes
-
     def _kron_fold(self, v: int, nbytes: int, n: int) -> int:
-        """``v``'s ``n`` slots reduced to codes, packed again in place:
-        ``_kron_pack(_kron_unpack(v, nbytes, n), nbytes)``."""
+        """``v``'s ``n`` slots of sums reduced to codes in place: ``_kron_pack``
+        of each slot's ``_reduce``, its t^k part taken at bit w k."""
         e = self.e
         sub = nbytes // (2 * e - 1)
         evens, ones, *fold = _swar_masks(sub, n, e)

@@ -34,7 +34,7 @@ sequence on two such lists and builds an element only for the answer.
 sequence on two packed ints (``Field._kron_pack``), in slots with room
 for a code plus one product of two codes per coefficient of the shorter
 operand.  A step divides a by b, of degree gap t: it reads the top t + 1
-codes of each (``Field._kron_codes``; in bulk for a large t, as in the
+codes of each (``Field._kron_unpack``; in bulk for a large t, as in the
 walk's gcd(x^(q^d) - x, f)), solves for the t + 1 quotient codes from
 those alone (``_remainder`` on those codes), and takes quotient * b +
 (p - 1) a, one bigint product and one scalar one.  That is -(a mod b),
@@ -53,7 +53,7 @@ coefficients it takes one bigint product (Kronecker substitution): each
 operand is packed into a single int with one byte-aligned slot per
 coefficient, wide enough that the convolution never carries between
 slots, and the interpreter's Karatsuba multiplier does the work; the
-product's slots are then reduced back to codes.  Below that length its
+product is folded to codes and read back.  Below that length its
 schoolbook loop, ``_sums``, is faster, and it stays the reference in the
 tests; ``_mul`` reduces its sums, ``pow_mod`` takes them unreduced.
 
@@ -115,7 +115,8 @@ def _mul(fld: Field, a, b) -> list[int]:
         pack = fld._kron_pack
         va = pack(a, nbytes)
         vb = va if a is b else pack(b, nbytes)
-        return fld._kron_unpack(va * vb, nbytes, len(a) + len(b) - 1)
+        n = len(a) + len(b) - 1
+        return fld._kron_unpack(fld._kron_fold(va * vb, nbytes, n), nbytes, n)
     reduce = fld._reduce
     return [reduce(v) for v in _sums(a, b)]
 
@@ -407,7 +408,7 @@ def gcd(f: Poly, g: Poly) -> Poly:
         # (quotient times b)
         nbytes = fld._kron_bytes(len(b) + 1)
         bits = 8 * nbytes
-        pack, codes, fold, neg_one = fld._kron_pack, fld._kron_codes, fld._kron_fold, fld.p - 1
+        pack, codes, fold, neg_one = fld._kron_pack, fld._kron_unpack, fld._kron_fold, fld.p - 1
         va, vb, na, nb = pack(a, nbytes), pack(b, nbytes), len(a), len(b)
         while nb >= GCD_PACKED_MIN:
             # the t + 1 quotient codes from the top t + 1 codes of a and of
@@ -419,7 +420,7 @@ def gcd(f: Poly, g: Poly) -> Poly:
             _remainder(fld, rem, codes(vb >> bits * (nb - top), nbytes, top), quo)
             va = fold(pack(quo, nbytes) * vb + neg_one * va, nbytes, na)
             va, vb, na, nb = vb, va, nb, -(-va.bit_length() // bits)
-        a, b = fld._kron_unpack(va, nbytes, na), fld._kron_unpack(vb, nbytes, nb)
+        a, b = codes(va, nbytes, na), codes(vb, nbytes, nb)
     while b:
         _remainder(fld, a, b)
         a, b = b, a

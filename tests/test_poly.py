@@ -232,7 +232,8 @@ def test_kron_kernels_match_per_slot_reference(field):
                 codes = [field._reduce(sum(a << w * k for k, a in enumerate(acc)))
                          for acc in accs]
                 packed = joined([field._unpack(c) for c in codes])
-                assert field._kron_unpack(v, nbytes, n) == codes
+                assert field._kron_unpack(field._kron_fold(v, nbytes, n), nbytes, n) == codes
+                assert field._kron_unpack(packed, nbytes, n) == codes
                 assert field._kron_fold(v, nbytes, n) == packed
                 assert field._kron_pack(codes, nbytes) == packed
 
@@ -420,41 +421,76 @@ def test_packed_gcd_steps_match_euclid(field, monkeypatch):
     # a wrong quotient still leaves a remainder with the same gcd, only a
     # longer sequence: the packed steps, each reading the top codes of both
     # operands once, must be the reference Euclid's divisions by divisors
-    # of GCD_PACKED_MIN or more coefficients
+    # of GCD_PACKED_MIN or more coefficients; then both operands are read
+    # once more, as code lists
     reads = []
-    codes = Field._kron_codes
+    unpack = Field._kron_unpack
 
     def counted(self, v, nbytes, n):
         reads.append(n)
-        return codes(self, v, nbytes, n)
+        return unpack(self, v, nbytes, n)
 
-    monkeypatch.setattr(Field, "_kron_codes", counted)
+    monkeypatch.setattr(Field, "_kron_unpack", counted)
     rng = random.Random(field.q + 3)
     for df, dg in ((120, 119), (130, 100), (60, 60)):
         f, g = _random_poly(field, df, rng), _random_poly(field, dg, rng)
         reads.clear()
         gcd(f, g)
+        count = len(reads)
         steps = 0
         while g.degree + 1 >= GCD_PACKED_MIN:
             f, g = g, f % g
             steps += 1
-        assert len(reads) == 2 * steps
+        assert count == 2 * steps + 2
 
 
 @pytest.mark.parametrize("field", [Field(3), Field(257), Field(3, 2), Field(10007, 2)], ids=str)
-def test_kron_codes_match_kron_unpack(field):
-    # the low n slots of a folded int, read one slot at a time (few slots)
-    # or in bulk (many), with slots above n that the read must ignore
+def test_packed_kernels_fold_only_sums(field, monkeypatch):
+    # slots that hold codes are read as they are: gcd folds once per packed
+    # step (quotient * b - a), pow_mod three times per ladder product (the
+    # high half, the quotient and the remainder), and neither folds again
+    # where it reads its answer
+    folds = []
+    fold = Field._kron_fold
+
+    def counted(self, v, nbytes, n):
+        folds.append(n)
+        return fold(self, v, nbytes, n)
+
+    rng = random.Random(field.q + 3)
+    pairs = [(_random_poly(field, df, rng), _random_poly(field, dg, rng))
+             for df, dg in ((120, 119), (130, 100), (60, 60))]
+    f = _random_poly(field, KRON_MIN_LENGTH + 4, rng).monic()
+    base = _random_poly(field, KRON_MIN_LENGTH + 3, rng)
+    pow_mod(base, 2, f)  # builds f._setup, whose Newton inverse folds too
+    monkeypatch.setattr(Field, "_kron_fold", counted)
+    for a, b in pairs:
+        folds.clear()
+        gcd(a, b)
+        count = len(folds)
+        steps = 0
+        while b.degree + 1 >= GCD_PACKED_MIN:
+            a, b = b, a % b
+            steps += 1
+        assert count == steps
+    for k in (1, 2, 3, 13, field.q):
+        folds.clear()
+        pow_mod(base, k, f)
+        products = k.bit_length() - 1 + bin(k).count("1") - 1
+        assert len(folds) == 3 * products
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(257), Field(3, 2), Field(10007, 2)], ids=str)
+def test_kron_unpack_reads_packed_codes(field):
+    # n slots that hold codes, read one slot at a time (few slots) or in
+    # bulk (many): both sides of the crossover
     rng = random.Random(field.q + 4)
     nbytes = field._kron_bytes(200)
-    for n in (1, 7, 8, 9, 15, 16, 17, 40, 2000):
+    for n in (1, 7, 8, 9, 11, 12, 13, 15, 16, 17, 40, 2000):
         for codes in ([field._pack([rng.randrange(field.p) for _ in range(field.e)])
-                       for _ in range(n + 5)],
-                      [field._pack([field.p - 1] * field.e)] * (n + 5)):
-            v = field._kron_pack(codes, nbytes)
-            low = field._kron_pack(codes[:n], nbytes)
-            assert field._kron_codes(v, nbytes, n) == field._kron_unpack(low, nbytes, n) \
-                == codes[:n]
+                       for _ in range(n)],
+                      [field._pack([field.p - 1] * field.e)] * n):
+            assert field._kron_unpack(field._kron_pack(codes, nbytes), nbytes, n) == codes
 
 
 def test_pow_mod_against_naive():
