@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .field import Field, FieldElement, _digits
+from .field import Field, FieldElement
 from .poly import Poly, gcd, pow_mod
 
 DEFAULT_SEED = 1729
@@ -135,9 +135,8 @@ def _distinct_degree(f: Poly):
 
 def _random_poly(fld: Field, max_degree: int, rng: random.Random) -> Poly:
     # each draw's base-p digits, least significant first, are c0, c1, ...
-    p, e = fld.p, fld.e
-    return Poly._raw(fld, [fld._pack(_digits(rng.randrange(fld.q), p, e))
-                           for _ in range(max_degree + 1)])
+    code, draw, q = fld._index_code, rng.randrange, fld.q
+    return Poly._raw(fld, [code(draw(q)) for _ in range(max_degree + 1)])
 
 
 def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:

@@ -28,10 +28,11 @@ The same substitution one level up packs a whole polynomial into one
 int: ``_kron_pack`` joins its codes into byte-aligned slots of
 ``_kron_bytes(terms)`` bytes each, wide enough for a sum of ``terms``
 products of two codes, so one bigint product of two packed polynomials
-convolves their coefficients.  ``_kron_fold``, called only where slots
-hold such sums, reduces every slot to a code in place, returning a packed
+convolves their coefficients.  A fold, the function ``_folder(nbytes,
+n)`` returns, is called only where slots hold such sums: it reduces every
+slot of an int of at most n slots to a code in place, returning a packed
 int again.  ``_kron_unpack``, the one reader, cuts an int whose slots
-hold codes, as ``_kron_pack`` and ``_kron_fold`` leave them, into those
+hold codes, as ``_kron_pack`` and the folds leave them, into those
 codes: one slot at a time if few, else all at once.
 A packed slot is 2e-1 tight sub-slots of B bytes, one per power t^k of
 a product of codes, each wide enough for ``terms`` sums of e products
@@ -48,9 +49,9 @@ Over every F_{p^e}, every sub-slot of the int is reduced at once by
 Barrett reduction (P. Barrett, CRYPTO '86; von zur Gathen & Gerhard,
 ch. 9) as SIMD within a register (SWAR), the bigint being the register:
 a fixed number of bigint operations, whatever the slot count.  Its
-masks depend only on the shape (B, the slot count and e), so they are
-built once per shape and kept in a small cache, ``_swar_masks``.  With
-k = 8B bits a sub-slot and m = floor(2^k / p), a
+masks and constants depend only on the field and the shape (B and the
+slot count), so ``_folder`` binds them into a fold once per shape, kept
+in a small cache.  With k = 8B bits a sub-slot and m = floor(2^k / p), a
 sub-slot x < 2^k takes the quotient q = floor(x m / 2^k).  As p m >
 2^k - p, x/p - x m / 2^k < x / 2^k < 1, so q falls short of floor(x/p)
 by at most one and r = x - q p lies in [0, 2p).  The product x m needs
@@ -82,6 +83,7 @@ about two trials and one ladder at any q, with no ``Poly`` built.
 from __future__ import annotations
 
 import functools
+import operator
 import sys
 from array import array
 from typing import Iterator, Sequence
@@ -145,22 +147,6 @@ def _words(raw: bytes, start: int, stride: int, width: int) -> list[int]:
     if sys.byteorder == "big":
         words.byteswap()
     return words.tolist()
-
-
-@functools.lru_cache(maxsize=16)
-def _swar_masks(sub: int, n: int, e: int) -> tuple[int, ...]:
-    # the masks of _kron_fold on n slots of 2e-1 sub-slots of sub bytes:
-    # every other sub-slot and the low byte of every sub-slot (Barrett),
-    # then, for e > 1, the low e sub-slots and the first sub-slot of every
-    # slot (the fold mod m).  Bounded: gcd folds at a new n every step.
-    span = 2 * e - 1
-    full, zero = b"\xff" * sub, bytes(sub)
-    masks = (int.from_bytes((full + zero) * ((n * span + 1) // 2), "little"),
-             int.from_bytes((b"\x01" + zero[1:]) * (n * span), "little"))
-    if e > 1:
-        masks += (int.from_bytes((full * e + zero * (e - 1)) * n, "little"),
-                  int.from_bytes((full + zero * (span - 1)) * n, "little"))
-    return masks
 
 
 @functools.cache
@@ -334,7 +320,7 @@ class Field:
     """The finite field with p**e elements, p an odd prime."""
 
     __slots__ = ("p", "e", "q", "modulus", "zero", "one", "_reduce", "_pow", "_inv",
-                 "_slot_bits", "_slot_mask", "_reduction_codes", "_fold_rows")
+                 "_index_code", "_slot_bits", "_slot_mask", "_reduction_codes")
 
     def __init__(self, p: int, e: int = 1, modulus: Sequence[int] | None = None):
         if not isinstance(p, int) or not is_prime(p):
@@ -359,7 +345,8 @@ class Field:
         self._slot_mask = (1 << self._slot_bits) - 1
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
-        # _reduce, _pow, _inv: the int builtins over F_p, the slot kernels over F_{p^e}
+        # _reduce, _pow, _inv: the int builtins over F_p, the slot kernels over F_{p^e};
+        # _index_code: i < q to the code of coordinates its base-p digits, c0 lowest
         if e == 1:
             if modulus is not None and tuple(c % p for c in modulus) != (0, 1):
                 raise DomainError("prime fields use the fixed modulus x")
@@ -368,16 +355,17 @@ class Field:
             self._reduce = p.__rmod__
             self._pow = lambda code, k: pow(code, k, p)
             self._inv = lambda code: pow(code, -1, p)
+            self._index_code = operator.index
         else:
             self.modulus = (_smallest_irreducible(p, e) if modulus is None
                             else self._checked_modulus(modulus))
             self._reduce, self._pow, self._inv = self._slot_reduce, self._slot_pow, self._slot_inv
+            steps = [(p ** k, self._slot_bits * k) for k in range(e)]
+            self._index_code = lambda i: sum([i // pk % p << shift for pk, shift in steps])
         # codes of t^e, ..., t^(2e-2) mod modulus, each t times the one before
         self._reduction_codes = (self._pack([-c % p for c in self.modulus[:e]]),)
         for _ in range(e - 2):
             self._reduction_codes += (self._reduce(self._reduction_codes[-1] << self._slot_bits),)
-        # their coordinates, for _kron_fold's fold mod m
-        self._fold_rows = tuple(self._unpack(code) for code in self._reduction_codes[:e - 1])
 
     # -- construction helpers ------------------------------------------------
 
@@ -531,36 +519,46 @@ class Field:
             codes = [c | d << shift for c, d in zip(codes, part)]
         return codes
 
-    def _kron_fold(self, v: int, nbytes: int, n: int) -> int:
-        """``v``'s ``n`` slots of sums reduced to codes in place: ``_kron_pack``
-        of each slot's ``_reduce``, its t^k part taken at bit w k."""
-        e = self.e
-        sub = nbytes // (2 * e - 1)
-        evens, ones, *fold = _swar_masks(sub, n, e)
-        res = self._swar_residues(v, sub, evens, ones)
-        if e == 1:
-            return res
-        # coordinate j of a slot gains c_kj times its sub-slot e + k, c_kj
-        # coordinate j of t^(e+k) mod m: one product per k, as sub-slot e + k
-        # of every slot, moved to sub-slot 0, times sum c_kj 2^(8 sub j)
-        low, first = fold
-        bits = 8 * sub
-        acc = res & low
-        for k, row in enumerate(self._fold_rows):
-            acc += (res >> bits * (e + k) & first) * sum(c << bits * j for j, c in enumerate(row))
-        return self._swar_residues(acc, sub, evens, ones)
+    @functools.lru_cache(maxsize=16)
+    def _folder(self, nbytes: int, n: int):
+        """The fold of packed ints of at most ``n`` slots of ``nbytes`` bytes:
+        every slot of sums to a code in place, ``_kron_pack`` of each slot's
+        ``_reduce``, its t^k part taken at bit w k.  A zero slot stays zero."""
+        p, e = self.p, self.e
+        span = 2 * e - 1
+        sub = nbytes // span
+        k, g, m = 8 * sub, (2 * p).bit_length(), (1 << 8 * sub) // p
+        full, zero = b"\xff" * sub, bytes(sub)
+        # every other sub-slot, and the low byte of every sub-slot
+        evens = int.from_bytes((full + zero) * ((n * span + 1) // 2), "little")
+        ones = int.from_bytes((b"\x01" + zero[1:]) * (n * span), "little")
+        lift = ones * ((1 << g) - p)
 
-    def _swar_residues(self, v: int, sub: int, evens: int, ones: int) -> int:
-        # each of v's slots of sub bytes mod p, in place, by Barrett
-        # reduction on all slots at once (see the module docstring), with
-        # the masks of _swar_masks
-        p, k = self.p, 8 * sub
-        g = (2 * p).bit_length()
-        m = (1 << k) // p
-        even, odd = v & evens, v >> k & evens
-        r = even - (even * m >> k & evens) * p | (odd - (odd * m >> k & evens) * p) << k
-        # r < 2p in every slot; bit g of r + 2^g - p is set where r >= p
-        return r - ((r + ones * ((1 << g) - p)) >> g & ones) * p
+        def residues(v):
+            # every sub-slot mod p at once (see the module docstring)
+            even, odd = v & evens, v >> k & evens
+            r = even - (even * m >> k & evens) * p | (odd - (odd * m >> k & evens) * p) << k
+            # r < 2p in every sub-slot; bit g of r + 2^g - p is set where r >= p
+            return r - ((r + lift) >> g & ones) * p
+
+        if e == 1:
+            return residues
+        # coordinate j of a slot gains c_ij times its sub-slot e + i, c_ij
+        # coordinate j of t^(e+i) mod m: one product per i, as sub-slot e + i
+        # of every slot, moved to sub-slot 0, times sum c_ij 2^(k j)
+        low = int.from_bytes((full * e + zero * (e - 1)) * n, "little")
+        first = int.from_bytes((full + zero * (span - 1)) * n, "little")
+        rows = [(k * (e + i), sum(c << k * j for j, c in enumerate(self._unpack(code))))
+                for i, code in enumerate(self._reduction_codes)]
+
+        def fold(v):
+            r = residues(v)
+            acc = r & low
+            for shift, row in rows:
+                acc += (r >> shift & first) * row
+            return residues(acc)
+
+        return fold
 
     def _codes(self) -> Iterator[int]:
         """All q codes in the canonical (coordinate-lexicographic) order,

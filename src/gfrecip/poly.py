@@ -39,16 +39,17 @@ walk's gcd(x^(q^d) - x, f)), solves for the t + 1 quotient codes from
 those alone (``_remainder`` on those codes), and takes quotient * b +
 (p - 1) a, one bigint product and one scalar one.  That is -(a mod b),
 as a times the code p - 1 is -a; gcd's answer is monic, so the sign
-never matters and no code is negated.  One ``Field._kron_fold`` reduces
-every slot, the top t + 1 slots come out zero, and the new degree is the
-value's bit length over the slot width.  Each step costs a few bigint
-operations on the whole remainder instead of one reduction per
-coefficient (von zur Gathen & Gerhard, Modern Computer Algebra,
+never matters and no code is negated.  One fold from ``Field._folder``
+reduces every slot, the top t + 1 slots come out zero, and the new
+degree is the value's bit length over the slot width.  The fold is the
+one for a's slot count rounded up to a power of two, as a zero slot
+stays zero, so a gcd's steps share a few cached folds.  Each step costs
+a few bigint operations on the whole remainder instead of one reduction
+per coefficient (von zur Gathen & Gerhard, Modern Computer Algebra,
 ch. 3 and 9).
 
 Multiplication is likewise one kernel on code lists, ``_mul``, and it
-serves ``*``, ``pow_mod`` and the Newton inversion behind Barrett
-reduction.  Once both operands have at least ``KRON_MIN_LENGTH``
+serves ``*``.  Once both operands have at least ``KRON_MIN_LENGTH``
 coefficients it takes one bigint product (Kronecker substitution): each
 operand is packed into a single int with one byte-aligned slot per
 coefficient, wide enough that the convolution never carries between
@@ -63,21 +64,24 @@ reductions.  Below degree N = ``KRON_MIN_LENGTH`` a step is ``_sums``
 and ``_remainder`` on code lists, with no quotient and no ``Poly``
 built: the schoolbook product's sums go to ``_remainder`` unreduced, so
 each coefficient is reduced once, where the division reads it.
-From there on the ladder works on packed ints alone: it precomputes
-mu = x^(2N-2) div f, by Newton iteration on the reversed f, and
--f mod x^N.  A square or product v of degree <= 2N-2 then reduces by
-two more bigint products: its quotient is (v div x^N) * mu div x^(N-2),
-and its remainder is v mod x^N - quotient * f mod x^N (Barrett
+From there on the ladder works on packed ints alone.  For f of degree
+n it binds the folds of n - 1 and n slots (``Field._folder``), which
+reduce every slot to a code and leave the value packed, and with them
+precomputes mu = x^(2n-2) div f, by Newton iteration on packed ints
+(the inverse of the reversed f, two products and two folds a doubling),
+and -f mod x^n.  A square or product v of degree <= 2n-2 then reduces
+by two more bigint products: its quotient is (v div x^n) * mu div
+x^(n-2), and its remainder is v mod x^n - quotient * f mod x^n (Barrett
 reduction; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 9).
-The high half, the quotient and the remainder each pass through
-``Field._kron_fold``, which reduces every slot to a code and leaves the
-value packed, so the ladder builds no coefficient list between steps.
-That set-up, ``_barrett(f)``, lives on the monic modulus itself: it is
-built on the first ``pow_mod`` by f and kept in f's ``_setup`` slot, so
-a caller that powers again and again by one modulus object (the
-distinct-degree walk and the equal-degree draws in factor.py) builds it
-once.  ``pow_mod`` is the only routine that powers mod a ``Poly``
-(square roots power pairs of codes mod x^2 - w in field.py).
+The high half and the quotient pass through the first fold and the
+remainder through the second, so the ladder builds no coefficient list
+between steps and looks nothing up.  That set-up, ``_barrett(f)``, lives
+on the monic modulus itself: it is built on the first ``pow_mod`` by f
+and kept in f's ``_setup`` slot, so a caller that powers again and again
+by one modulus object (the distinct-degree walk and the equal-degree
+draws in factor.py) builds it once.  ``pow_mod`` is the only routine
+that powers mod a ``Poly`` (square roots power pairs of codes mod
+x^2 - w in field.py).
 """
 
 from __future__ import annotations
@@ -90,10 +94,10 @@ from .field import Field, FieldElement, _ladder
 # Kronecker substitution, and pow_mod reduces by a modulus of at least
 # this degree with a precomputed inverse; shorter ones take the schoolbook
 # product and _remainder, which are faster there.  Packed, the product of two
-# length-n operands wins from n = 7 to 9 over F_257, F_8191, F_9, F_169,
-# F_125, F_3^6 and F_17^2, and from 10 or 11 over F_3 and F_7; the Barrett
-# ladder, set-up built, wins from degree 4 to 6 over F_3, F_7, F_8191, F_9
-# and F_125.  8 serves both: 10 or 11 ran oracle-prime and sweep-small no faster.
+# length-n operands wins from n = 8 over F_9, F_125 and F_17^2 and from 9 or 10
+# over F_3, F_5, F_7, F_257 and F_8191; the Barrett ladder, its set-up built
+# for one pow_mod(h, q, f), from degree 4 to 6 over F_257, F_8191, F_9, F_125,
+# F_17^2 and F_3^6, 7 or 8 over F_5 and F_7, and past 9 over F_3.  8 serves both.
 KRON_MIN_LENGTH = 8
 
 # gcd runs its remainder sequence on packed ints while the shorter operand
@@ -116,7 +120,7 @@ def _mul(fld: Field, a, b) -> list[int]:
         va = pack(a, nbytes)
         vb = va if a is b else pack(b, nbytes)
         n = len(a) + len(b) - 1
-        return fld._kron_unpack(fld._kron_fold(va * vb, nbytes, n), nbytes, n)
+        return fld._kron_unpack(fld._folder(nbytes, n)(va * vb), nbytes, n)
     reduce = fld._reduce
     return [reduce(v) for v in _sums(a, b)]
 
@@ -408,7 +412,7 @@ def gcd(f: Poly, g: Poly) -> Poly:
         # (quotient times b)
         nbytes = fld._kron_bytes(len(b) + 1)
         bits = 8 * nbytes
-        pack, codes, fold, neg_one = fld._kron_pack, fld._kron_unpack, fld._kron_fold, fld.p - 1
+        pack, codes, folder, neg_one = fld._kron_pack, fld._kron_unpack, fld._folder, fld.p - 1
         va, vb, na, nb = pack(a, nbytes), pack(b, nbytes), len(a), len(b)
         while nb >= GCD_PACKED_MIN:
             # the t + 1 quotient codes from the top t + 1 codes of a and of
@@ -418,7 +422,8 @@ def gcd(f: Poly, g: Poly) -> Poly:
             rem = [0] * (top - 1) + codes(va >> bits * (na - t - 1), nbytes, t + 1)
             quo = [0] * (t + 1)
             _remainder(fld, rem, codes(vb >> bits * (nb - top), nbytes, top), quo)
-            va = fold(pack(quo, nbytes) * vb + neg_one * va, nbytes, na)
+            # folded for na rounded up to a power of two, so the folds repeat
+            va = folder(nbytes, 1 << (na - 1).bit_length())(pack(quo, nbytes) * vb + neg_one * va)
             va, vb, na, nb = vb, va, nb, -(-va.bit_length() // bits)
         a, b = codes(va, nbytes, na), codes(vb, nbytes, nb)
     while b:
@@ -454,10 +459,9 @@ def pow_mod(base: Poly, k: int, modulus: Poly) -> Poly:
 
         return Poly._raw(fld, _ladder(base._codes, k, mulmod))
     try:
-        nbytes, mu, neg_low = f._setup
+        nbytes, mu, neg_low, fold_high, fold = f._setup
     except AttributeError:
-        nbytes, mu, neg_low = f._setup = _barrett(f)
-    fold = fld._kron_fold
+        nbytes, mu, neg_low, fold_high, fold = f._setup = _barrett(f)
     low_bits = 8 * nbytes * n
     low_mask = (1 << low_bits) - 1
     quo_shift = 8 * nbytes * (n - 2)
@@ -466,9 +470,8 @@ def pow_mod(base: Poly, k: int, modulus: Poly) -> Poly:
         # v = a b (2n - 1 slots) mod f: its quotient is (high half * mu) >>
         # (n - 2) slots, and the remainder low half - quo * f needs f mod x^n
         v = a * b
-        high = fold(v >> low_bits, nbytes, n - 1)
-        quo = fold(high * mu >> quo_shift, nbytes, n - 1)
-        return fold((quo * neg_low + (v & low_mask)) & low_mask, nbytes, n)
+        quo = fold_high(fold_high(v >> low_bits) * mu >> quo_shift)
+        return fold((quo * neg_low + (v & low_mask)) & low_mask)
 
     acc = _ladder(fld._kron_pack(base._codes, nbytes), k, mulmod)
     return Poly._raw(fld, fld._kron_unpack(acc, nbytes, n))
@@ -476,31 +479,30 @@ def pow_mod(base: Poly, k: int, modulus: Poly) -> Poly:
 
 def _barrett(f: Poly):
     # the reduction set-up for the monic f of degree n >= KRON_MIN_LENGTH:
-    # slot bytes, packed mu = x^(2n-2) div f and packed -f mod x^n.
-    # Slots hold up to 2n - 1 products: n - 1 in quo * (-f) plus the n of
-    # the low half of the value being reduced.
+    # slot bytes, packed mu = x^(2n-2) div f, packed -f mod x^n, and the
+    # folds of n - 1 and n slots.  Slots hold up to 2n - 1 products: n - 1
+    # in quo * (-f) plus the n of the low half of the value being reduced.
     n = f.degree
     fld = f.field
     nbytes = fld._kron_bytes(2 * n)
-    pack = fld._kron_pack
-    # reversed, mu is rev(f)^-1 mod x^(n-1)
-    mu = pack(_inverse_series(fld, f._codes[::-1], n - 1)[::-1], nbytes)
-    neg = fld._neg
-    return nbytes, mu, pack([neg(c) for c in f._codes[:n]], nbytes)
-
-
-def _inverse_series(fld: Field, g, m: int) -> list[int]:
-    # codes of g^-1 mod x^m for g[0] == 1, by Newton iteration: when h is
-    # g^-1 mod x^k and g h = 1 + x^k e mod x^2k, h (1 - x^k e) is g^-1
-    # mod x^2k, so h keeps its k coefficients and gains -(h e) mod x^k
-    neg = fld._neg
-    h = [1]
-    while len(h) < m:
-        k = len(h)
-        top = min(2 * k, m)
-        e = _mul(fld, g[:top], h)[k:top]
-        h += [neg(c) for c in _mul(fld, h, e)[:top - k]]
-    return h
+    bits = 8 * nbytes
+    pack, fold_high = fld._kron_pack, fld._folder(nbytes, n - 1)
+    neg = [fld._neg(c) for c in f._codes]
+    # mu reversed is h = rev(f)^-1 mod x^(n-1), by Newton iteration on
+    # packed ints: when h is rev(f)^-1 mod x^k and rev(f) h = 1 + x^k e mod
+    # x^2k, h - x^k (h e mod x^k) is rev(f)^-1 mod x^2k.  With g = -rev(f),
+    # g h = -1 - x^k e, so slots k up of fold(g h) hold -e, and fold(h times
+    # them) is -(h e): no code is negated in the loop
+    g = pack(neg[::-1], nbytes)
+    h = k = 1
+    while k < n - 1:
+        top = min(2 * k, n - 1)
+        mask = (1 << bits * top) - 1
+        e = fold_high((g & mask) * h & mask) >> bits * k
+        h |= fold_high(h * e & ((1 << bits * (top - k)) - 1)) << bits * k
+        k = top
+    mu = pack(fld._kron_unpack(h, nbytes, n - 1)[::-1], nbytes)
+    return nbytes, mu, pack(neg[:n], nbytes), fold_high, fld._folder(nbytes, n)
 
 
 def resultant(f: Poly, g: Poly) -> FieldElement:

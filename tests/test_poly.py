@@ -16,7 +16,7 @@ from gfrecip import (
     pow_mod,
     resultant,
 )
-from gfrecip.poly import GCD_PACKED_MIN, KRON_MIN_LENGTH
+from gfrecip.poly import GCD_PACKED_MIN, KRON_MIN_LENGTH, _barrett
 
 F5 = Field(5)
 F7 = Field(7)
@@ -192,6 +192,12 @@ def test_kronecker_products_match_schoolbook(field):
     assert top * top == _schoolbook(top, top)
 
 
+def _joined(accs, nbytes, shift):
+    # one slot of nbytes bytes per acc, lowest first, its t^k part at bit shift * k
+    return int.from_bytes(b"".join([sum(a << shift * k for k, a in enumerate(acc))
+                                    .to_bytes(nbytes, "little") for acc in accs]), "little")
+
+
 # F_3^10 runs the fold mod m with e = 10, 9 products a fold
 KERNEL_FIELDS = [Field(3), Field(5), Field(7), Field(13), Field(31), Field(127),
                  Field(131), Field(257), Field(65537), Field(2 ** 31 - 1),
@@ -215,11 +221,6 @@ def test_kron_kernels_match_per_slot_reference(field):
         shift = 8 * (nbytes // span)
         caps = [min((1 << shift) - 1, 2 ** 32 * e * (p - 1) ** 2)] * span
 
-        def joined(accs):
-            return int.from_bytes(b"".join([sum(a << shift * k for k, a in enumerate(acc))
-                                            .to_bytes(nbytes, "little") for acc in accs]),
-                                  "little")
-
         # a sum of `terms` products of codes: at most min(k+1, 2e-1-k)
         # products of two coordinates in each of them at t^k
         bound = [terms * min(k + 1, span - k) * (p - 1) ** 2 for k in range(span)]
@@ -228,14 +229,49 @@ def test_kron_kernels_match_per_slot_reference(field):
                          [caps] * n,                    # every part full (0xFF bytes)
                          [[p - 1] * span] * n,          # every part p - 1
                          [bound] * n):                  # every part at the bound
-                v = joined(accs)
+                v = _joined(accs, nbytes, shift)
                 codes = [field._reduce(sum(a << w * k for k, a in enumerate(acc)))
                          for acc in accs]
-                packed = joined([field._unpack(c) for c in codes])
-                assert field._kron_unpack(field._kron_fold(v, nbytes, n), nbytes, n) == codes
+                packed = _joined([field._unpack(c) for c in codes], nbytes, shift)
+                fold = field._folder(nbytes, n)
+                assert field._kron_unpack(fold(v), nbytes, n) == codes
                 assert field._kron_unpack(packed, nbytes, n) == codes
-                assert field._kron_fold(v, nbytes, n) == packed
+                assert fold(v) == packed
                 assert field._kron_pack(codes, nbytes) == packed
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=Field.spec_string)
+def test_fold_serves_shorter_values(field):
+    # a fold bound for N slots reduces values of 1, N/2 + 1 and N slots as
+    # the per-slot reference does, leaving every slot above them zero: gcd
+    # folds with the fold of its slot count rounded up to a power of two
+    span, w = 2 * field.e - 1, field._slot_bits
+    nbytes = field._kron_bytes(200)
+    shift = 8 * (nbytes // span)
+    rng = random.Random(field.q + 5)
+
+    for big in (2, 8, 64, 1024):
+        fold = field._folder(nbytes, big)
+        for n in (1, big // 2 + 1, big):
+            # full-width parts, none zero, so the value has n slots
+            accs = [[rng.randrange(1, 1 << shift) for _ in range(span)] for _ in range(n)]
+            codes = [field._reduce(sum(a << w * k for k, a in enumerate(acc))) for acc in accs]
+            assert fold(_joined(accs, nbytes, shift)) == \
+                _joined([field._unpack(c) for c in codes], nbytes, shift)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=Field.spec_string)
+def test_barrett_mu_is_the_code_list_quotient(field):
+    # _barrett's Newton inverse on packed ints against x^(2n-2) // f by the
+    # code-list division, on both sides of each doubling of its precision
+    rng = random.Random(field.q + 6)
+    top = [[field.p - 1] * field.e]
+    for n in (8, 9, 15, 16, 17, 40, 70):
+        for f in (_random_poly(field, n, rng).monic(), Poly(field, top * n + [field.one])):
+            nbytes, mu, neg_low = _barrett(f)[:3]
+            quo = Poly(field, [0] * (2 * n - 2) + [1]) // f
+            assert field._kron_unpack(mu, nbytes, n - 1) == list(quo._codes)
+            assert field._kron_unpack(neg_low, nbytes, n) == list((-f)._codes[:n])
 
 
 def _pow_mod_by_products(base, k, f):
@@ -449,21 +485,26 @@ def test_packed_kernels_fold_only_sums(field, monkeypatch):
     # slots that hold codes are read as they are: gcd folds once per packed
     # step (quotient * b - a), pow_mod three times per ladder product (the
     # high half, the quotient and the remainder), and neither folds again
-    # where it reads its answer
+    # where it reads its answer.  Every fold a Field._folder hands out is
+    # counted, those f's set-up keeps included.
     folds = []
-    fold = Field._kron_fold
+    folder = Field._folder
 
-    def counted(self, v, nbytes, n):
-        folds.append(n)
-        return fold(self, v, nbytes, n)
+    def counted_folder(self, nbytes, n):
+        fold = folder(self, nbytes, n)
 
+        def counted(v):
+            folds.append(n)
+            return fold(v)
+        return counted
+
+    monkeypatch.setattr(Field, "_folder", counted_folder)
     rng = random.Random(field.q + 3)
     pairs = [(_random_poly(field, df, rng), _random_poly(field, dg, rng))
              for df, dg in ((120, 119), (130, 100), (60, 60))]
     f = _random_poly(field, KRON_MIN_LENGTH + 4, rng).monic()
     base = _random_poly(field, KRON_MIN_LENGTH + 3, rng)
     pow_mod(base, 2, f)  # builds f._setup, whose Newton inverse folds too
-    monkeypatch.setattr(Field, "_kron_fold", counted)
     for a, b in pairs:
         folds.clear()
         gcd(a, b)
