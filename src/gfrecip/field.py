@@ -490,7 +490,7 @@ class Field:
 
     def _kron_unpack(self, v: int, nbytes: int, n: int) -> list[int]:
         """The codes of the ``n`` slots of ``v`` (which must fit in them),
-        each slot already a code, as ``_kron_pack`` and ``_kron_fold`` leave it."""
+        each slot already a code, as ``_kron_pack`` and the folds leave it."""
         e, w = self.e, self._slot_bits
         sub = nbytes // (2 * e - 1)
         # the loop shifts all of v per slot; the bulk read costs 3-5x as much at 2 slots,

@@ -28,6 +28,8 @@ as the schoolbook product's (``_sums``): the loop reduces each entry it
 reads, and the remainder's entries once, at the end, also when the list
 is shorter than the divisor.  ``resultant`` runs its whole remainder
 sequence on two such lists and builds an element only for the answer.
+A divisor of ``KRON_MIN_LENGTH`` or more codes, most of them zero (the
+walk's x^(q^d) - x), has its nonzero codes listed once and walked alone.
 
 ``gcd`` runs on such lists too once the shorter operand has fewer than
 ``GCD_PACKED_MIN`` coefficients.  Above that it runs the remainder
@@ -64,24 +66,24 @@ reductions.  Below degree N = ``KRON_MIN_LENGTH`` a step is ``_sums``
 and ``_remainder`` on code lists, with no quotient and no ``Poly``
 built: the schoolbook product's sums go to ``_remainder`` unreduced, so
 each coefficient is reduced once, where the division reads it.
-From there on the ladder works on packed ints alone.  For f of degree
-n it binds the folds of n - 1 and n slots (``Field._folder``), which
-reduce every slot to a code and leave the value packed, and with them
-precomputes mu = x^(2n-2) div f, by Newton iteration on packed ints
-(the inverse of the reversed f, two products and two folds a doubling),
-and -f mod x^n.  A square or product v of degree <= 2n-2 then reduces
-by two more bigint products: its quotient is (v div x^n) * mu div
-x^(n-2), and its remainder is v mod x^n - quotient * f mod x^n (Barrett
-reduction; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 9).
-The high half and the quotient pass through the first fold and the
-remainder through the second, so the ladder builds no coefficient list
-between steps and looks nothing up.  That set-up, ``_barrett(f)``, lives
-on the monic modulus itself: it is built on the first ``pow_mod`` by f
-and kept in f's ``_setup`` slot, so a caller that powers again and again
-by one modulus object (the distinct-degree walk and the equal-degree
-draws in factor.py) builds it once.  ``pow_mod`` is the only routine
-that powers mod a ``Poly`` (square roots power pairs of codes mod
-x^2 - w in field.py).
+From there on the ladder works on packed ints alone.  For f of degree n
+it binds one fold of n slots (``Field._folder``), which reduces every
+slot of a value of at most n slots to a code, and with it precomputes
+mu = x^(2n-2) div f, by Newton iteration on packed ints (the inverse of
+the reversed f, two products and two folds a doubling), and -f mod x^n.
+A square or product v of degree <= 2n-2 then reduces by two more bigint
+products: its quotient is (v div x^n) * mu div x^(n-2), and its
+remainder is v mod x^n - quotient * f mod x^n (Barrett reduction; von
+zur Gathen & Gerhard, Modern Computer Algebra, ch. 9).  Its high half,
+quotient and remainder all pass through that fold, so the ladder builds
+no coefficient list between steps.  That set-up, ``_barrett(f)``, is the
+slot width and ``mulmod``, the product mod f of two packed residues with
+its shifts and masks bound.  It lives on the monic modulus: built on the
+first ``pow_mod`` by f, it is kept in f's ``_setup`` slot, so a caller
+that powers again and again by one modulus object (the distinct-degree
+walk and the equal-degree draws in factor.py) builds it once.
+``pow_mod`` is the only routine that powers mod a ``Poly`` (square roots
+power pairs of codes mod x^2 - w in field.py).
 """
 
 from __future__ import annotations
@@ -139,9 +141,9 @@ def _sums(a, b) -> list[int]:
 
 
 class Poly:
-    # _setup: pow_mod's reduction set-up by this monic modulus of degree
-    # >= KRON_MIN_LENGTH, set on first use (see _barrett); a Poly never
-    # changes, so it never goes stale
+    # _setup: (slot bytes, mulmod), pow_mod's reduction set-up by this monic
+    # modulus of degree >= KRON_MIN_LENGTH, set on first use (see _barrett);
+    # a Poly never changes, so it never goes stale
     __slots__ = ("field", "_codes", "_setup")
 
     def __init__(self, field: Field, coeffs=()):
@@ -383,7 +385,9 @@ def _remainder(fld: Field, rem: list, div, quo: list | None = None) -> None:
     reduce = fld._reduce
     inv = fld._inv(div[-1])
     ninv = fld._neg(inv)
-    low = div[:db]
+    low, walk = div[:db], enumerate  # walk(low): the (j, code) pairs to add
+    if db >= KRON_MIN_LENGTH and 2 * low.count(0) > db:  # mostly zeros, as x^(q^d) - x
+        low, walk = [(j, dv) for j, dv in enumerate(low) if dv], iter
     # rem[k + db] cancels exactly at step k and is never read again
     for k in range(top, -1, -1):
         c = reduce(rem[k + db])
@@ -391,7 +395,7 @@ def _remainder(fld: Field, rem: list, div, quo: list | None = None) -> None:
             if quo is not None:
                 quo[k] = reduce(c * inv)
             c = reduce(c * ninv)
-            for j, dv in enumerate(low):
+            for j, dv in walk(low):
                 rem[k + j] += c * dv
     rem[:] = [reduce(v) for v in rem[:db]]
     while rem and not rem[-1]:
@@ -459,34 +463,23 @@ def pow_mod(base: Poly, k: int, modulus: Poly) -> Poly:
 
         return Poly._raw(fld, _ladder(base._codes, k, mulmod))
     try:
-        nbytes, mu, neg_low, fold_high, fold = f._setup
+        nbytes, mulmod = f._setup
     except AttributeError:
-        nbytes, mu, neg_low, fold_high, fold = f._setup = _barrett(f)
-    low_bits = 8 * nbytes * n
-    low_mask = (1 << low_bits) - 1
-    quo_shift = 8 * nbytes * (n - 2)
-
-    def mulmod(a, b):
-        # v = a b (2n - 1 slots) mod f: its quotient is (high half * mu) >>
-        # (n - 2) slots, and the remainder low half - quo * f needs f mod x^n
-        v = a * b
-        quo = fold_high(fold_high(v >> low_bits) * mu >> quo_shift)
-        return fold((quo * neg_low + (v & low_mask)) & low_mask)
-
+        nbytes, mulmod = f._setup = _barrett(f)
     acc = _ladder(fld._kron_pack(base._codes, nbytes), k, mulmod)
     return Poly._raw(fld, fld._kron_unpack(acc, nbytes, n))
 
 
 def _barrett(f: Poly):
     # the reduction set-up for the monic f of degree n >= KRON_MIN_LENGTH:
-    # slot bytes, packed mu = x^(2n-2) div f, packed -f mod x^n, and the
-    # folds of n - 1 and n slots.  Slots hold up to 2n - 1 products: n - 1
-    # in quo * (-f) plus the n of the low half of the value being reduced.
+    # slot bytes and the product of two packed residues mod f.  Slots hold
+    # up to 2n - 1 products (n - 1 in quo * (-f), n in the low half of the
+    # value reduced); one fold of n slots serves all, as zero slots stay zero.
     n = f.degree
     fld = f.field
     nbytes = fld._kron_bytes(2 * n)
     bits = 8 * nbytes
-    pack, fold_high = fld._kron_pack, fld._folder(nbytes, n - 1)
+    pack, fold = fld._kron_pack, fld._folder(nbytes, n)
     neg = [fld._neg(c) for c in f._codes]
     # mu reversed is h = rev(f)^-1 mod x^(n-1), by Newton iteration on
     # packed ints: when h is rev(f)^-1 mod x^k and rev(f) h = 1 + x^k e mod
@@ -498,11 +491,22 @@ def _barrett(f: Poly):
     while k < n - 1:
         top = min(2 * k, n - 1)
         mask = (1 << bits * top) - 1
-        e = fold_high((g & mask) * h & mask) >> bits * k
-        h |= fold_high(h * e & ((1 << bits * (top - k)) - 1)) << bits * k
+        e = fold((g & mask) * h & mask) >> bits * k
+        h |= fold(h * e & ((1 << bits * (top - k)) - 1)) << bits * k
         k = top
     mu = pack(fld._kron_unpack(h, nbytes, n - 1)[::-1], nbytes)
-    return nbytes, mu, pack(neg[:n], nbytes), fold_high, fld._folder(nbytes, n)
+    neg_low = pack(neg[:n], nbytes)
+    low_bits, quo_shift = bits * n, bits * (n - 2)
+    low_mask = (1 << low_bits) - 1
+
+    def mulmod(a, b):
+        # v = a b (2n - 1 slots) mod f: its quotient is (high half * mu) >>
+        # (n - 2) slots, and the remainder low half - quo * f needs f mod x^n
+        v = a * b
+        quo = fold(fold(v >> low_bits) * mu >> quo_shift)
+        return fold((quo * neg_low + (v & low_mask)) & low_mask)
+
+    return nbytes, mulmod
 
 
 def resultant(f: Poly, g: Poly) -> FieldElement:

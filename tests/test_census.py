@@ -268,14 +268,15 @@ def test_verify_count_sum_identity():
     assert verify.run_check("cor2", F9, F9.element([0, 1]), 2).ok
 
 
-def test_master_factor_count_at_degree_6560():
+def test_master_factor_count_at_degree_19684():
     # the walk's packed gcd takes its unbalanced first step, gcd(x^(q^d) - x,
-    # m_poly) with a degree gap near 6500, and the count identity holds
-    # beyond the exhaustive checks' reach: F_3, a = 2 (a non-square), n = 8
-    f = m_poly(F3, F3.element(2), 8)
-    assert f.degree == 6560
-    want = sum(si_formula(F3, False, d) for d in _master_divisors(8))
-    assert want == 410
+    # m_poly) with a degree gap near 19680, dividing by the sparse x^(q^d) - x
+    # throughout, and the count identity holds beyond the exhaustive checks'
+    # reach: F_3, a = 2 (a non-square), n = 9
+    f = m_poly(F3, F3.element(2), 9)
+    assert f.degree == 19684
+    want = sum(si_formula(F3, False, d) for d in _master_divisors(9))
+    assert want == 1098
     assert factor_count(f, with_multiplicity=False) == want
 
 

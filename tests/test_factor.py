@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -242,6 +243,26 @@ def test_factor_count_matches_factorize():
             full = factorize(f)
             assert factor_count(f, True) == full.count(True)
             assert factor_count(f, False) == full.count(False)
+
+
+def test_factor_count_of_a_long_binomial():
+    # x^1201 + 1 over F_5: every Frobenius image mod a binomial is a
+    # monomial, so each of the walk's gcds divides by a binomial.  Its roots
+    # are the 2402nd roots of unity that are not 1201st ones, and a primitive
+    # d-th root lies in a factor of degree ord_d(5): phi(d) / ord_d(5)
+    # factors for each such d
+    def order(d):
+        k, v = 1, 5 % d
+        while v != 1 % d:
+            k, v = k + 1, v * 5 % d
+        return k
+
+    def phi(d):
+        return sum(1 for i in range(1, d + 1) if math.gcd(i, d) == 1)
+
+    want = sum(phi(d) // order(d) for d in range(1, 2403) if 2402 % d == 0 and 1201 % d)
+    assert want == 3
+    assert factor_count(Poly(F5, [1] + [0] * 1200 + [1])) == want
 
 
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")

@@ -16,7 +16,7 @@ from gfrecip import (
     pow_mod,
     resultant,
 )
-from gfrecip.poly import GCD_PACKED_MIN, KRON_MIN_LENGTH, _barrett
+from gfrecip.poly import GCD_PACKED_MIN, KRON_MIN_LENGTH, _barrett, _remainder, _sums
 
 F5 = Field(5)
 F7 = Field(7)
@@ -262,16 +262,22 @@ def test_fold_serves_shorter_values(field):
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=Field.spec_string)
 def test_barrett_mu_is_the_code_list_quotient(field):
-    # _barrett's Newton inverse on packed ints against x^(2n-2) // f by the
-    # code-list division, on both sides of each doubling of its precision
+    # the mulmod of _barrett(f), whose quotient is taken with mu from the
+    # packed Newton inverse, against _sums and _remainder by the code-list
+    # division, on both sides of each doubling of Newton's precision.  As f
+    # is a unit mod x^n when f(0) != 0, its remainder mod x^n, low half -
+    # quotient * f, is right only if that quotient is the code-list one.
     rng = random.Random(field.q + 6)
-    top = [[field.p - 1] * field.e]
+    top = [field._pack([field.p - 1] * field.e)]
     for n in (8, 9, 15, 16, 17, 40, 70):
-        for f in (_random_poly(field, n, rng).monic(), Poly(field, top * n + [field.one])):
-            nbytes, mu, neg_low = _barrett(f)[:3]
-            quo = Poly(field, [0] * (2 * n - 2) + [1]) // f
-            assert field._kron_unpack(mu, nbytes, n - 1) == list(quo._codes)
-            assert field._kron_unpack(neg_low, nbytes, n) == list((-f)._codes[:n])
+        for f in (_random_poly(field, n, rng).monic(), Poly._raw(field, top * n + [1])):
+            nbytes, mulmod = _barrett(f)
+            rand = [list(_random_poly(field, n - 1, rng)._codes) for _ in range(2)]
+            for a, b in (rand, (top * n, top * n)):
+                rem = _sums(a, b)
+                _remainder(field, rem, f._codes)
+                got = mulmod(field._kron_pack(a, nbytes), field._kron_pack(b, nbytes))
+                assert field._kron_unpack(got, nbytes, n) == rem + [0] * (n - len(rem))
 
 
 def _pow_mod_by_products(base, k, f):
@@ -450,6 +456,27 @@ def test_gcd_against_reference_euclid(field):
     assert gcd(f, zero) == gcd(zero, f) == gcd(f, f) == gcd(f, f * c) == f.monic()
     assert gcd(c, zero) == gcd(zero, c) == gcd(c, f) == gcd(f, c) == gcd(c, c) == one
     assert gcd(zero, zero) == zero
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(257), Field(3, 2), Field(3, 6)], ids=str)
+def test_sparse_divisors(field):
+    # divisors of mostly zero codes, such as the walk's x^(q^d) - x, on
+    # both sides of KRON_MIN_LENGTH and GCD_PACKED_MIN; every division is
+    # checked by multiplying back, every gcd by a planted common factor
+    rng = random.Random(field.q + 8)
+    x, one = Poly.x(field), Poly.one(field)
+    for k in (8, 47, 48, 200):
+        c = field.element([rng.randrange(1, field.p)] * field.e)
+        for g in (x ** k, x ** k - x, x ** k + c * x ** rng.randrange(k)):
+            for df in (k - 1, k, k + 5, 3 * k):
+                f = _random_poly(field, df, rng)
+                q, r = divmod(f, g)
+                assert q * g + r == f and r.degree < k
+            u, h = _random_poly(field, 2 * k, rng), _random_poly(field, 5, rng)
+            assert gcd(g * u, g) == gcd(g, g * u) == g.monic()
+            assert gcd(g * u + 1, g) == gcd(g, g * u + 1) == one
+            assert gcd(g * h, (g + 1) * h) == h.monic()
+            assert gcd(g * u * h, (g * u + 1) * h) == h.monic()
 
 
 @pytest.mark.parametrize("field", [Field(3), Field(257), Field(3, 2), Field(10007, 2)], ids=str)
