@@ -134,7 +134,7 @@ def _distinct_degree(f: Poly):
 
 
 def _random_poly(fld: Field, max_degree: int, rng: random.Random) -> Poly:
-    # each draw's base-p digits, least significant first, are c0, c1, ...
+    # each coefficient is a uniform draw of i < q, taken to the i-th canonical code
     code, draw, q = fld._index_code, rng.randrange, fld.q
     return Poly._raw(fld, [code(draw(q)) for _ in range(max_degree + 1)])
 

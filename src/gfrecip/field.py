@@ -69,8 +69,9 @@ second pass.  Unpacking reads the residue bytes of each coordinate, up
 to 8 at a time, as the machine words of an ``array``.
 
 The canonical total order on elements — used for square-root tie
-breaking, factor sorting and enumeration streams — is lexicographic on
-the coordinate tuple.
+breaking, factor sorting, enumeration streams and random draws — is
+lexicographic on the coordinate tuple; ``Field._index_code(i)``, the one
+numbering of F_q, is its i-th code.
 
 Square roots use Cipolla's method: take the first t in canonical order
 with w = t^2 - a zero (t is a root) or a non-square.  In F_q[x]/(x^2 - w)
@@ -83,6 +84,7 @@ about two trials and one ladder at any q, with no ``Poly`` built.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import sys
 from array import array
@@ -130,11 +132,6 @@ def _ladder(x, k: int, mul):
     return acc
 
 
-def _digits(i: int, p: int, e: int) -> list[int]:
-    # the e base-p digits of i, least significant first
-    return [i // p ** k % p for k in range(e)]
-
-
 def _words(raw: bytes, start: int, stride: int, width: int) -> list[int]:
     # the little-endian ints of width <= 8 bytes at raw[start::stride], read
     # as the machine words of an array("Q")
@@ -151,16 +148,14 @@ def _words(raw: bytes, start: int, stride: int, width: int) -> list[int]:
 
 @functools.cache
 def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
-    # lexicographically first (c0, ..., c_{e-1}) making x^e + ... + c0
-    # irreducible over F_p, read as the base-p digits of i (c0 the most
-    # significant) from i = p^(e-1) up, as c0 == 0 is reducible.  Cached
-    # per (p, e): the command line builds its field afresh on every request.
+    # lexicographically first (c0, ..., c_{e-1}) making x^e + ... + c0 irreducible
+    # over F_p, in the canonical order with c0 == 0 skipped, as it is reducible.
+    # Cached per (p, e): the command line builds its field afresh on every request.
     from .factor import is_irreducible
     from .poly import Poly
 
     base = Field(p)
-    for i in range(p ** (e - 1), p ** e):
-        tail = tuple(_digits(i, p, e)[::-1])
+    for tail in itertools.product(range(1, p), *[range(p)] * (e - 1)):
         if is_irreducible(Poly(base, tail + (1,))):
             return tail + (1,)
     raise VerificationError(  # pragma: no cover - irreducibles always exist
@@ -346,7 +341,7 @@ class Field:
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
         # _reduce, _pow, _inv: the int builtins over F_p, the slot kernels over F_{p^e};
-        # _index_code: i < q to the code of coordinates its base-p digits, c0 lowest
+        # _index_code: i < q to the i-th code in the canonical order, c0 its top digit
         if e == 1:
             if modulus is not None and tuple(c % p for c in modulus) != (0, 1):
                 raise DomainError("prime fields use the fixed modulus x")
@@ -360,7 +355,7 @@ class Field:
             self.modulus = (_smallest_irreducible(p, e) if modulus is None
                             else self._checked_modulus(modulus))
             self._reduce, self._pow, self._inv = self._slot_reduce, self._slot_pow, self._slot_inv
-            steps = [(p ** k, self._slot_bits * k) for k in range(e)]
+            steps = [(p ** (e - 1 - k), self._slot_bits * k) for k in range(e)]
             self._index_code = lambda i: sum([i // pk % p << shift for pk, shift in steps])
         # codes of t^e, ..., t^(2e-2) mod modulus, each t times the one before
         self._reduction_codes = (self._pack([-c % p for c in self.modulus[:e]]),)
@@ -473,8 +468,6 @@ class Field:
         if e > 1 or size > 8:
             stride = e * width
             raw = b"".join([c.to_bytes(stride, "little") for c in codes])
-        elif size == 1:
-            raw, stride = bytes(codes), 1
         else:
             words = array("Q", codes)
             if sys.byteorder == "big":
@@ -561,11 +554,8 @@ class Field:
         return fold
 
     def _codes(self) -> Iterator[int]:
-        """All q codes in the canonical (coordinate-lexicographic) order,
-        one at a time: i in range(q) as base-p digits, c0 the most significant."""
-        p, e = self.p, self.e
-        for i in range(self.q):
-            yield self._pack(_digits(i, p, e)[::-1])
+        """All q codes in the canonical order, one at a time, by ``_index_code``."""
+        return map(self._index_code, range(self.q))
 
     # -- public surface -------------------------------------------------------
 

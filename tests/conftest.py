@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from gfrecip import Field
+from gfrecip import Field, census, recip
 
 acceptance_lines = []
 
@@ -30,3 +32,29 @@ def F7():
 @pytest.fixture(scope="session")
 def F9():
     return Field(3, 2)
+
+
+# -- planted faults on the theory side, for the referees to catch ---------------
+
+
+@pytest.fixture
+def swapped_parity(monkeypatch):
+    """recip.parity_indicator calling every even count odd and every odd
+    count even; the fixture's value is the true indicator."""
+    parity_indicator = recip.parity_indicator
+    other = {recip.Parity.EVEN: recip.Parity.ODD, recip.Parity.ODD: recip.Parity.EVEN}
+
+    def swapped(f, a):
+        verdict = parity_indicator(f, a)
+        return dataclasses.replace(verdict, verdict=other.get(verdict.verdict, verdict.verdict))
+
+    monkeypatch.setattr(recip, "parity_indicator", swapped)
+    return parity_indicator
+
+
+@pytest.fixture
+def off_formula(monkeypatch):
+    """census.si_formula counting one a-srim too many."""
+    si_formula = census.si_formula
+    monkeypatch.setattr(census, "si_formula",
+                        lambda fld, a_is_square, n: si_formula(fld, a_is_square, n) + 1)

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from gfrecip import carlitz_count, verify
+from gfrecip import Field, Poly, carlitz_count, recip, verify
 from gfrecip.cli import main
 
 
@@ -371,3 +371,36 @@ def test_poly_commands_golden_stdout(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
         assert out == expected, argv
+
+
+def test_verify_failure_exits_2(capsys, swapped_parity):
+    # check 10 against a parity criterion that swaps even and odd
+    code, out, err = run(capsys, "verify", "--theorem", "10", "--field", "5", "--a", "2")
+    assert (code, err) == (2, "")
+    assert '"ok": false' in out
+    payload = json.loads(out)["payload"]
+    assert payload["ok"] is False
+    assert payload["checked"] > 0 and len(payload["failures"]) == min(20, payload["checked"])
+
+
+def test_census_disagreement_exits_2(capsys, off_formula, tmp_path):
+    code, out, err = run(capsys, "census", "--fields", "5", "--nmax", "1")
+    assert (code, err) == (2, "")
+    assert '"agreement": false' in out
+    rows = json.loads(out)["payload"]["rows"]
+    assert len(rows) == 4 and all(row["agreement"] is False for row in rows)
+    code, out, err = run(capsys, "census", "--fields", "5", "--nmax", "1",
+                         "--out", str(tmp_path / "rows.csv"))
+    assert (code, err) == (2, "")
+    assert json.loads(out)["payload"]["all_agree"] is False
+
+
+def test_verification_error_exits_2(capsys, monkeypatch):
+    # invtransform checks its answer by transforming it back; a transform
+    # that returns its input fails that round trip
+    F5 = Field(5)
+    f = recip.quadratic_transform(Poly(F5, (1, 1, 1)), F5.element(2)).to_string()
+    monkeypatch.setattr(recip, "quadratic_transform", lambda g, a: g)
+    code, out, err = run(capsys, "invtransform", "--field", "5", "--a", "2", "--poly", f)
+    assert (code, out) == (2, "")
+    assert err == "verification failure: quadratic transform round trip failed\n"

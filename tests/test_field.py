@@ -65,6 +65,9 @@ DEFAULT_MODULI = {
     (5, 4): (1, 0, 1, 1, 1),
     (7, 2): (1, 0, 1),
     (7, 3): (1, 0, 1, 1),
+    (11, 2): (1, 0, 1),
+    (11, 3): (1, 0, 4, 1),
+    (13, 2): (1, 3, 1),
     (17, 2): (1, 1, 1),
     (101, 2): (1, 1, 1),
 }
@@ -73,6 +76,19 @@ DEFAULT_MODULI = {
 @pytest.mark.parametrize("p,e", sorted(DEFAULT_MODULI))
 def test_default_modulus_golden(p, e):
     assert Field(p, e).modulus == DEFAULT_MODULI[p, e]
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2),
+                                 (8191, 1)])
+def test_index_code_is_the_canonical_order(p, e):
+    # the canonical order is lexicographic on the coordinate tuple, c0 first:
+    # sorting every code by its coordinates states it independently of the numbering
+    fld = Field(p, e)
+    numbered = [fld._index_code(i) for i in range(fld.q)]
+    assert numbered == sorted(numbered, key=fld._unpack)
+    # every coordinate tuple, each exactly once
+    assert {fld._unpack(code) for code in numbered} == set(itertools.product(range(p), repeat=e))
+    assert numbered == list(fld._codes())
 
 
 def test_even_characteristic_rejected():

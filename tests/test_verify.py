@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 
-from gfrecip import Factorization, Field, Poly
-from gfrecip import census, verify
+from gfrecip import Factorization, Field, Poly, factor_count, is_irreducible, is_squarefree
+from gfrecip import census, recip, verify
 
 F3 = Field(3)
 F5 = Field(5)
@@ -64,3 +66,72 @@ def test_master_factorization_reports_a_wrong_shape(monkeypatch):
     monkeypatch.setattr(verify, "factorize", stranger_factorize)
     report = verify.run_check("6", F5, F5.element(2), 1)
     assert report.failures == ["factor 1,1,1 is not a nontrivial a-srm"]
+
+
+def test_quadratic_strip_reports_a_mislabelled_stream(monkeypatch):
+    # each stream sent under the other kind's name: stripping agrees with the
+    # classification, so only the check's own parity comparison fails
+    enumerate_srm = census.enumerate_srm
+    other = {"trivial": "nontrivial", "nontrivial": "trivial"}
+    monkeypatch.setattr(census, "enumerate_srm",
+                        lambda fld, a, n, kind: enumerate_srm(fld, a, n, other[kind]))
+    a = F5.element(2)
+    report = verify.run_check("3", F5, a, 2)
+    # the "nontrivial" pass, now 5 trivial polynomials, runs first
+    streams = [f for kind in ("trivial", "nontrivial") for f in enumerate_srm(F5, a, 2, kind)]
+    assert report.ok is False
+    assert report.checked == len(streams) == 30
+    assert report.failures == [f"exponent parity wrong for {f.to_string()}"
+                               for f in streams[:20]]
+
+
+def test_count_formula_reports_an_off_formula(off_formula):
+    # si(2, 5) = (5^2 - 1) / 4 = 6
+    report = verify.run_check("7", F5, F5.element(2), 2)
+    assert report.ok is False
+    assert report.failures == ["formula 7 != enumerated 6"]
+    assert report.note == "si(2, 5) = 7"
+
+
+@pytest.mark.parametrize("token,squarefree_only", [("8", True), ("10", False)])
+def test_parity_checks_report_a_swapped_verdict(swapped_parity, token, squarefree_only):
+    true_indicator = swapped_parity
+    a = F5.element(2)
+    report = verify.run_check(token, F5, a, 2)
+    expected = []
+    for f in census.enumerate_srm(F5, a, 2, "nontrivial"):
+        verdict = true_indicator(f, a).verdict
+        if (squarefree_only and not is_squarefree(f)) or verdict is recip.Parity.NOT_APPLICABLE:
+            continue
+        r = factor_count(f, with_multiplicity=not squarefree_only)
+        swapped = "odd" if verdict is recip.Parity.EVEN else "even"
+        expected.append(f"{f.to_string()}: verdict {swapped}, r = {r}")
+    assert report.ok is False
+    assert report.checked == len(expected) > 0
+    assert report.failures == expected[:20]
+
+
+def test_parity_squarefree_reports_a_vanishing_indicator(monkeypatch):
+    parity_indicator = recip.parity_indicator
+    monkeypatch.setattr(recip, "parity_indicator", lambda f, a: dataclasses.replace(
+        parity_indicator(f, a), verdict=recip.Parity.NOT_APPLICABLE))
+    a = F5.element(2)
+    report = verify.run_check("8", F5, a, 2)
+    squarefree = [f for f in census.enumerate_srm(F5, a, 2, "nontrivial") if is_squarefree(f)]
+    assert report.ok is False
+    assert report.checked == len(squarefree) > 0
+    assert report.failures == [f"indicator vanishes on squarefree {f.to_string()}"
+                               for f in squarefree[:20]]
+
+
+def test_transform_check_reports_a_wrong_transform(monkeypatch):
+    # a "transform" f^2 factors as f twice: neither an irreducible of degree 2n
+    # nor two distinct degree-n factors.  With a = 4 = 2^2 no irreducible
+    # quadratic over F_5 vanishes at +-sqrt(a), so none is skipped.
+    monkeypatch.setattr(recip, "quadratic_transform", lambda f, a: f * f)
+    report = verify.run_check("9", F5, F5.element(4), 2)
+    irreducibles = [f for f in verify._monic_polys(F5, 2) if is_irreducible(f)]
+    assert report.ok is False
+    assert report.checked == len(irreducibles) == 10
+    assert report.failures == [f"{f.to_string()}: unexpected split {[f.to_string()]}"
+                               for f in irreducibles]
