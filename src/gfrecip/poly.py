@@ -28,8 +28,8 @@ as the schoolbook product's (``_sums``): the loop reduces each entry it
 reads, and the remainder's entries once, at the end, also when the list
 is shorter than the divisor.  ``resultant`` runs its whole remainder
 sequence on two such lists and builds an element only for the answer.
-A divisor of ``KRON_MIN_LENGTH`` or more codes, most of them zero (the
-walk's x^(q^d) - x), has its nonzero codes listed once and walked alone.
+Every call lists the divisor's nonzero codes once and walks only them,
+so the walk's x^(q^d) - x costs only its few nonzero codes.
 
 ``gcd`` runs on such lists too once the shorter operand has fewer than
 ``GCD_PACKED_MIN`` coefficients.  Above that it runs the remainder
@@ -385,9 +385,8 @@ def _remainder(fld: Field, rem: list, div, quo: list | None = None) -> None:
     reduce = fld._reduce
     inv = fld._inv(div[-1])
     ninv = fld._neg(inv)
-    low, walk = div[:db], enumerate  # walk(low): the (j, code) pairs to add
-    if db >= KRON_MIN_LENGTH and 2 * low.count(0) > db:  # mostly zeros, as x^(q^d) - x
-        low, walk = [(j, dv) for j, dv in enumerate(low) if dv], iter
+    # the (j, code) pairs of div's nonzero codes below its top, the only ones added
+    low = [(j, dv) for j, dv in enumerate(div[:db]) if dv]
     # rem[k + db] cancels exactly at step k and is never read again
     for k in range(top, -1, -1):
         c = reduce(rem[k + db])
@@ -395,7 +394,7 @@ def _remainder(fld: Field, rem: list, div, quo: list | None = None) -> None:
             if quo is not None:
                 quo[k] = reduce(c * inv)
             c = reduce(c * ninv)
-            for j, dv in walk(low):
+            for j, dv in low:
                 rem[k + j] += c * dv
     rem[:] = [reduce(v) for v in rem[:db]]
     while rem and not rem[-1]:

@@ -199,9 +199,9 @@ def dickson(k: int, a: FieldElement) -> Poly:
     D_k(y + a/y) = y^k + (a/y)^k."""
     if k < 0:
         raise DomainError("Dickson index must be nonnegative")
+    if not isinstance(a, FieldElement) or not a:
+        raise DomainError("Dickson parameter must be a nonzero field element")
     fld = a.field
-    if not a:
-        raise DomainError("Dickson parameter must be nonzero")
     prev = Poly.constant(fld, 2)
     if k == 0:
         return prev

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from gfrecip import Field, census, recip
+from gfrecip import Field, Poly, census, recip
 
 acceptance_lines = []
 
@@ -58,3 +58,55 @@ def off_formula(monkeypatch):
     si_formula = census.si_formula
     monkeypatch.setattr(census, "si_formula",
                         lambda fld, a_is_square, n: si_formula(fld, a_is_square, n) + 1)
+
+
+@pytest.fixture
+def off_reciprocal(monkeypatch):
+    """recip.a_reciprocal adding 1 to every answer, which no product
+    rule survives: (fg)* + 1 != (f* + 1)(g* + 1) as f* + g* != 0."""
+    a_reciprocal = recip.a_reciprocal
+    monkeypatch.setattr(recip, "a_reciprocal", lambda f, a: a_reciprocal(f, a) + 1)
+
+
+@pytest.fixture
+def swapped_odd_branches(monkeypatch):
+    """recip.classify labelling every ODD_PLUS polynomial ODD_MINUS and
+    back; the fixture's value is the true classify."""
+    classify = recip.classify
+    other = {recip.SrmVerdict.ODD_PLUS: recip.SrmVerdict.ODD_MINUS,
+             recip.SrmVerdict.ODD_MINUS: recip.SrmVerdict.ODD_PLUS}
+
+    def swapped(f, a):
+        kind = classify(f, a)
+        return dataclasses.replace(kind, verdict=other.get(kind.verdict, kind.verdict))
+
+    monkeypatch.setattr(recip, "classify", swapped)
+    return classify
+
+
+@pytest.fixture
+def odd_linear_exponent(monkeypatch):
+    """recip.strip_linear_sqrt reporting k + 1 for the exponent k it
+    stripped."""
+    strip_linear_sqrt = recip.strip_linear_sqrt
+
+    def off(f, a, sign):
+        k, g = strip_linear_sqrt(f, a, sign)
+        return k + 1, g
+
+    monkeypatch.setattr(recip, "strip_linear_sqrt", off)
+
+
+@pytest.fixture
+def negated_delta(monkeypatch):
+    """census.delta with its sign flipped."""
+    delta = census.delta
+    monkeypatch.setattr(census, "delta", lambda fld, a, n: -delta(fld, a, n))
+
+
+@pytest.fixture
+def off_master(monkeypatch):
+    """census.m_poly adding x to every master polynomial."""
+    m_poly = census.m_poly
+    monkeypatch.setattr(census, "m_poly",
+                        lambda fld, a, n: m_poly(fld, a, n) + Poly.x(fld))

@@ -383,6 +383,33 @@ def test_verify_failure_exits_2(capsys, swapped_parity):
     assert payload["checked"] > 0 and len(payload["failures"]) == min(20, payload["checked"])
 
 
+@pytest.mark.parametrize("theorem,field,a,plant", [
+    ("1", "3", "2", "off_reciprocal"),
+    ("2", "5", "4", "swapped_odd_branches"),
+    ("4", "3", "1", "odd_linear_exponent"),
+    ("5", "5", "2", "negated_delta"),
+])
+def test_planted_theory_faults_exit_2(capsys, request, theorem, field, a, plant):
+    request.getfixturevalue(plant)
+    code, out, err = run(capsys, "verify", "--theorem", theorem, "--field", field, "--a", a)
+    assert (code, err) == (2, "")
+    assert '"ok": false' in out
+    assert json.loads(out)["payload"]["failures"]
+
+
+@pytest.mark.parametrize("n,reason", [
+    ("1", "enumerated product disagrees with the Moebius product"),
+    ("3", "the Moebius product did not divide exactly"),
+])
+def test_product_formula_failure_exits_2(capsys, off_master, n, reason):
+    # eq2 fails only by si_product raising: x^28 - 2 + x over F_3 is not a
+    # multiple of x^4 - 2 + x, and at n = 1 the quotient is m_poly + x itself
+    code, out, err = run(capsys, "verify", "--theorem", "eq2", "--field", "3", "--a", "2",
+                         "--n", n)
+    assert (code, out) == (2, "")
+    assert err == f"verification failure: {reason}\n"
+
+
 def test_census_disagreement_exits_2(capsys, off_formula, tmp_path):
     code, out, err = run(capsys, "census", "--fields", "5", "--nmax", "1")
     assert (code, err) == (2, "")

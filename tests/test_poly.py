@@ -460,12 +460,13 @@ def test_gcd_against_reference_euclid(field):
 
 @pytest.mark.parametrize("field", [Field(3), Field(257), Field(3, 2), Field(3, 6)], ids=str)
 def test_sparse_divisors(field):
-    # divisors of mostly zero codes, such as the walk's x^(q^d) - x, on
-    # both sides of KRON_MIN_LENGTH and GCD_PACKED_MIN; every division is
-    # checked by multiplying back, every gcd by a planted common factor
+    # divisors of mostly zero codes, such as the walk's x^(q^d) - x, from
+    # three codes up to both sides of KRON_MIN_LENGTH and GCD_PACKED_MIN;
+    # every division is checked by multiplying back, every gcd by a planted
+    # common factor
     rng = random.Random(field.q + 8)
     x, one = Poly.x(field), Poly.one(field)
-    for k in (8, 47, 48, 200):
+    for k in (2, 3, 7, 8, 47, 48, 200):
         c = field.element([rng.randrange(1, field.p)] * field.e)
         for g in (x ** k, x ** k - x, x ** k + c * x ** rng.randrange(k)):
             for df in (k - 1, k, k + 5, 3 * k):

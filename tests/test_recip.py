@@ -247,6 +247,10 @@ def test_dickson_small_cases():
         dickson(-1, F5.element(1))
     with pytest.raises(DomainError):
         dickson(2, F5.zero)
+    # an int has no field to build D_k over
+    for k in (0, 3):
+        with pytest.raises(DomainError, match="nonzero field element"):
+            dickson(k, 2)
 
 
 def _substitute_x_plus_a_over_x(f, a):

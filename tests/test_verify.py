@@ -135,3 +135,57 @@ def test_transform_check_reports_a_wrong_transform(monkeypatch):
     assert report.checked == len(irreducibles) == 10
     assert report.failures == [f"{f.to_string()}: unexpected split {[f.to_string()]}"
                                for f in irreducibles]
+
+
+def test_product_rule_reports_an_off_reciprocal(off_reciprocal):
+    # the candidates over F_3 at n = 1 are x + 1 and x + 2: every pair fails
+    report = verify.run_check("1", F3, F3.element(2), 1)
+    assert report.ok is False
+    assert report.checked == 4
+    assert report.failures == [f"product rule fails for {f} * {g}"
+                               for f in ("1,1", "2,1") for g in ("1,1", "2,1")]
+
+
+def test_odd_roots_report_swapped_branches(swapped_odd_branches):
+    # each odd a-srm is tested at the other branch's root; the two cubics
+    # divisible by x^2 - a vanish at both roots and still pass
+    classify = swapped_odd_branches
+    a = F5.element(4)
+    root = a.sqrt()
+    report = verify.run_check("2", F5, a, 3)
+    expected = []
+    for deg in (3, 1):
+        for f in census.enumerate_odd_srm(F5, a, deg):
+            if classify(f, a).verdict is recip.SrmVerdict.ODD_PLUS:
+                if f(root):
+                    expected.append(f"{f.to_string()} (minus branch) misses root sqrt(a)")
+            elif f(-root):
+                expected.append(f"{f.to_string()} (plus branch) misses root -sqrt(a)")
+    assert report.ok is False
+    assert report.checked == 12
+    assert len(expected) == 10
+    assert report.failures == expected
+
+
+def test_linear_strip_reports_an_odd_exponent(odd_linear_exponent):
+    # over F_3 with a = 1 the first two quartics shed (x -+ 1)^4 and the
+    # other two (x -+ 1)^2; k + 1 is odd and rebuilds too much
+    report = verify.run_check("4", F3, F3.element(1), 2)
+    assert report.ok is False
+    assert report.checked == 4
+    assert report.failures == [
+        "1,1,0,1,1: exponent 5 at sign -1", "1,1,0,1,1: reconstruction fails at sign -1",
+        "1,2,0,2,1: exponent 5 at sign +1", "1,2,0,2,1: reconstruction fails at sign +1",
+        "1,1,2,1,1: exponent 3 at sign +1", "1,1,2,1,1: reconstruction fails at sign +1",
+        "1,2,2,2,1: exponent 3 at sign -1", "1,2,2,2,1: reconstruction fails at sign -1",
+    ]
+
+
+def test_master_divisibility_reports_a_negated_delta(negated_delta):
+    # x^2 - 2 does not divide x^6 - 2 over F_5, and x^2 - 4 divides x^6 - 4
+    for a, failure in ((2, "divisibility False but delta predicts True"),
+                       (4, "divisibility True but delta predicts False")):
+        report = verify.run_check("5", F5, F5.element(a), 1)
+        assert report.ok is False
+        assert report.checked == 1
+        assert report.failures == [failure]
