@@ -21,7 +21,6 @@ divisor-sum identity internally consistent.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -110,15 +109,12 @@ def si_formula(field: Field, a_is_square: bool, n: int) -> int:
 
 def carlitz_count(q: int, n: int) -> int:
     """Classical count of self-reciprocal irreducible monic polynomials
-    of degree 2n over F_q (odd q): (q^n - 1)/(2n) when n is a power of
-    two, else the odd-divisor Moebius sum."""
+    of degree 2n over F_q (odd q): sum mu(n/d) (q^d - 1) over the d | n with
+    n/d odd, over 2n.  Its -1 terms add up to -1 if n is a power of two, else 0."""
     if n < 1 or q < 3 or q % 2 == 0:
         raise DomainError("odd q and n >= 1 required")
     within_budget(n, "the classical count")
-    if n & (n - 1) == 0:
-        total = q ** n - 1
-    else:
-        total = sum(mobius(n // d) * q ** d for d in _master_divisors(n))
+    total = sum(mobius(n // d) * (q ** d - 1) for d in _master_divisors(n))
     if total % (2 * n) != 0:
         raise VerificationError("classical count is not integral")
     return total // (2 * n)
@@ -128,8 +124,8 @@ def _srm_stream(field: Field, a: FieldElement, degree: int, b0: int,
                 free: range) -> Iterator[Poly]:
     """Monic a-srm polynomials of the given degree with constant code b0.
 
-    The codes at the free indices run over every tuple in the canonical
-    element order, the first index most significant; each b_i with
+    The codes at the free indices run over every tuple of
+    ``Field._tuples``, the first index most significant; each b_i with
     0 < i < degree/2 mirrors b_(degree-i) by b_i = b_(degree-i) b_0 a^(-i),
     and every other coefficient stays 0."""
     within_budget(capped_power(field.q, len(free)), "the a-srm enumeration")
@@ -140,7 +136,7 @@ def _srm_stream(field: Field, a: FieldElement, degree: int, b0: int,
     for _ in range(half):
         scale.append(reduce(scale[-1] * inv_a))
     cut = slice(free.start, free.stop, free.step)
-    for upper in itertools.product(list(field._codes()), repeat=len(free)):
+    for upper in field._tuples(len(free)):
         b = [0] * (degree + 1)
         b[0], b[degree] = b0, 1
         b[cut] = upper

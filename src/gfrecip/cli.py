@@ -28,14 +28,13 @@ EXIT_RESOURCE = 3
 
 
 def _field_from_args(args) -> Field:
-    fld = parse_field_spec(args.field)
-    if args.modulus is not None:
-        try:
-            coeffs = [int(tok) for tok in args.modulus.split(",")]
-        except ValueError:
-            raise DomainError(f"malformed modulus {args.modulus!r}") from None
-        fld = Field(fld.p, fld.e, coeffs)
-    return fld
+    if args.modulus is None:
+        return parse_field_spec(args.field)
+    try:
+        coeffs = [int(tok) for tok in args.modulus.split(",")]
+    except ValueError:
+        raise DomainError(f"malformed modulus {args.modulus!r}") from None
+    return parse_field_spec(args.field, coeffs)
 
 
 def _parse_a(fld: Field, text: str):

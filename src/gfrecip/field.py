@@ -71,7 +71,8 @@ to 8 at a time, as the machine words of an ``array``.
 The canonical total order on elements — used for square-root tie
 breaking, factor sorting, enumeration streams and random draws — is
 lexicographic on the coordinate tuple; ``Field._index_code(i)``, the one
-numbering of F_q, is its i-th code.
+numbering of F_q, is its i-th code.  ``Field._tuples``, the one walk over
+tuples of codes, builds each from its index, never a pool of q codes.
 
 Square roots use Cipolla's method: take the first t in canonical order
 with w = t^2 - a zero (t is a root) or a non-square.  In F_q[x]/(x^2 - w)
@@ -84,7 +85,6 @@ about two trials and one ladder at any q, with no ``Poly`` built.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import sys
 from array import array
@@ -149,13 +149,13 @@ def _words(raw: bytes, start: int, stride: int, width: int) -> list[int]:
 @functools.cache
 def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     # lexicographically first (c0, ..., c_{e-1}) making x^e + ... + c0 irreducible
-    # over F_p, in the canonical order with c0 == 0 skipped, as it is reducible.
+    # over F_p, in the order of Field._tuples from c0 == 1 on, as c0 == 0 is reducible.
     # Cached per (p, e): the command line builds its field afresh on every request.
     from .factor import is_irreducible
     from .poly import Poly
 
     base = Field(p)
-    for tail in itertools.product(range(1, p), *[range(p)] * (e - 1)):
+    for tail in base._tuples(e, p ** (e - 1)):
         if is_irreducible(Poly(base, tail + (1,))):
             return tail + (1,)
     raise VerificationError(  # pragma: no cover - irreducibles always exist
@@ -557,6 +557,13 @@ class Field:
         """All q codes in the canonical order, one at a time, by ``_index_code``."""
         return map(self._index_code, range(self.q))
 
+    def _tuples(self, k: int, start: int = 0) -> Iterator[tuple[int, ...]]:
+        """The k-tuples of codes in the canonical order, first entry most significant,
+        from the ``start``-th on: tuple i is i's k base-q digits, each by ``_index_code``."""
+        q, code = self.q, self._index_code
+        places = [q ** j for j in reversed(range(k))]
+        return (tuple([code(i // place % q) for place in places]) for i in range(start, q ** k))
+
     # -- public surface -------------------------------------------------------
 
     def element(self, value) -> FieldElement:
@@ -657,11 +664,11 @@ class Field:
         return f"F_{self.q}"
 
 
-def parse_field_spec(spec: str) -> Field:
-    """Build a field from a spec string: "p" or "p^e", e.g. "5" or "3^2"."""
+def parse_field_spec(spec: str, modulus: Sequence[int] | None = None) -> Field:
+    """Build a field from a spec string, "p" or "p^e" (e.g. "5", "3^2"), and any modulus."""
     try:
         p_e = [int(text) for text in spec.strip().split("^", 1)]
     except ValueError:
         raise DomainError(f"unknown field spec {spec!r}") from None
     # Field's own refusals (even p, e < 1, a composite p) keep their reasons
-    return Field(*p_e)
+    return Field(*p_e, modulus=modulus)

@@ -13,7 +13,6 @@ other side of the comparison from the formula or criterion under test.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, NamedTuple
 
@@ -41,11 +40,9 @@ class CheckReport:
 
 
 def _monic_polys(fld: Field, degree: int, nonzero_constant: bool = False):
+    # Field._tuples order, constant first: the nonzero constants start at tuple q^(degree-1)
     within_budget(capped_power(fld.q, degree), f"the degree-{degree} polynomial sweep")
-    pool = list(fld._codes())
-    for lower in itertools.product(pool, repeat=degree):
-        if nonzero_constant and degree > 0 and not lower[0]:
-            continue
+    for lower in fld._tuples(degree, fld.q ** (degree - 1) if nonzero_constant else 0):
         yield Poly._raw(fld, lower + (1,))
 
 

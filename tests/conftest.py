@@ -1,7 +1,13 @@
 import dataclasses
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gfrecip
 from gfrecip import Field, Poly, census, recip
 
 acceptance_lines = []
@@ -32,6 +38,25 @@ def F7():
 @pytest.fixture(scope="session")
 def F9():
     return Field(3, 2)
+
+
+@pytest.fixture
+def limited_python():
+    """Run Python source in a child process held to 1 GiB of address space,
+    with this gfrecip on its path: a list of the q codes of a field as large
+    as F_(2^31 - 1) raises MemoryError there, and this process is unaffected."""
+    src = str(Path(gfrecip.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    def run(source):
+        return subprocess.run([sys.executable, "-c", source], env=env, preexec_fn=limit,
+                              capture_output=True, text=True, timeout=120)
+
+    return run
 
 
 # -- planted faults on the theory side, for the referees to catch ---------------
@@ -110,3 +135,69 @@ def off_master(monkeypatch):
     m_poly = census.m_poly
     monkeypatch.setattr(census, "m_poly",
                         lambda fld, a, n: m_poly(fld, a, n) + Poly.x(fld))
+
+
+@pytest.fixture
+def unlabelled_odd(monkeypatch):
+    """recip.classify calling every polynomial not self-reciprocal."""
+    monkeypatch.setattr(recip, "classify", lambda f, a: recip.SrmClassification(
+        recip.SrmVerdict.NOT_SELF_RECIPROCAL))
+
+
+@pytest.fixture
+def overstripped_quadratic(monkeypatch):
+    """recip.strip_x2_minus_a reporting k + 2 for the exponent k it stripped."""
+    strip_x2_minus_a = recip.strip_x2_minus_a
+
+    def off(f, a):
+        k, g = strip_x2_minus_a(f, a)
+        return k + 2, g
+
+    monkeypatch.setattr(recip, "strip_x2_minus_a", off)
+
+
+@pytest.fixture
+def understripped_quadratic(monkeypatch):
+    """recip.strip_x2_minus_a leaving (x^2 - a)^2 in the residual wherever
+    it stripped that much; the fixture's value is the true strip."""
+    strip_x2_minus_a = recip.strip_x2_minus_a
+
+    def short(f, a):
+        k, g = strip_x2_minus_a(f, a)
+        return (k - 2, g * recip._x2_minus_a(a) ** 2) if k >= 2 else (k, g)
+
+    monkeypatch.setattr(recip, "strip_x2_minus_a", short)
+    return strip_x2_minus_a
+
+
+@pytest.fixture
+def understripped_linear(monkeypatch):
+    """recip.strip_linear_sqrt leaving (x -+ sqrt(a))^2 in the residual."""
+    strip_linear_sqrt = recip.strip_linear_sqrt
+
+    def short(f, a, sign):
+        k, g = strip_linear_sqrt(f, a, sign)
+        root = a.sqrt() if sign > 0 else -a.sqrt()
+        return k - 2, g * Poly(f.field, (-root, f.field.one)) ** 2
+
+    monkeypatch.setattr(recip, "strip_linear_sqrt", short)
+
+
+@pytest.fixture
+def unfiltered_srim(monkeypatch):
+    """census.enumerate_srim streaming every nontrivial a-srm, irreducible or not."""
+    monkeypatch.setattr(census, "enumerate_srim",
+                        lambda fld, a, n: census.enumerate_srm(fld, a, n, "nontrivial"))
+
+
+@pytest.fixture
+def identity_transform(monkeypatch):
+    """recip.quadratic_transform returning f itself, of degree n, not 2n."""
+    monkeypatch.setattr(recip, "quadratic_transform", lambda f, a: f)
+
+
+@pytest.fixture
+def identity_reciprocal(monkeypatch):
+    """recip.a_reciprocal returning its input: every polynomial is then
+    a-self-reciprocal, and no two distinct ones are a-reciprocals."""
+    monkeypatch.setattr(recip, "a_reciprocal", lambda f, a: f)

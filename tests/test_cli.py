@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import gfrecip.field
 from gfrecip import Field, Poly, carlitz_count, recip, verify
 from gfrecip.cli import main
 
@@ -187,6 +188,29 @@ def test_domain_errors_exit_1(capsys, tmp_path):
                                                       "got 318665857834031151167461")):
         code, out, err = run(capsys, "recip", "--field", spec, "--a", "1", "--poly", "1,1")
         assert (code, out, err) == (1, "", f"error: {reason}\n"), spec
+
+
+def test_modulus_option_runs_no_modulus_search(capsys, monkeypatch):
+    # the field is built once, from the spec and the given modulus
+    def no_search(p, e):
+        raise AssertionError(f"searched for a modulus of degree {e} over F_{p}")
+
+    monkeypatch.setattr(gfrecip.field, "_smallest_irreducible", no_search)
+    code, out, err = run(capsys, "verify", "--theorem", "5", "--field", "3^2", "--a", "t",
+                         "--n", "1", "--modulus", "2,2,1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["payload"]["ok"] is True
+
+
+def test_empty_stream_over_a_large_field_lists_no_codes(limited_python):
+    # degree-1 odd a-srm have no free coefficient: one tuple, no pool of q codes,
+    # which would not fit in the child's 1 GiB
+    done = limited_python("from gfrecip.cli import main\n"
+                          "raise SystemExit(main(['verify', '--theorem', '2', '--field', "
+                          "'2147483647', '--a', '4', '--n', '1']))")
+    assert (done.returncode, done.stderr) == (0, "")
+    payload = json.loads(done.stdout)["payload"]
+    assert (payload["ok"], payload["checked"]) == (True, 2)
 
 
 def test_verify_n_below_1_exits_1(capsys):
@@ -388,6 +412,13 @@ def test_verify_failure_exits_2(capsys, swapped_parity):
     ("2", "5", "4", "swapped_odd_branches"),
     ("4", "3", "1", "odd_linear_exponent"),
     ("5", "5", "2", "negated_delta"),
+    ("2", "5", "4", "unlabelled_odd"),
+    ("3", "3", "1", "overstripped_quadratic"),
+    ("3", "3", "1", "understripped_quadratic"),
+    ("4", "3", "1", "understripped_linear"),
+    ("6", "3", "1", "unfiltered_srim"),
+    ("9", "5", "4", "identity_transform"),
+    ("9", "5", "4", "identity_reciprocal"),
 ])
 def test_planted_theory_faults_exit_2(capsys, request, theorem, field, a, plant):
     request.getfixturevalue(plant)

@@ -91,6 +91,27 @@ def test_index_code_is_the_canonical_order(p, e):
     assert numbered == list(fld._codes())
 
 
+@pytest.mark.parametrize("p,e", [(3, 1), (7, 1), (3, 2), (5, 2)])
+def test_tuples_walk_the_canonical_order(p, e):
+    # _tuples(k, start) is the product of the codes, first entry most significant,
+    # from tuple start on
+    fld = Field(p, e)
+    for k in range(4):
+        every = list(itertools.product(list(fld._codes()), repeat=k))
+        n = len(every)
+        for start in sorted({0, 1, n // fld.q, n // 2, n - 1, n}):
+            assert list(fld._tuples(k, start)) == every[start:], (k, start)
+
+
+def test_large_field_modulus_search_lists_no_codes(limited_python):
+    # the search walks candidates by index: no pool of p codes, which would not
+    # fit in the child's 1 GiB, and F_(2^61 - 1)^40 tries 60 of them
+    done = limited_python("from gfrecip import Field\n"
+                          "print(Field(2147483647, 2).modulus)\n"
+                          "print(Field(2 ** 61 - 1, 40).modulus[38:])")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "(1, 0, 1)\n(0, 59, 1)\n", "")
+
+
 def test_even_characteristic_rejected():
     with pytest.raises(DomainError):
         Field(2)

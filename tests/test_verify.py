@@ -2,7 +2,8 @@ import dataclasses
 
 import pytest
 
-from gfrecip import Factorization, Field, Poly, factor_count, is_irreducible, is_squarefree
+from gfrecip import (Factorization, Field, Poly, factor_count, factorize, is_irreducible,
+                     is_squarefree)
 from gfrecip import census, recip, verify
 
 F3 = Field(3)
@@ -189,3 +190,80 @@ def test_master_divisibility_reports_a_negated_delta(negated_delta):
         assert report.ok is False
         assert report.checked == 1
         assert report.failures == [failure]
+
+
+def test_odd_roots_report_an_unlabelled_polynomial(unlabelled_odd):
+    a = F5.element(4)
+    report = verify.run_check("2", F5, a, 3)
+    streams = [f for deg in (3, 1) for f in census.enumerate_odd_srm(F5, a, deg)]
+    assert report.ok is False
+    assert report.checked == len(streams) == 12
+    assert report.failures == [f"{f.to_string()} enumerated but not classified odd"
+                               for f in streams]
+
+
+def test_quadratic_strip_reports_a_failed_reconstruction(overstripped_quadratic):
+    # x^2 + b x + 1 for b = 0, 1, 2 (nontrivial), then x^2 - 1 (trivial)
+    report = verify.run_check("3", F3, F3.element(1), 1)
+    assert report.ok is False
+    assert report.checked == 4
+    assert report.failures == [f"reconstruction fails for {f}"
+                               for f in ("1,0,1", "1,1,1", "1,2,1", "2,0,1")]
+
+
+def test_quadratic_strip_reports_a_divisible_residual(understripped_quadratic):
+    # (x^2 - 1)^2 = x^4 + x^2 + 1 is the one quartic over F_3 to shed (x^2 - 1)^2
+    strip_x2_minus_a = understripped_quadratic
+    a = F3.element(1)
+    report = verify.run_check("3", F3, a, 2)
+    streams = [f for kind in ("nontrivial", "trivial") for f in census.enumerate_srm(F3, a, 2, kind)]
+    assert [f for f in streams if strip_x2_minus_a(f, a)[0] >= 2] == [Poly(F3, (1, 0, 1, 0, 1))]
+    assert report.ok is False
+    assert report.checked == len(streams) == 12
+    assert report.failures == ["residual still divisible for 1,0,1,0,1"]
+
+
+def test_linear_strip_reports_a_vanishing_residual(understripped_linear):
+    # the quartics of test_linear_strip_reports_an_odd_exponent: the first two
+    # shed (x -+ 1)^4, and keep (x -+ 1)^2; the other two shed it all back
+    report = verify.run_check("4", F3, F3.element(1), 2)
+    assert report.ok is False
+    assert report.checked == 4
+    assert report.failures == [
+        "1,1,0,1,1: residual still vanishes at sign -1",
+        "1,2,0,2,1: residual still vanishes at sign +1",
+        "1,1,2,1,1: exponent 0 at sign +1", "1,1,2,1,1: residual still vanishes at sign +1",
+        "1,2,2,2,1: exponent 0 at sign -1", "1,2,2,2,1: residual still vanishes at sign -1",
+    ]
+
+
+def test_master_factorization_reports_a_non_divisor(unfiltered_srim):
+    # x^4 - 1 = (x - 1)(x + 1)(x^2 + 1) over F_3: of x^2 + b x + 1, the squares
+    # (x - 1)^2 = x^2 + x + 1 and (x + 1)^2 = x^2 + 2x + 1 do not divide it
+    report = verify.run_check("6", F3, F3.element(1), 1)
+    assert report.ok is False
+    assert report.failures == [f"a-srim {f} does not divide the master polynomial"
+                               for f in ("1,1,1", "1,2,1")]
+
+
+def test_transform_check_reports_a_transform_of_wrong_degree(identity_transform):
+    report = verify.run_check("9", F5, F5.element(4), 2)
+    irreducibles = [f for f in verify._monic_polys(F5, 2) if is_irreducible(f)]
+    assert report.ok is False
+    assert report.checked == len(irreducibles) == 10
+    assert report.failures == [f"{f.to_string()}: irreducible transform of wrong degree"
+                               for f in irreducibles]
+
+
+def test_transform_check_reports_a_wrong_reciprocal(identity_reciprocal):
+    # every transform that splits fails twice: its factors are then each
+    # self-reciprocal, and neither is the other's a-reciprocal
+    a = F5.element(4)
+    report = verify.run_check("9", F5, a, 2)
+    split = [f for f in verify._monic_polys(F5, 2)
+             if is_irreducible(f) and len(factorize(recip.quadratic_transform(f, a)).factors) == 2]
+    assert report.ok is False
+    assert report.checked == 10
+    assert len(split) == 4
+    assert report.failures == [f"{f.to_string()}: {reason}" for f in split for reason in (
+        "factors are not an a-reciprocal pair", "a factor is self-reciprocal")]
