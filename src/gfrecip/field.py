@@ -50,8 +50,8 @@ Barrett reduction (P. Barrett, CRYPTO '86; von zur Gathen & Gerhard,
 ch. 9) as SIMD within a register (SWAR), the bigint being the register:
 a fixed number of bigint operations, whatever the slot count.  Its
 masks and constants depend only on the field and the shape (B and the
-slot count), so ``_folder`` binds them into a fold once per shape, kept
-in a small cache.  With k = 8B bits a sub-slot and m = floor(2^k / p), a
+slot count), so ``_folder`` builds them into a fold, bound by its caller
+once per operation.  With k = 8B bits a sub-slot and m = floor(2^k / p), a
 sub-slot x < 2^k takes the quotient q = floor(x m / 2^k).  As p m >
 2^k - p, x/p - x m / 2^k < x / 2^k < 1, so q falls short of floor(x/p)
 by at most one and r = x - q p lies in [0, 2p).  The product x m needs
@@ -326,8 +326,10 @@ class Field:
             raise DomainError(f"extension degree must be >= 1, got {e}")
         # the modulus search tries about e candidates of degree e, each a
         # Ben-Or test of up to e/2 Frobenius steps of bit_length(p)
-        # squarings; refuse before building q or running it
-        within_budget(e * e * p.bit_length(), f"the degree-{e} modulus search over F_{p}")
+        # squarings, a given modulus one; refuse before building q or running it
+        what = (f"the degree-{e} modulus search" if modulus is None
+                else f"the irreducibility check of the degree-{e} modulus")
+        within_budget(e * e * p.bit_length(), f"{what} over F_{p}")
         self.p = p
         self.e = e
         self.q = p ** e
@@ -512,7 +514,6 @@ class Field:
             codes = [c | d << shift for c, d in zip(codes, part)]
         return codes
 
-    @functools.lru_cache(maxsize=16)
     def _folder(self, nbytes: int, n: int):
         """The fold of packed ints of at most ``n`` slots of ``nbytes`` bytes:
         every slot of sums to a code in place, ``_kron_pack`` of each slot's

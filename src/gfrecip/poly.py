@@ -43,9 +43,9 @@ those alone (``_remainder`` on those codes), and takes quotient * b +
 as a times the code p - 1 is -a; gcd's answer is monic, so the sign
 never matters and no code is negated.  One fold from ``Field._folder``
 reduces every slot, the top t + 1 slots come out zero, and the new
-degree is the value's bit length over the slot width.  The fold is the
-one for a's slot count rounded up to a power of two, as a zero slot
-stays zero, so a gcd's steps share a few cached folds.  Each step costs
+degree is the value's bit length over the slot width.  gcd binds that
+fold once, for a's slot count: no later value has more slots, and a
+zero slot stays zero, so it serves every step.  Each step costs
 a few bigint operations on the whole remainder instead of one reduction
 per coefficient (von zur Gathen & Gerhard, Modern Computer Algebra,
 ch. 3 and 9).
@@ -412,11 +412,12 @@ def gcd(f: Poly, g: Poly) -> Poly:
     if len(b) >= GCD_PACKED_MIN:
         # the remainder sequence on packed ints while b is that long; a
         # slot sums one product (a times p - 1) and up to len(b) more
-        # (quotient times b)
+        # (quotient times b); no value has more than na slots, so one fold serves
         nbytes = fld._kron_bytes(len(b) + 1)
         bits = 8 * nbytes
-        pack, codes, folder, neg_one = fld._kron_pack, fld._kron_unpack, fld._folder, fld.p - 1
+        pack, codes, neg_one = fld._kron_pack, fld._kron_unpack, fld.p - 1
         va, vb, na, nb = pack(a, nbytes), pack(b, nbytes), len(a), len(b)
+        fold = fld._folder(nbytes, na)
         while nb >= GCD_PACKED_MIN:
             # the t + 1 quotient codes from the top t + 1 codes of a and of
             # b, then quotient * b - a = -(a mod b), its top t + 1 slots zero
@@ -425,8 +426,7 @@ def gcd(f: Poly, g: Poly) -> Poly:
             rem = [0] * (top - 1) + codes(va >> bits * (na - t - 1), nbytes, t + 1)
             quo = [0] * (t + 1)
             _remainder(fld, rem, codes(vb >> bits * (nb - top), nbytes, top), quo)
-            # folded for na rounded up to a power of two, so the folds repeat
-            va = folder(nbytes, 1 << (na - 1).bit_length())(pack(quo, nbytes) * vb + neg_one * va)
+            va = fold(pack(quo, nbytes) * vb + neg_one * va)
             va, vb, na, nb = vb, va, nb, -(-va.bit_length() // bits)
         a, b = codes(va, nbytes, na), codes(vb, nbytes, nb)
     while b:

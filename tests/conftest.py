@@ -201,3 +201,55 @@ def identity_reciprocal(monkeypatch):
     """recip.a_reciprocal returning its input: every polynomial is then
     a-self-reciprocal, and no two distinct ones are a-reciprocals."""
     monkeypatch.setattr(recip, "a_reciprocal", lambda f, a: f)
+
+
+@pytest.fixture
+def unit_mobius(monkeypatch):
+    """census.mobius answering 1 for every argument."""
+    monkeypatch.setattr(census, "mobius", lambda d: 1)
+
+
+@pytest.fixture
+def all_self_reciprocal(monkeypatch):
+    """recip.is_a_self_reciprocal calling every polynomial a-self-reciprocal."""
+    monkeypatch.setattr(recip, "is_a_self_reciprocal", lambda f, a: True)
+
+
+@pytest.fixture
+def overcounted_strip(monkeypatch):
+    """recip._strip reporting k + 1 for the exponent k it stripped."""
+    strip = recip._strip
+
+    def off(f, factor):
+        k, g = strip(f, factor)
+        return k + 1, g
+
+    monkeypatch.setattr(recip, "_strip", off)
+
+
+@pytest.fixture
+def unstripped_residual(monkeypatch):
+    """recip._strip leaving one more factor in the residual than its exponent
+    counts: the residual keeps the factor's roots, and x^2 - a times a
+    nontrivial a-srm is trivial."""
+    strip = recip._strip
+
+    def short(f, factor):
+        k, g = strip(f, factor)
+        return k, g * factor
+
+    monkeypatch.setattr(recip, "_strip", short)
+
+
+@pytest.fixture
+def mirrored_residual(monkeypatch):
+    """recip._strip multiplying the residual by its factor with the constant
+    term negated: x + r for x - r, self-reciprocal for a = r^2, so the
+    residual is nonzero at r but of odd degree."""
+    strip = recip._strip
+
+    def off(f, factor):
+        k, g = strip(f, factor)
+        return k, g * Poly(f.field, (-factor[0],) + factor.coeffs[1:])
+
+    monkeypatch.setattr(recip, "_strip", off)

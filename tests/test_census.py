@@ -8,6 +8,7 @@ from gfrecip import (
     Poly,
     ResourceError,
     SrmVerdict,
+    VerificationError,
     carlitz_count,
     census_csv,
     census_row,
@@ -330,3 +331,20 @@ def test_census_csv_extension_field_elements():
     assert len(lines) == 9  # header + 8 nonzero elements
     assert lines[1].startswith("9,t,")  # canonical order starts at t
     assert all(line.endswith(",true") for line in lines[1:])
+
+
+# -- planted theory faults that the count machinery raises on -------------------------
+
+
+def test_m_poly_reports_a_failed_division(negated_delta):
+    # 2 is not a square mod 5 and n = 1 is odd: x^2 - 2 does not divide x^6 - 2
+    with pytest.raises(VerificationError) as exc:
+        m_poly(F5, F5.element(2), 1)
+    assert str(exc.value) == "x^2 - a failed to divide the master polynomial"
+
+
+def test_carlitz_count_reports_a_fractional_count(unit_mobius):
+    # every mu = 1: (3 - 1) + (3^3 - 1) = 28 over the d | 3, not a multiple of 2n = 6
+    with pytest.raises(VerificationError) as exc:
+        carlitz_count(3, 3)
+    assert str(exc.value) == "classical count is not integral"

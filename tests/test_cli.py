@@ -276,6 +276,18 @@ def test_exhaustive_loops_capped_exit_3(capsys, argv):
     assert not out
 
 
+@pytest.mark.parametrize("modulus,what", [
+    ((), "the degree-300 modulus search"),
+    (("--modulus", ",".join(["1"] * 301)), "the irreducibility check of the degree-300 modulus"),
+], ids=["search", "given"])
+def test_field_past_the_cap_names_its_work(capsys, modulus, what):
+    # a given modulus runs no search: the refusal names the test it would take
+    code, out, err = run(capsys, "recip", "--field", "3^300", "--a", "1", "--poly", "1,1",
+                         *modulus)
+    assert (code, out) == (3, "")
+    assert err == f"resource limit: {what} over F_3 would take more than 100000 steps\n"
+
+
 def test_count_past_the_digit_limit_exit_3(capsys):
     # about 4290 digits: printed as before
     doc = run_json(capsys, "count", "--field", "3", "--a", "1", "--n", "9000")
@@ -437,6 +449,19 @@ def test_product_formula_failure_exits_2(capsys, off_master, n, reason):
     # multiple of x^4 - 2 + x, and at n = 1 the quotient is m_poly + x itself
     code, out, err = run(capsys, "verify", "--theorem", "eq2", "--field", "3", "--a", "2",
                          "--n", n)
+    assert (code, out) == (2, "")
+    assert err == f"verification failure: {reason}\n"
+
+
+@pytest.mark.parametrize("argv,plant,reason", [
+    # 2 is not a square mod 5, so x^2 - 2 does not divide x^6 - 2
+    ("verify --theorem 6 --field 5 --a 2 --n 1", "negated_delta",
+     "x^2 - a failed to divide the master polynomial"),
+    ("count --field 3 --a 1 --n 3", "unit_mobius", "classical count is not integral"),
+])
+def test_theory_side_raise_exits_2(capsys, request, argv, plant, reason):
+    request.getfixturevalue(plant)
+    code, out, err = run(capsys, *argv.split())
     assert (code, out) == (2, "")
     assert err == f"verification failure: {reason}\n"
 

@@ -244,7 +244,7 @@ def test_kron_kernels_match_per_slot_reference(field):
 def test_fold_serves_shorter_values(field):
     # a fold bound for N slots reduces values of 1, N/2 + 1 and N slots as
     # the per-slot reference does, leaving every slot above them zero: gcd
-    # folds with the fold of its slot count rounded up to a power of two
+    # folds every step with the fold of its first operand's slot count
     span, w = 2 * field.e - 1, field._slot_bits
     nbytes = field._kron_bytes(200)
     shift = 8 * (nbytes // span)
@@ -547,6 +547,27 @@ def test_packed_kernels_fold_only_sums(field, monkeypatch):
         pow_mod(base, k, f)
         products = k.bit_length() - 1 + bin(k).count("1") - 1
         assert len(folds) == 3 * products
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(257), Field(3, 2), Field(10007, 2)], ids=str)
+def test_packed_gcd_binds_one_fold(field, monkeypatch):
+    # no value of a packed remainder sequence has more slots than its first
+    # operand, so one fold of that many slots serves every step
+    shapes = []
+    folder = Field._folder
+
+    def counted_folder(self, nbytes, n):
+        shapes.append(n)
+        return folder(self, nbytes, n)
+
+    monkeypatch.setattr(Field, "_folder", counted_folder)
+    rng = random.Random(field.q + 5)
+    for df, dg in ((120, 119), (130, 100), (200, 60), (GCD_PACKED_MIN - 1,) * 2):
+        f, g = _random_poly(field, df, rng), _random_poly(field, dg, rng)
+        shapes.clear()
+        d = gcd(f, g)
+        assert shapes == [df + 1]
+        assert d == _euclid(f, g)
 
 
 @pytest.mark.parametrize("field", [Field(3), Field(257), Field(3, 2), Field(10007, 2)], ids=str)

@@ -9,6 +9,7 @@ from gfrecip import (
     Parity,
     Poly,
     SrmVerdict,
+    VerificationError,
     a_reciprocal,
     classify,
     dickson,
@@ -494,3 +495,49 @@ def test_extension_field_structure_sweep():
                     assert (verdict.verdict is Parity.EVEN) == (r % 2 == 0), \
                         (f.to_string(), str(a))
                 assert discriminant_identity_check(f, a)
+
+
+# -- planted theory faults that the taxonomy and the strips raise on ------------------
+
+
+@pytest.mark.parametrize("a,f,message", [
+    # x^2 + x + 1 has constant 1, not +-2; 2 is a non-square mod 5; sqrt(4) = +-2
+    (2, "1,1,1", "self-reciprocal constant term outside +-a^m"),
+    (2, "1,1", "odd-degree self-reciprocal polynomial found for a non-square parameter"),
+    (4, "1,1", "odd-degree constant term outside +-sqrt(a)^n"),
+])
+def test_classify_reports_an_impossible_constant(all_self_reciprocal, a, f, message):
+    with pytest.raises(VerificationError) as exc:
+        classify(Poly.from_string(F5, f), F5.element(a))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("plant,message", [
+    ("overcounted_strip", "stripping parity disagrees with the classification"),
+    ("unstripped_residual", "residual factor is not a nontrivial a-srm"),
+])
+def test_quadratic_strip_reports_a_wrong_strip(request, plant, message):
+    # x^2 + 1 over F_3 is a nontrivial 1-srm that x^2 - 1 does not divide
+    request.getfixturevalue(plant)
+    with pytest.raises(VerificationError) as exc:
+        strip_x2_minus_a(Poly.from_string(F3, "1,0,1"), F3.element(1))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("plant,message", [
+    ("overcounted_strip", "linear stripping produced an odd exponent"),
+    ("unstripped_residual", "the root survives stripping its linear factor"),
+    ("mirrored_residual", "residual factor is not a nontrivial a-srm"),
+])
+def test_linear_strip_reports_a_wrong_strip(request, plant, message):
+    # x^4 + x^3 + x + 1 = (x + 1)^4 over F_3, the residual 1
+    request.getfixturevalue(plant)
+    with pytest.raises(VerificationError) as exc:
+        strip_linear_sqrt(Poly.from_string(F3, "1,1,0,1,1"), F3.element(1), -1)
+    assert str(exc.value) == message
+
+
+def test_quadratic_transform_reports_an_unclassified_output(unlabelled_odd):
+    with pytest.raises(VerificationError) as exc:
+        quadratic_transform(Poly(F5, (1, 1, 1)), F5.element(2))
+    assert str(exc.value) == "quadratic transform output failed to classify as nontrivial"
