@@ -11,8 +11,10 @@ test is its first block.  Each of its steps is one ``pow_mod`` by the
 current remainder.  Each equal-degree draw r costs one ``pow_mod`` and
 one gcd, gcd(r^((q^d-1)/2) - 1, f): a factor on which r vanishes lands
 on the side where r^((q^d-1)/2) != 1, so it needs no separate gcd(r, f).
-Every modulus builds its reduction set-up once (see poly.py), however
-many steps or draws power by it.
+Every modulus that takes ``pow_mod``'s Barrett ladder builds its
+reduction set-up once (see poly.py), however many steps or draws power
+by it: from degree 8 on, and below that from degree 2 on a long
+exponent, as the draws' (q^d - 1)/2 mostly are.
 
 Randomness in the equal-degree stage comes from a per-call generator
 seeded by an explicit parameter (default DEFAULT_SEED), so two runs with

@@ -62,11 +62,16 @@ tests; ``_mul`` reduces its sums, ``pow_mod`` takes them unreduced.
 
 ``pow_mod`` makes the modulus f monic (the remainders are the same) and
 runs field.py's one powering ladder, ``_ladder``, over one of two
-reductions.  Below degree N = ``KRON_MIN_LENGTH`` a step is ``_sums``
-and ``_remainder`` on code lists, with no quotient and no ``Poly``
-built: the schoolbook product's sums go to ``_remainder`` unreduced, so
-each coefficient is reduced once, where the division reads it.
-From there on the ladder works on packed ints alone.  For f of degree n
+reductions, chosen by the work the ladder will do.  Below degree N =
+``KRON_MIN_LENGTH`` a short ladder, whose degree n times the exponent's
+bit length stays below ``BARRETT_MIN_WORK`` (Ben-Or's steps power by q),
+and every ladder at degree 1 take code lists: a step is ``_sums`` and
+``_remainder``, with no quotient and no ``Poly`` built.  The schoolbook
+product's sums go to ``_remainder`` unreduced, so each coefficient is
+reduced once, where the division reads it.
+Every other ladder works on packed ints alone: from degree N on, and
+from degree 2 on a long exponent, such as an equal-degree draw's
+(q^d - 1)/2.  For f of degree n
 it binds one fold of n slots (``Field._folder``), which reduces every
 slot of a value of at most n slots to a code, and with it precomputes
 mu = x^(2n-2) div f, by Newton iteration on packed ints (the inverse of
@@ -74,14 +79,16 @@ the reversed f, two products and two folds a doubling), and -f mod x^n.
 A square or product v of degree <= 2n-2 then reduces by two more bigint
 products: its quotient is (v div x^n) * mu div x^(n-2), and its
 remainder is v mod x^n - quotient * f mod x^n (Barrett reduction; von
-zur Gathen & Gerhard, Modern Computer Algebra, ch. 9).  Its high half,
-quotient and remainder all pass through that fold, so the ladder builds
-no coefficient list between steps.  That set-up, ``_barrett(f)``, is the
-slot width and ``mulmod``, the product mod f of two packed residues with
-its shifts and masks bound.  It lives on the monic modulus: built on the
-first ``pow_mod`` by f, it is kept in f's ``_setup`` slot, so a caller
-that powers again and again by one modulus object (the distinct-degree
-walk and the equal-degree draws in factor.py) builds it once.
+zur Gathen & Gerhard, Modern Computer Algebra, ch. 9 and 14).  Its high
+half, quotient and remainder all pass through that fold, so the ladder
+builds no coefficient list between steps.  That set-up, ``_barrett(f)``,
+is the slot width and ``mulmod``, the product mod f of two packed
+residues with its shifts and masks bound.  It is paid once per modulus
+and pays off over the ladder's steps.  It lives on the monic modulus:
+built on the first Barrett ladder by f, it is kept in f's ``_setup``
+slot, so a caller that powers again and again by one modulus object (the
+distinct-degree walk and the equal-degree draws in factor.py) builds it
+once.
 ``pow_mod`` is the only routine that powers mod a ``Poly`` (square roots
 power pairs of codes mod x^2 - w in field.py).
 """
@@ -93,14 +100,34 @@ from .field import Field, FieldElement, _ladder
 
 
 # Operands with at least this many coefficients are multiplied by
-# Kronecker substitution, and pow_mod reduces by a modulus of at least
-# this degree with a precomputed inverse; shorter ones take the schoolbook
-# product and _remainder, which are faster there.  Packed, the product of two
-# length-n operands wins from n = 8 over F_9, F_125 and F_17^2 and from 9 or 10
-# over F_3, F_5, F_7, F_257 and F_8191; the Barrett ladder, its set-up built
-# for one pow_mod(h, q, f), from degree 4 to 6 over F_257, F_8191, F_9, F_125,
-# F_17^2 and F_3^6, 7 or 8 over F_5 and F_7, and past 9 over F_3.  8 serves both.
+# Kronecker substitution; shorter ones take the schoolbook product, which is
+# faster there.  Packed, the product of two length-n operands wins from n = 8
+# over F_9, F_125 and F_17^2 and from 9 or 10 over F_3, F_5, F_7, F_257 and
+# F_8191.  pow_mod also takes the Barrett ladder from this degree on whatever
+# the exponent, so that the walk's short q-power ladders by one modulus share
+# one set-up.
 KRON_MIN_LENGTH = 8
+
+# Below degree KRON_MIN_LENGTH pow_mod(b, k, f), f of degree n >= 2, takes
+# the Barrett ladder once n * k.bit_length() reaches this: its set-up is paid
+# once a call and pays off over the ladder's steps.  Measured per call, set-up
+# included, on 20 random monic f and bases per cell at exponent bit lengths 3
+# to 16 (geometric mean of two runs, 2 vCPU host, CPython 3.11), Barrett costs
+# less at every bit length from this one on:
+#
+#   degree     2    3    4    5    6    7
+#   F_3        6    7    6    5    5    5
+#   F_7        7    5    6    5    5    4
+#   F_257      7    9    5    4    4    4
+#   F_9       >16  14    9    5    4    3
+#   F_5^3     16    6    5    4    4    3
+#   F_13^2    >16   7    4    4    3    3
+#
+# At n * bits = 32 Barrett took 0.49 to 0.89 of the code-list time from
+# degree 3 on, 1.03 for F_9 at degree 4, and at degree 2 over F_9 and F_13^2
+# the two ladders cost about the same at 16 bits.  So equal-degree draws, which
+# power by (q^d - 1)/2, take Barrett, and Ben-Or's steps by a small q do not.
+BARRETT_MIN_WORK = 32
 
 # gcd runs its remainder sequence on packed ints while the shorter operand
 # has at least this many coefficients, and on code lists below.  Measured
@@ -142,7 +169,7 @@ def _sums(a, b) -> list[int]:
 
 class Poly:
     # _setup: (slot bytes, mulmod), pow_mod's reduction set-up by this monic
-    # modulus of degree >= KRON_MIN_LENGTH, set on first use (see _barrett);
+    # modulus, set on its first Barrett ladder (see _barrett and pow_mod);
     # a Poly never changes, so it never goes stale
     __slots__ = ("field", "_codes", "_setup")
 
@@ -451,7 +478,8 @@ def pow_mod(base: Poly, k: int, modulus: Poly) -> Poly:
     if not k:
         return Poly.one(fld)
     n = f.degree
-    if n < KRON_MIN_LENGTH:
+    if n < KRON_MIN_LENGTH and (n < 2 or n * k.bit_length() < BARRETT_MIN_WORK):
+        # degree 1, or a ladder too short to pay for a Barrett set-up
         div = f._codes
 
         def mulmod(a, b):
@@ -470,10 +498,11 @@ def pow_mod(base: Poly, k: int, modulus: Poly) -> Poly:
 
 
 def _barrett(f: Poly):
-    # the reduction set-up for the monic f of degree n >= KRON_MIN_LENGTH:
-    # slot bytes and the product of two packed residues mod f.  Slots hold
-    # up to 2n - 1 products (n - 1 in quo * (-f), n in the low half of the
-    # value reduced); one fold of n slots serves all, as zero slots stay zero.
+    # the reduction set-up for the monic f of degree n >= 2, whose quotient
+    # shifts by n - 2 slots: slot bytes and the product of two packed
+    # residues mod f.  Slots hold up to 2n - 1 products (n - 1 in quo * (-f),
+    # n in the low half of the value reduced); one fold of n slots serves all,
+    # as zero slots stay zero.
     n = f.degree
     fld = f.field
     nbytes = fld._kron_bytes(2 * n)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gfrecip
-from gfrecip import Field, Poly, census, recip
+from gfrecip import Field, FieldElement, Poly, census, recip
 
 acceptance_lines = []
 
@@ -127,6 +127,14 @@ def negated_delta(monkeypatch):
     """census.delta with its sign flipped."""
     delta = census.delta
     monkeypatch.setattr(census, "delta", lambda fld, a, n: -delta(fld, a, n))
+
+
+@pytest.fixture
+def rootless_squares(monkeypatch):
+    """FieldElement.sqrt answering None for every element, so a square a
+    passes for a non-square; the one plant below the theory side, as check
+    2's non-square branch compares b0^2 with a^deg in field arithmetic alone."""
+    monkeypatch.setattr(FieldElement, "sqrt", lambda self: None)
 
 
 @pytest.fixture

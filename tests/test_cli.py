@@ -425,6 +425,7 @@ def test_verify_failure_exits_2(capsys, swapped_parity):
     ("4", "3", "1", "odd_linear_exponent"),
     ("5", "5", "2", "negated_delta"),
     ("2", "5", "4", "unlabelled_odd"),
+    ("2", "5", "4", "rootless_squares"),
     ("3", "3", "1", "overstripped_quadratic"),
     ("3", "3", "1", "understripped_quadratic"),
     ("4", "3", "1", "understripped_linear"),

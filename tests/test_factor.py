@@ -9,6 +9,7 @@ from gfrecip import (
     DomainError,
     Field,
     Poly,
+    census_row,
     factor_count,
     factorize,
     is_irreducible,
@@ -89,6 +90,29 @@ def test_factorize_builds_each_setup_once(monkeypatch):
     monkeypatch.setattr(poly, "_barrett", counted)
     factorize(m_poly(F3, 2, 5), seed=1)
     assert builds and max(builds.values()) == 1
+
+
+def test_barrett_setups_only_for_long_ladders(monkeypatch):
+    # below degree 8 pow_mod builds a Barrett set-up only once n times the
+    # exponent's bit length reaches BARRETT_MIN_WORK: Ben-Or's steps by q = 9
+    # on degree <= 7 do not (n * 4 < 32), equal-degree draws by (125^2 - 1)/2
+    # on the small blocks of F_125 do (13 bits)
+    degrees = []
+    build = poly._barrett
+
+    def counted(f):
+        degrees.append(f.degree)
+        return build(f)
+
+    monkeypatch.setattr(poly, "_barrett", counted)
+    f = Poly.from_string(F9, "1+t,2*t,1,0,0,1,1")
+    assert is_irreducible(f)
+    census_row(F9, F9.parse("t"), 2)
+    assert degrees == []
+    F125 = Field(5, 3)
+    m = m_poly(F125, F125.parse("t+2"), 1)
+    assert factorize(m).expand() == m
+    assert degrees and min(degrees) < poly.KRON_MIN_LENGTH
 
 
 def test_is_irreducible_scaling_invariant():

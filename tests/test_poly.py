@@ -16,7 +16,8 @@ from gfrecip import (
     pow_mod,
     resultant,
 )
-from gfrecip.poly import GCD_PACKED_MIN, KRON_MIN_LENGTH, _barrett, _remainder, _sums
+from gfrecip.poly import (BARRETT_MIN_WORK, GCD_PACKED_MIN, KRON_MIN_LENGTH, _barrett, _remainder,
+                          _sums)
 
 F5 = Field(5)
 F7 = Field(7)
@@ -264,12 +265,13 @@ def test_fold_serves_shorter_values(field):
 def test_barrett_mu_is_the_code_list_quotient(field):
     # the mulmod of _barrett(f), whose quotient is taken with mu from the
     # packed Newton inverse, against _sums and _remainder by the code-list
-    # division, on both sides of each doubling of Newton's precision.  As f
+    # division, on both sides of each doubling of Newton's precision, and from
+    # degree 2, where mu is 1 and the Newton loop does not run.  As f
     # is a unit mod x^n when f(0) != 0, its remainder mod x^n, low half -
     # quotient * f, is right only if that quotient is the code-list one.
     rng = random.Random(field.q + 6)
     top = [field._pack([field.p - 1] * field.e)]
-    for n in (8, 9, 15, 16, 17, 40, 70):
+    for n in (2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 40, 70):
         for f in (_random_poly(field, n, rng).monic(), Poly._raw(field, top * n + [1])):
             nbytes, mulmod = _barrett(f)
             rand = [list(_random_poly(field, n - 1, rng)._codes) for _ in range(2)]
@@ -298,6 +300,34 @@ def test_pow_mod_against_repeated_products(field):
                         (Poly(field, top * n + [1]), Poly(field, top * n))):
             for k in (0, 1, 2, 3, 5, 8, 13):
                 assert pow_mod(base, k, f) == _pow_mod_by_products(base, k, f)
+
+
+def _square_and_multiply(base, k, f):
+    # right to left on Poly * and %, so neither of pow_mod's ladders nor
+    # field.py's _ladder is involved
+    acc, square = Poly.one(base.field) % f, base % f
+    while k:
+        if k & 1:
+            acc = acc * square % f
+        square = square * square % f
+        k >>= 1
+    return acc
+
+
+@pytest.mark.parametrize("field", KRON_FIELDS, ids=str)
+def test_pow_mod_below_kron_min_length_on_both_ladders(field):
+    # degrees 2 to 7 by short exponents (code-list ladder) and by the long
+    # ones of equal-degree draws, (q^d - 1)/2, and q^20 + 1 (Barrett ladder)
+    rng = random.Random(field.q + 2)
+    q = field.q
+    exponents = [3, 13] + [(q ** d - 1) // 2 for d in range(1, 7)] + [q ** 20 + 1]
+    ladders = set()
+    for n in range(2, KRON_MIN_LENGTH):
+        f, base = _random_poly(field, n, rng), _random_poly(field, n - 1, rng)
+        for k in exponents:
+            ladders.add(n * k.bit_length() >= BARRETT_MIN_WORK)
+            assert pow_mod(base, k, f) == _square_and_multiply(base, k, f), (n, k)
+    assert ladders == {False, True}
 
 
 @pytest.mark.parametrize("p, e", [(17, 1), (19, 1), (17, 2)])
@@ -331,6 +361,11 @@ def test_pow_mod_edge_cases():
     linear = Poly(field, [-3, 1])
     assert pow_mod(big, 9, linear) == Poly.constant(field, big(3) ** 9)
     assert pow_mod(big, 9, linear * 5) == Poly.constant(field, big(3) ** 9)
+    # however long the exponent, degree 1 keeps the code-list ladder: the
+    # Barrett quotient would shift by n - 2 = -1 slots
+    assert pow_mod(big, 7 ** 40, linear) == Poly.constant(field, big(3) ** 7 ** 40)
+    b9, root = _random_poly(F9, 5, rng), F9.element(-1)
+    assert pow_mod(b9, 9 ** 20, Poly(F9, [1, 1])) == Poly.constant(F9, b9(root) ** 9 ** 20)
 
 
 def test_division_by_zero():

@@ -202,6 +202,16 @@ def test_odd_roots_report_an_unlabelled_polynomial(unlabelled_odd):
                                for f in streams]
 
 
+def test_odd_roots_report_a_square_taken_for_a_non_square(rootless_squares):
+    # over F_5 both roots of a = 4 give constant terms b0 with b0^2 = a^deg,
+    # 2^2 = 3^2 = 4 = 4^3, which the non-square branch says cannot exist
+    report = verify.run_check("2", F5, F5.element(4), 3)
+    assert report.ok is False
+    assert report.checked == 8
+    assert report.failures == [f"odd degree {deg} admits constant term {b0}"
+                               for b0 in (2, 3) for deg in (1, 3)]
+
+
 def test_quadratic_strip_reports_a_failed_reconstruction(overstripped_quadratic):
     # x^2 + b x + 1 for b = 0, 1, 2 (nontrivial), then x^2 - 1 (trivial)
     report = verify.run_check("3", F3, F3.element(1), 1)
