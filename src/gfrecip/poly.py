@@ -18,37 +18,57 @@ accumulates sums of products as plain ints and reduces a coefficient
 only when it is read or returned.  ``coeffs``, indexing and ``lc()``
 hand out ``FieldElement``s.
 
-Division with remainder is one loop on code lists, ``_remainder``, and
-it serves ``divmod``, ``gcd``, ``resultant`` and ``pow_mod`` alike.  It
-reduces a list in place: each quotient term, highest first, is reduced,
-negated on its own (times -lc^-1 of the divisor) and added times the
-divisor's codes, so the divisor itself is never negated or copied into a
-``Poly``.  The list may hold unreduced sums of products of codes, such
-as the schoolbook product's (``_sums``): the loop reduces each entry it
-reads, and the remainder's entries once, at the end, also when the list
-is shorter than the divisor.  ``resultant`` runs its whole remainder
-sequence on two such lists and builds an element only for the answer.
-Every call lists the divisor's nonzero codes once and walks only them,
-so the walk's x^(q^d) - x costs only its few nonzero codes.
+Division with remainder has two kernels, chosen by size.  The short
+one is a loop on code lists, ``_remainder``, and it also serves ``gcd``,
+``resultant`` and ``pow_mod``.  It reduces a list in place: each
+quotient term, highest first, is reduced, negated on its own (times
+-lc^-1 of the divisor) and added times the divisor's codes, so the
+divisor itself is never negated or copied into a ``Poly``.  The list may
+hold unreduced sums of products of codes, such as the schoolbook
+product's (``_sums``): the loop reduces each entry it reads, and the
+remainder's entries once, at the end, also when the list is shorter
+than the divisor.  ``resultant`` runs its whole remainder sequence on
+two such lists and builds an element only for the answer.  Every call
+lists the divisor's nonzero codes once and walks only them, so the
+walk's x^(q^d) - x costs only its few nonzero codes.  It stays the
+reference in the tests.
 
-``gcd`` runs on such lists too once the shorter operand has fewer than
+``divmod`` takes the long kernel, ``_quotient``, once the divisor and
+the quotient both have ``QUOTIENT_MIN`` coefficients.  It computes a div
+b from the low end: for t = deg a - deg b, the quotient reversed is
+rev(a) rev(b)^-1 mod x^(t+1), which needs only the top t + 1 codes of
+each.  The inverse is ``_inverse``'s Newton iteration on packed ints
+(two products and two folds a doubling), and the quotient one more
+product and fold.  The remainder a - quotient * b takes one product of
+the low deg b codes of each, as only those slots are left (von zur
+Gathen & Gerhard, Modern Computer Algebra, 9.1).  So an exact division
+f // g, one per split in factor.py, costs a few bigint products instead
+of deg f * deg g code products.
+
+``gcd`` runs on code lists once the shorter operand has fewer than
 ``GCD_PACKED_MIN`` coefficients.  Above that it runs the remainder
 sequence on two packed ints (``Field._kron_pack``), in slots with room
 for a code plus one product of two codes per coefficient of the shorter
-operand.  A step divides a by b, of degree gap t: it reads the top t + 1
-codes of each (``Field._kron_unpack``; in bulk for a large t, as in the
+operand.  A step takes a, of degree gap t over b, to a nonzero multiple
+of a mod b: one bigint product pair and one fold from ``Field._folder``
+reduce every slot, the top t + 1 slots come out zero, and the new degree
+is the value's bit length over the slot width.  Nearly every step has
+t <= 1, and it is a pseudo-remainder step (Knuth, TAOCP vol. 2, 4.6.1,
+Algorithm R): with a1, a0 and b1, b0 the top two codes of a and of b
+(``Field._kron_unpack``), the quotient times b1^(t+1) is a1 (t = 0) or
+a1 b1 x + a0 b1 - a1 b0 (t = 1), three ``_reduce`` calls with the scale
+-b1^(t+1), and q * b - b1^(t+1) * a is the step, with no field inverse
+and no ``_remainder`` call.  A difference is taken as a sum with P - c,
+P the int with every coordinate p, so no code is negated.  A step with t
+>= 2 reads the top t + 1 codes of each (in bulk for a large t, as in the
 walk's gcd(x^(q^d) - x, f)), solves for the t + 1 quotient codes from
 those alone (``_remainder`` on those codes), and takes quotient * b +
-(p - 1) a, one bigint product and one scalar one.  That is -(a mod b),
-as a times the code p - 1 is -a; gcd's answer is monic, so the sign
-never matters and no code is negated.  One fold from ``Field._folder``
-reduces every slot, the top t + 1 slots come out zero, and the new
-degree is the value's bit length over the slot width.  gcd binds that
-fold once, for a's slot count: no later value has more slots, and a
-zero slot stays zero, so it serves every step.  Each step costs
-a few bigint operations on the whole remainder instead of one reduction
-per coefficient (von zur Gathen & Gerhard, Modern Computer Algebra,
-ch. 3 and 9).
+(p - 1) a = -(a mod b), as a times the code p - 1 is -a.  gcd's answer
+is monic, so no scale or sign matters.  gcd binds its fold once, for a's
+slot count: no later value has more slots, and a zero slot stays zero,
+so it serves every step.  Each step costs a few bigint operations on the
+whole remainder instead of one reduction per coefficient (von zur
+Gathen & Gerhard, ch. 3 and 9).
 
 Multiplication is likewise one kernel on code lists, ``_mul``, and it
 serves ``*``.  Once both operands have at least ``KRON_MIN_LENGTH``
@@ -74,8 +94,8 @@ from degree 2 on a long exponent, such as an equal-degree draw's
 (q^d - 1)/2.  For f of degree n
 it binds one fold of n slots (``Field._folder``), which reduces every
 slot of a value of at most n slots to a code, and with it precomputes
-mu = x^(2n-2) div f, by Newton iteration on packed ints (the inverse of
-the reversed f, two products and two folds a doubling), and -f mod x^n.
+mu = x^(2n-2) div f, by ``_inverse`` (the inverse of the reversed f),
+and -f mod x^n.
 A square or product v of degree <= 2n-2 then reduces by two more bigint
 products: its quotient is (v div x^n) * mu div x^(n-2), and its
 remainder is v mod x^n - quotient * f mod x^n (Barrett reduction; von
@@ -130,12 +150,44 @@ KRON_MIN_LENGTH = 8
 BARRETT_MIN_WORK = 32
 
 # gcd runs its remainder sequence on packed ints while the shorter operand
-# has at least this many coefficients, and on code lists below.  Measured
-# as the length from which a packed step costs less than a code-list one
-# (gcd of random pairs of degrees n and n - 1, all packed against all
-# lists): from n = 40 to 64 over F_3, F_7, F_257 and F_8191, and 32 to 40
-# over F_9, F_169, F_125 and F_3^6; 48 serves both.
-GCD_PACKED_MIN = 48
+# has at least this many coefficients, and on code lists below.  Measured as
+# gcd's time on 8 random pairs of degrees 100 and 99 with each threshold,
+# relative to 48 (best of 9 interleaved rounds, 2 vCPU host, CPython 3.11;
+# read each cell as +-10%):
+#
+#   threshold   12    16    20    24    28    32    40
+#   F_3        1.00  0.98  1.00  0.98  0.93  0.97  0.95
+#   F_7        1.08  0.91  0.93  0.94  1.08  0.99  1.17
+#   F_257      0.93  1.16  0.87  0.92  0.95  0.91  0.93
+#   F_8191     0.84  1.06  1.05  1.14  0.89  0.85  1.00
+#   F_9        0.58  0.60  0.69  0.69  0.76  0.85  0.88
+#   F_13^2     0.66  0.67  0.68  0.72  0.75  0.79  0.90
+#   F_5^3      0.67  0.69  0.67  0.73  0.76  0.81  0.90
+#   F_3^6      0.71  0.75  0.79  0.85  0.80  0.86  0.85
+#
+# The prime fields are flat within the noise; at degrees 40 and 39 F_3 and
+# F_7 took 1.07 and 1.08 at 24 and 1.17 and 1.14 at 16, the other fields
+# 0.46 to 0.91 at 24.  24 keeps most of the extension fields' gain.
+GCD_PACKED_MIN = 24
+
+# divmod takes the Newton quotient once the divisor and the quotient both have
+# at least this many coefficients, and the code-list walk below.  Measured as
+# the code-list time over the Newton time of divmod with divisor and quotient
+# of n coefficients each (10 random pairs, best of 15 interleaved rounds, same
+# host):
+#
+#   n          24    32    40    48    64    96
+#   F_3       0.58  0.89  0.96  1.34  2.09  2.71
+#   F_7       0.67  1.15  1.36  1.73  2.97  4.53
+#   F_257     0.86  1.47  2.08  2.44  3.75  5.79
+#   F_8191    0.90  1.33  1.92  2.26  3.34  3.43
+#   F_9       0.92  1.23  1.52  1.50  2.57  3.25
+#   F_13^2    0.83  1.46  1.46  1.97  3.35  3.88
+#   F_5^3     0.72  1.28  1.86  1.50  2.25  3.90
+#   F_3^6     0.82  0.92  1.08  1.21  1.41  1.72
+#
+# At 32 F_3 and F_3^6 still lose; from 40 every field gains or holds.
+QUOTIENT_MIN = 40
 
 
 def _mul(fld: Field, a, b) -> list[int]:
@@ -325,9 +377,22 @@ class Poly:
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
         f = self.field
-        rem = list(self._codes)
+        a, b = self._codes, other._codes
+        if len(b) >= QUOTIENT_MIN <= len(a) - len(b) + 1:
+            quo = _quotient(f, a, b)
+            # a - quo * b = a + (-quo) * b, of which only the low m slots are
+            # left, and they need only the low m codes of each
+            m = len(b) - 1
+            nbytes = f._kron_bytes(min(len(quo), m) + 1)
+            pack, fold = f._kron_pack, f._folder(nbytes, m)
+            neg_quo = fold((f.p - 1) * pack(quo[:m], nbytes))
+            low = (1 << 8 * nbytes * m) - 1
+            rem = f._kron_unpack(fold((neg_quo * pack(b[:m], nbytes) + pack(a[:m], nbytes)) & low),
+                                 nbytes, m)
+            return Poly._raw(f, quo), Poly._raw(f, rem)
+        rem = list(a)
         quo = [0] * max(len(rem) - other.degree, 0)
-        _remainder(f, rem, other._codes, quo)
+        _remainder(f, rem, b, quo)
         return Poly._raw(f, quo), Poly._raw(f, rem)
 
     def __floordiv__(self, other):
@@ -438,22 +503,39 @@ def gcd(f: Poly, g: Poly) -> Poly:
         a, b = b, a
     if len(b) >= GCD_PACKED_MIN:
         # the remainder sequence on packed ints while b is that long; a
-        # slot sums one product (a times p - 1) and up to len(b) more
-        # (quotient times b); no value has more than na slots, so one fold serves
+        # slot sums one product (a times the scale or p - 1) and up to len(b)
+        # more (quotient times b); no value has more than na slots, so one
+        # fold serves
         nbytes = fld._kron_bytes(len(b) + 1)
         bits = 8 * nbytes
-        pack, codes, neg_one = fld._kron_pack, fld._kron_unpack, fld.p - 1
+        pack, codes, reduce, neg_one = fld._kron_pack, fld._kron_unpack, fld._reduce, fld.p - 1
+        # every coordinate p: minus - c is -c with no coordinate negative
+        minus, slot = fld._pack([fld.p] * fld.e), (1 << bits) - 1
         va, vb, na, nb = pack(a, nbytes), pack(b, nbytes), len(a), len(b)
         fold = fld._folder(nbytes, na)
         while nb >= GCD_PACKED_MIN:
-            # the t + 1 quotient codes from the top t + 1 codes of a and of
-            # b, then quotient * b - a = -(a mod b), its top t + 1 slots zero
             t = na - nb
-            top = min(t + 1, nb)
-            rem = [0] * (top - 1) + codes(va >> bits * (na - t - 1), nbytes, t + 1)
-            quo = [0] * (t + 1)
-            _remainder(fld, rem, codes(vb >> bits * (nb - top), nbytes, top), quo)
-            va = fold(pack(quo, nbytes) * vb + neg_one * va)
+            if t < 2:
+                # a pseudo-remainder step: with a1, a0 and b1, b0 the top two
+                # codes of a and of b, q = b1^(t+1) (a div b) is a1 (t = 0) or
+                # a1 b1 x + a0 b1 - a1 b0 (t = 1), and q * b - b1^(t+1) * a =
+                # -b1^(t+1) (a mod b); packed with the scale, slot 0
+                a0, a1 = codes(va >> bits * (na - 2), nbytes, 2)
+                b0, b1 = codes(vb >> bits * (nb - 2), nbytes, 2)
+                if t:
+                    v = pack([reduce(b1 * (minus - b1)), reduce(a0 * b1 + a1 * (minus - b0)),
+                              reduce(a1 * b1)], nbytes)
+                else:
+                    v = pack([reduce(minus - b1), a1], nbytes)
+                va = fold((v >> bits) * vb + (v & slot) * va)
+            else:
+                # the t + 1 quotient codes from the top t + 1 codes of a and
+                # of b, then quotient * b - a = -(a mod b)
+                top = min(t + 1, nb)
+                rem = [0] * (top - 1) + codes(va >> bits * (na - t - 1), nbytes, t + 1)
+                quo = [0] * (t + 1)
+                _remainder(fld, rem, codes(vb >> bits * (nb - top), nbytes, top), quo)
+                va = fold(pack(quo, nbytes) * vb + neg_one * va)
             va, vb, na, nb = vb, va, nb, -(-va.bit_length() // bits)
         a, b = codes(va, nbytes, na), codes(vb, nbytes, nb)
     while b:
@@ -497,6 +579,40 @@ def pow_mod(base: Poly, k: int, modulus: Poly) -> Poly:
     return Poly._raw(fld, fld._kron_unpack(acc, nbytes, n))
 
 
+def _inverse(fld: Field, rev, n: int, nbytes: int, fold) -> int:
+    # rev^-1 mod x^n packed, rev the codes of a divisor reversed (at least
+    # its first n), rev[0] nonzero, by Newton iteration on packed ints; slots
+    # of nbytes bytes with room for n products, and fold one of n slots or
+    # more.  When h is rev^-1 mod x^k and rev h = 1 + x^k e mod x^2k, h -
+    # x^k (h e mod x^k) is rev^-1 mod x^2k.  With g = -rev, g h = -1 - x^k e,
+    # so slots k up of fold(g h) hold -e, and fold(h times them) is -(h e): no
+    # code is negated in the loop
+    bits = 8 * nbytes
+    pack = fld._kron_pack
+    g = fold((fld.p - 1) * pack(rev[:n], nbytes))
+    h, k = pack([fld._inv(rev[0])], nbytes), 1
+    while k < n:
+        top = min(2 * k, n)
+        mask = (1 << bits * top) - 1
+        e = fold((g & mask) * h & mask) >> bits * k
+        h |= fold(h * e & ((1 << bits * (top - k)) - 1)) << bits * k
+        k = top
+    return h
+
+
+def _quotient(fld: Field, a, b) -> list[int]:
+    """The codes of a div b, for code sequences a and b with nonzero last
+    codes and len(a) >= len(b), from the low end: with t = deg a - deg b,
+    the quotient reversed is rev(a) rev(b)^-1 mod x^(t+1), which needs only
+    the top t + 1 codes of each."""
+    n = len(a) - len(b) + 1
+    nbytes = fld._kron_bytes(n)
+    fold = fld._folder(nbytes, n)
+    h = _inverse(fld, b[:-n - 1:-1], n, nbytes, fold)
+    rev = fold(fld._kron_pack(a[:-n - 1:-1], nbytes) * h & (1 << 8 * nbytes * n) - 1)
+    return fld._kron_unpack(rev, nbytes, n)[::-1]
+
+
 def _barrett(f: Poly):
     # the reduction set-up for the monic f of degree n >= 2, whose quotient
     # shifts by n - 2 slots: slot bytes and the product of two packed
@@ -508,22 +624,10 @@ def _barrett(f: Poly):
     nbytes = fld._kron_bytes(2 * n)
     bits = 8 * nbytes
     pack, fold = fld._kron_pack, fld._folder(nbytes, n)
-    neg = [fld._neg(c) for c in f._codes]
-    # mu reversed is h = rev(f)^-1 mod x^(n-1), by Newton iteration on
-    # packed ints: when h is rev(f)^-1 mod x^k and rev(f) h = 1 + x^k e mod
-    # x^2k, h - x^k (h e mod x^k) is rev(f)^-1 mod x^2k.  With g = -rev(f),
-    # g h = -1 - x^k e, so slots k up of fold(g h) hold -e, and fold(h times
-    # them) is -(h e): no code is negated in the loop
-    g = pack(neg[::-1], nbytes)
-    h = k = 1
-    while k < n - 1:
-        top = min(2 * k, n - 1)
-        mask = (1 << bits * top) - 1
-        e = fold((g & mask) * h & mask) >> bits * k
-        h |= fold(h * e & ((1 << bits * (top - k)) - 1)) << bits * k
-        k = top
+    # mu reversed is rev(f)^-1 mod x^(n-1)
+    h = _inverse(fld, f._codes[::-1], n - 1, nbytes, fold)
     mu = pack(fld._kron_unpack(h, nbytes, n - 1)[::-1], nbytes)
-    neg_low = pack(neg[:n], nbytes)
+    neg_low = fold((fld.p - 1) * pack(f._codes[:n], nbytes))
     low_bits, quo_shift = bits * n, bits * (n - 2)
     low_mask = (1 << low_bits) - 1
 

@@ -27,7 +27,7 @@ from gfrecip import (
 )
 from gfrecip import verify
 from gfrecip.census import _master_divisors
-from gfrecip.factor import DEFAULT_SEED, factor_count
+from gfrecip.factor import DEFAULT_SEED, factor_count, factorize
 
 F3 = Field(3)
 F5 = Field(5)
@@ -279,6 +279,23 @@ def test_master_factor_count_at_degree_19684():
     want = sum(si_formula(F3, False, d) for d in _master_divisors(9))
     assert want == 1098
     assert factor_count(f, with_multiplicity=False) == want
+
+
+def test_master_factorization_at_degree_2188():
+    # the whole oracle at the paper's degrees: squarefree parts, the walk
+    # and every equal-degree split of m_poly over F_3, a = 2, n = 7, whose
+    # exact divisions take the Newton quotient
+    f = m_poly(F3, F3.element(2), 7)
+    assert f.degree == 2188
+    divisors = _master_divisors(7)
+    want = sum(si_formula(F3, False, d) for d in divisors)
+    assert want == 158
+    result = factorize(f)
+    assert result.unit == F3.one
+    allowed = {2 * d for d in divisors}
+    for g, mult in result.factors:
+        assert g.is_monic and mult == 1 and g.degree in allowed
+    assert len(result.factors) == want
 
 
 def test_verify_master_factorization():

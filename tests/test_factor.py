@@ -115,6 +115,33 @@ def test_barrett_setups_only_for_long_ladders(monkeypatch):
     assert degrees and min(degrees) < poly.KRON_MIN_LENGTH
 
 
+def test_long_divisions_take_the_newton_quotient(monkeypatch):
+    # the oracle's exact divisions f // g reach _quotient through
+    # Poly.__divmod__ once divisor and quotient are long, and the short
+    # divisors keep the code-list walk: none of 3 codes or fewer takes it
+    depth, divisors, calls = [], [], []
+    quotient, divide = poly._quotient, Poly.__divmod__
+
+    def counted_quotient(fld, a, b):
+        assert depth, "_quotient called outside Poly.__divmod__"
+        divisors.append(len(b))
+        return quotient(fld, a, b)
+
+    def counted_divmod(f, g):
+        calls.append(g.degree + 1)
+        depth.append(g)
+        try:
+            return divide(f, g)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(poly, "_quotient", counted_quotient)
+    monkeypatch.setattr(Poly, "__divmod__", counted_divmod)
+    m = m_poly(F3, F3.element(2), 6)
+    assert factorize(m).expand() == m
+    assert divisors and min(divisors) > 3 >= min(calls)
+
+
 def test_is_irreducible_scaling_invariant():
     f = Poly(F5, [2, 0, 1])
     assert is_irreducible(f * 3) == is_irreducible(f)

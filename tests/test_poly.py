@@ -16,8 +16,9 @@ from gfrecip import (
     pow_mod,
     resultant,
 )
-from gfrecip.poly import (BARRETT_MIN_WORK, GCD_PACKED_MIN, KRON_MIN_LENGTH, _barrett, _remainder,
-                          _sums)
+from gfrecip import poly
+from gfrecip.poly import (BARRETT_MIN_WORK, GCD_PACKED_MIN, KRON_MIN_LENGTH, QUOTIENT_MIN, _barrett,
+                          _quotient, _remainder, _sums)
 
 F5 = Field(5)
 F7 = Field(7)
@@ -382,6 +383,39 @@ def test_exact_division_master_poly():
     assert q.degree == 8
 
 
+# prime fields from 1-byte to 12-byte residues, and extensions with e = 2 to 6
+QUOTIENT_FIELDS = [Field(3), Field(7), Field(257), Field(2 ** 31 - 1), Field(2 ** 89 - 1),
+                   Field(3, 2), Field(5, 3), Field(3, 6), Field(10007, 2)]
+
+
+@pytest.mark.parametrize("field", QUOTIENT_FIELDS, ids=str)
+def test_newton_quotient_matches_the_code_list_walk(field):
+    # _quotient against _remainder's quotient and divmod against _remainder,
+    # for divisor and quotient lengths from 1 code to past 1000, on both sides
+    # of QUOTIENT_MIN: exact and inexact divisions, monic and non-monic
+    # divisors, the divisor longer than the quotient and the reverse
+    rng = random.Random(field.q + 9)
+    k = QUOTIENT_MIN
+    reached = set()
+    cases = ((1, 1), (1, 7), (3, 1), (2, 1200), (k - 1, k), (k, k - 1), (k, k), (k, k),
+             (k + 1, 3 * k), (3 * k, k + 1), (k, 300), (300, k), (1001, 1001), (1100, 2))
+    for i, (db, dq) in enumerate(cases):
+        b = _random_poly(field, db - 1, rng)
+        if i % 2:
+            b = b.monic()
+        q = _random_poly(field, dq - 1, rng)
+        # a remainder of every length below the divisor's, none for a constant divisor
+        r = _random_poly(field, rng.randrange(db - 1), rng) if db > 1 else Poly(field, [])
+        for a in (q * b, q * b + r):
+            rem = list(a._codes)
+            quo = [0] * dq
+            _remainder(field, rem, b._codes, quo)
+            assert _quotient(field, a._codes, b._codes) == quo
+            assert divmod(a, b) == (Poly._raw(field, quo), Poly._raw(field, rem))
+            reached.add(db >= k <= dq)
+    assert reached == {False, True}
+
+
 def test_eval():
     f = Poly.from_string(F5, "4,1,2,4,3,1,1")
     assert f(2) == F5.zero
@@ -603,6 +637,94 @@ def test_packed_gcd_binds_one_fold(field, monkeypatch):
         d = gcd(f, g)
         assert shapes == [df + 1]
         assert d == _euclid(f, g)
+
+
+def _divisions(f, g):
+    # (divisor length, degree gap) of each division of the reference Euclid
+    steps = []
+    while g:
+        steps.append((len(g._codes), f.degree - g.degree))
+        f, g = g, f % g
+    return steps
+
+
+@pytest.mark.parametrize("field", GCD_FIELDS, ids=str)
+def test_pseudo_remainder_steps_match_euclid(field):
+    # gcd's packed steps of degree gap t <= 1 are pseudo-remainder steps and
+    # those of t >= 2 top solves; each case, at and around GCD_PACKED_MIN, is
+    # checked against _euclid and shown to reach the step it is built for
+    rng = random.Random(field.q + 10)
+    m = GCD_PACKED_MIN
+    x = Poly.x(field)
+
+    def unit():
+        return field.element([rng.randrange(1, field.p)] * field.e)
+
+    scale = field.element([2] * field.e)  # a unit other than 1
+    for length in (m - 1, m, m + 1, m + 2):
+        # t = 0 on non-monic operands of one degree
+        f = _random_poly(field, length - 1, rng).monic() * scale
+        g = _random_poly(field, length - 1, rng).monic() * scale
+        assert not (f.is_monic or g.is_monic)
+        assert gcd(f, g) == _euclid(f, g) == gcd(g, f)
+        assert _divisions(f, g)[0] == (length, 0)
+        # the remainder reaches zero inside the packed loop: a common factor
+        # longer than GCD_PACKED_MIN
+        h = _random_poly(field, length, rng)
+        f, g = _coprime_pair(field, 9, 8, rng)
+        assert gcd(f * h, g * h) == h.monic() == _euclid(f * h, g * h)
+    # long runs of t = 1: random pairs, where t >= 2 comes about once in q steps
+    f, g = _random_poly(field, 4 * m, rng), _random_poly(field, 4 * m - 1, rng)
+    gaps = [t for n, t in _divisions(f, g) if n >= m]
+    assert gaps.count(1) >= len(gaps) // 2
+    assert gcd(f, g) == _euclid(f, g) == gcd(g, f)
+    # a t = 3 step mid-sequence: r0 = (x + 1) r1 + s for a sparse s three
+    # degrees below r1, so r1 mod s follows r0 mod r1 = s
+    for d in (m + 2, m + 3, 2 * m):
+        r1 = _random_poly(field, d, rng)
+        s = x ** (d - 3) + unit() * x + 1
+        r0 = (x + 1) * r1 + s
+        assert _divisions(r0, r1)[:2] == [(d + 1, 1), (d - 2, 3)]
+        assert gcd(r0, r1) == _euclid(r0, r1)
+        h = _random_poly(field, 4, rng)
+        assert gcd(r0 * h, r1 * h) == _euclid(r0 * h, r1 * h)
+
+
+@pytest.mark.parametrize("field", GCD_FIELDS, ids=str)
+def test_pseudo_remainder_steps_take_no_inverse(field, monkeypatch):
+    # the packed loop's t <= 1 steps call neither Field._inv nor _remainder:
+    # _remainder runs once per t >= 2 packed step and per code-list step,
+    # and takes one inverse a call; monic() may take one more at the end
+    rng = random.Random(field.q + 11)
+    m = GCD_PACKED_MIN
+    h = _random_poly(field, m + 3, rng)
+    pairs = [(_random_poly(field, 3 * m, rng), _random_poly(field, 3 * m - 1, rng)),
+             (_random_poly(field, 2 * m, rng), _random_poly(field, 2 * m, rng))]
+    pairs += [(f * h, g * h) for f, g in pairs]
+    expected = []
+    for f, g in pairs:
+        steps = _divisions(f, g)
+        assert any(n >= m and t <= 1 for n, t in steps)
+        expected.append(sum(n < m or t >= 2 for n, t in steps))
+    inverses, walks = [], []
+    inv, walk = field._inv, poly._remainder
+
+    def counted_inv(code):
+        inverses.append(code)
+        return inv(code)
+
+    def counted_walk(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(field, "_inv", counted_inv)
+    monkeypatch.setattr(poly, "_remainder", counted_walk)
+    for (f, g), want in zip(pairs, expected):
+        inverses.clear()
+        walks.clear()
+        gcd(f, g)
+        assert len(walks) == want
+        assert len(inverses) - len(walks) in (0, 1)
 
 
 @pytest.mark.parametrize("field", [Field(3), Field(257), Field(3, 2), Field(10007, 2)], ids=str)
