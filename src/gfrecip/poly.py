@@ -33,17 +33,19 @@ lists the divisor's nonzero codes once and walks only them, so the
 walk's x^(q^d) - x costs only its few nonzero codes.  It stays the
 reference in the tests.
 
-``divmod`` takes the long kernel, ``_quotient``, once the divisor and
-the quotient both have ``QUOTIENT_MIN`` coefficients.  It computes a div
-b from the low end: for t = deg a - deg b, the quotient reversed is
-rev(a) rev(b)^-1 mod x^(t+1), which needs only the top t + 1 codes of
-each.  The inverse is ``_inverse``'s Newton iteration on packed ints
-(two products and two folds a doubling), and the quotient one more
-product and fold.  The remainder a - quotient * b takes one product of
-the low deg b codes of each, as only those slots are left (von zur
-Gathen & Gerhard, Modern Computer Algebra, 9.1).  So an exact division
-f // g, one per split in factor.py, costs a few bigint products instead
-of deg f * deg g code products.
+``divmod`` takes the long kernel once the divisor and the quotient both
+have ``QUOTIENT_MIN`` coefficients: ``_divider``, division by a Newton
+reciprocal on packed ints, which ``pow_mod``'s Barrett ladder shares.  For
+a divisor b of degree m and quotients of k coefficients it computes mu =
+x^(m+k-1) div b once, as the reverse of rev(b)^-1 mod x^k by Newton
+iteration (two products and two folds a doubling), and binds one
+``Field._folder`` fold of max(m, k) slots.  A value v of degree at most m
++ k - 1 then divides by two more bigint products: its quotient is (v div
+x^m) mu div x^(k-1), and its remainder v mod x^m - quotient * b mod x^m
+needs only the low m codes of b (Barrett reduction; von zur
+Gathen & Gerhard, Modern Computer Algebra, 9.1 and ch. 14).  So an exact
+division f // g, one per split in factor.py, costs a few bigint products
+instead of deg f * deg g code products.
 
 ``gcd`` runs on code lists once the shorter operand has fewer than
 ``GCD_PACKED_MIN`` coefficients.  Above that it runs the remainder
@@ -91,24 +93,16 @@ product's sums go to ``_remainder`` unreduced, so each coefficient is
 reduced once, where the division reads it.
 Every other ladder works on packed ints alone: from degree N on, and
 from degree 2 on a long exponent, such as an equal-degree draw's
-(q^d - 1)/2.  For f of degree n
-it binds one fold of n slots (``Field._folder``), which reduces every
-slot of a value of at most n slots to a code, and with it precomputes
-mu = x^(2n-2) div f, by ``_inverse`` (the inverse of the reversed f),
-and -f mod x^n.
-A square or product v of degree <= 2n-2 then reduces by two more bigint
-products: its quotient is (v div x^n) * mu div x^(n-2), and its
-remainder is v mod x^n - quotient * f mod x^n (Barrett reduction; von
-zur Gathen & Gerhard, Modern Computer Algebra, ch. 9 and 14).  Its high
-half, quotient and remainder all pass through that fold, so the ladder
-builds no coefficient list between steps.  That set-up, ``_barrett(f)``,
-is the slot width and ``mulmod``, the product mod f of two packed
-residues with its shifts and masks bound.  It is paid once per modulus
-and pays off over the ladder's steps.  It lives on the monic modulus:
-built on the first Barrett ladder by f, it is kept in f's ``_setup``
-slot, so a caller that powers again and again by one modulus object (the
-distinct-degree walk and the equal-degree draws in factor.py) builds it
-once.
+(q^d - 1)/2.  For f of degree n its set-up, ``_barrett(f)``, is the slot
+width and ``_divider``'s ``mulmod`` for k = n - 1, the product mod f of
+two packed residues, whose product has degree at most 2n - 2; the high
+half, quotient and remainder all pass through the one fold, so the
+ladder builds no coefficient list between steps.  It is paid once per
+modulus and pays off over the ladder's steps.  It lives on the monic
+modulus: built on the first Barrett ladder by f, it is kept in f's
+``_setup`` slot, so a caller that powers again and again by one modulus
+object (the distinct-degree walk and the equal-degree draws in
+factor.py) builds it once.
 ``pow_mod`` is the only routine that powers mod a ``Poly`` (square roots
 power pairs of codes mod x^2 - w in field.py).
 """
@@ -379,17 +373,13 @@ class Poly:
         f = self.field
         a, b = self._codes, other._codes
         if len(b) >= QUOTIENT_MIN <= len(a) - len(b) + 1:
-            quo = _quotient(f, a, b)
-            # a - quo * b = a + (-quo) * b, of which only the low m slots are
-            # left, and they need only the low m codes of each
-            m = len(b) - 1
-            nbytes = f._kron_bytes(min(len(quo), m) + 1)
-            pack, fold = f._kron_pack, f._folder(nbytes, m)
-            neg_quo = fold((f.p - 1) * pack(quo[:m], nbytes))
-            low = (1 << 8 * nbytes * m) - 1
-            rem = f._kron_unpack(fold((neg_quo * pack(b[:m], nbytes) + pack(a[:m], nbytes)) & low),
-                                 nbytes, m)
-            return Poly._raw(f, quo), Poly._raw(f, rem)
+            # the Newton division; slots sum at most k + 1 products
+            k = len(a) - len(b) + 1
+            nbytes = f._kron_bytes(k + 1)
+            quo, rem = _divider(f, b, k, nbytes)[0](f._kron_pack(a, nbytes))
+            unpack = f._kron_unpack
+            return (Poly._raw(f, unpack(quo, nbytes, k)),
+                    Poly._raw(f, unpack(rem, nbytes, len(b) - 1)))
         rem = list(a)
         quo = [0] * max(len(rem) - other.degree, 0)
         _remainder(f, rem, b, quo)
@@ -579,66 +569,58 @@ def pow_mod(base: Poly, k: int, modulus: Poly) -> Poly:
     return Poly._raw(fld, fld._kron_unpack(acc, nbytes, n))
 
 
-def _inverse(fld: Field, rev, n: int, nbytes: int, fold) -> int:
-    # rev^-1 mod x^n packed, rev the codes of a divisor reversed (at least
-    # its first n), rev[0] nonzero, by Newton iteration on packed ints; slots
-    # of nbytes bytes with room for n products, and fold one of n slots or
-    # more.  When h is rev^-1 mod x^k and rev h = 1 + x^k e mod x^2k, h -
-    # x^k (h e mod x^k) is rev^-1 mod x^2k.  With g = -rev, g h = -1 - x^k e,
-    # so slots k up of fold(g h) hold -e, and fold(h times them) is -(h e): no
+def _divider(fld: Field, b, k: int, nbytes: int):
+    """Division by the codes ``b`` (nonzero last code, degree m) on packed
+    ints of nbytes-byte slots, through mu = x^(m+k-1) div b: the pair
+    (divide, mulmod).  divide(v), v of degree at most m + k - 1, gives the
+    packed quotient and remainder of v by b; mulmod(a, c) is divide(a c)'s
+    remainder, for the product of two residues when k = m - 1.  A slot
+    holds the sum of k + 1 products when v holds codes, and more when v is
+    an unreduced product (see ``_barrett``).  One fold of max(m, k) slots
+    serves every value, as zero slots stay zero."""
+    m = len(b) - 1
+    bits = 8 * nbytes
+    pack, fold = fld._kron_pack, fld._folder(nbytes, max(m, k))
+    # mu reversed is rev(b)^-1 mod x^k, by Newton iteration: when h is
+    # rev(b)^-1 mod x^j and rev(b) h = 1 + x^j e mod x^2j, h - x^j (h e mod
+    # x^j) is rev(b)^-1 mod x^2j.  With g = -rev(b), g h = -1 - x^j e, so
+    # slots j up of fold(g h) hold -e, and fold(h times them) is -(h e): no
     # code is negated in the loop
-    bits = 8 * nbytes
-    pack = fld._kron_pack
-    g = fold((fld.p - 1) * pack(rev[:n], nbytes))
-    h, k = pack([fld._inv(rev[0])], nbytes), 1
-    while k < n:
-        top = min(2 * k, n)
+    g = fold((fld.p - 1) * pack(b[:-k - 1:-1], nbytes))
+    h, j = pack([fld._inv(b[-1])], nbytes), 1
+    while j < k:
+        top = min(2 * j, k)
         mask = (1 << bits * top) - 1
-        e = fold((g & mask) * h & mask) >> bits * k
-        h |= fold(h * e & ((1 << bits * (top - k)) - 1)) << bits * k
-        k = top
-    return h
-
-
-def _quotient(fld: Field, a, b) -> list[int]:
-    """The codes of a div b, for code sequences a and b with nonzero last
-    codes and len(a) >= len(b), from the low end: with t = deg a - deg b,
-    the quotient reversed is rev(a) rev(b)^-1 mod x^(t+1), which needs only
-    the top t + 1 codes of each."""
-    n = len(a) - len(b) + 1
-    nbytes = fld._kron_bytes(n)
-    fold = fld._folder(nbytes, n)
-    h = _inverse(fld, b[:-n - 1:-1], n, nbytes, fold)
-    rev = fold(fld._kron_pack(a[:-n - 1:-1], nbytes) * h & (1 << 8 * nbytes * n) - 1)
-    return fld._kron_unpack(rev, nbytes, n)[::-1]
-
-
-def _barrett(f: Poly):
-    # the reduction set-up for the monic f of degree n >= 2, whose quotient
-    # shifts by n - 2 slots: slot bytes and the product of two packed
-    # residues mod f.  Slots hold up to 2n - 1 products (n - 1 in quo * (-f),
-    # n in the low half of the value reduced); one fold of n slots serves all,
-    # as zero slots stay zero.
-    n = f.degree
-    fld = f.field
-    nbytes = fld._kron_bytes(2 * n)
-    bits = 8 * nbytes
-    pack, fold = fld._kron_pack, fld._folder(nbytes, n)
-    # mu reversed is rev(f)^-1 mod x^(n-1)
-    h = _inverse(fld, f._codes[::-1], n - 1, nbytes, fold)
-    mu = pack(fld._kron_unpack(h, nbytes, n - 1)[::-1], nbytes)
-    neg_low = fold((fld.p - 1) * pack(f._codes[:n], nbytes))
-    low_bits, quo_shift = bits * n, bits * (n - 2)
+        e = fold((g & mask) * h & mask) >> bits * j
+        h |= fold(h * e & ((1 << bits * (top - j)) - 1)) << bits * j
+        j = top
+    mu = pack(fld._kron_unpack(h, nbytes, k)[::-1], nbytes)
+    neg_low = fold((fld.p - 1) * pack(b[:m], nbytes))
+    low_bits, quo_shift = bits * m, bits * (k - 1)
     low_mask = (1 << low_bits) - 1
 
-    def mulmod(a, b):
-        # v = a b (2n - 1 slots) mod f: its quotient is (high half * mu) >>
-        # (n - 2) slots, and the remainder low half - quo * f needs f mod x^n
-        v = a * b
+    def divide(v):
+        # the quotient is (v div x^m) mu div x^(k-1), and the remainder v mod
+        # x^m - quotient * b mod x^m needs b mod x^m alone
+        quo = fold(fold(v >> low_bits) * mu >> quo_shift)
+        return quo, fold((quo * neg_low + (v & low_mask)) & low_mask)
+
+    def mulmod(a, c):
+        # divide's two lines inlined, for pow_mod's ladder steps
+        v = a * c
         quo = fold(fold(v >> low_bits) * mu >> quo_shift)
         return fold((quo * neg_low + (v & low_mask)) & low_mask)
 
-    return nbytes, mulmod
+    return divide, mulmod
+
+
+def _barrett(f: Poly):
+    # pow_mod's reduction set-up for the monic f of degree n >= 2: slot bytes
+    # and the product of two packed residues mod f.  Slots hold up to 2n - 1
+    # products (n - 1 in quo * (-f), n in the low half of the product reduced)
+    n = f.degree
+    nbytes = f.field._kron_bytes(2 * n)
+    return nbytes, _divider(f.field, f._codes, n - 1, nbytes)[1]
 
 
 def resultant(f: Poly, g: Poly) -> FieldElement:

@@ -3,12 +3,19 @@
     PYTHONPATH=<tree>/src python tests/golden_stdout.py > tests/golden_stdout.json
 
 Each row holds a command's name, its argv for ``gfrecip.cli.main``, its
-exit code and the sha256 of its stdout, from the tree on PYTHONPATH: run
-it on the tree whose outputs are the reference.  The commands are the
-``factor`` and ``verify`` requests that the factorization oracle's
-arithmetic (gcd, division, ``pow_mod``) can move: ``factor`` on master
-polynomials over prime and extension fields, and the checks that factor
-(6, 8, 9, 10) at n = 2.
+exit code and the sha256 of its stdout and of its stderr, from the tree on
+PYTHONPATH: run it on the tree whose outputs are the reference.  The
+commands are:
+
+- ``factor`` on master polynomials over prime and extension fields, the
+  requests that the factorization oracle's arithmetic (gcd, division,
+  ``pow_mod``) can move;
+- ``verify --theorem T`` for every check at n = 1 and 2 over F_3, F_5 and
+  F_9, with several a each;
+- ``census`` as JSON and as CSV, and ``count --enumerate``;
+- one ``classify``, ``parity --verify``, ``recip``, ``transform`` and
+  ``invtransform`` over a prime and over an extension field;
+- a request that exits 1 and one that exits 3, whose stderr is the output.
 """
 
 from __future__ import annotations
@@ -21,13 +28,26 @@ import sys
 
 from gfrecip import Field, m_poly
 from gfrecip.cli import main
+from gfrecip.verify import CHECKS
 
 # (field spec, p, e, a, n) of each factored master polynomial
 FACTOR = [("3", 3, 1, "2", 4), ("257", 257, 1, "3", 1), ("3^2", 3, 2, "t+2", 2),
           ("5^3", 5, 3, "t+2", 1), ("7", 7, 1, "3", 3), ("13", 13, 1, "2", 2)]
-# (field spec, a) of each verify request, for every check in CHECKS
-VERIFY = [("3", "2"), ("5", "2"), ("3^2", "t")]
-CHECKS = ["6", "8", "9", "10"]
+# (field spec, a) of each verify request, for every check at n = 1 and 2
+VERIFY = [("3", "1"), ("3", "2"), ("5", "2"), ("5", "4"), ("3^2", "t"), ("3^2", "2"),
+          ("3^2", "1+t")]
+# (field spec, a, n) of each count --enumerate request
+COUNT = [("5", "2", 3), ("3^2", "t", 2)]
+# (field spec, a, f of degree 3, its quadratic transform) for the single-poly
+# commands: recip and transform take f, classify, parity and invtransform its
+# transform, an a-srm of degree 6
+POLY = [("5", "2", "1,3,0,1", "3,0,3,1,4,0,1"),
+        ("3^2", "t", "1,t,1+t,1", "2*t,2+2*t,2,2+2*t,t,1+t,1")]
+FAILING = [
+    ("exit 1: zero a", ["recip", "--field", "5", "--a", "0", "--poly", "1,1"]),
+    ("exit 3: master polynomial past the budget",
+     ["verify", "--field", "5", "--a", "2", "--theorem", "5", "--n", "8"]),
+]
 
 
 def commands() -> list[tuple[str, list[str]]]:
@@ -39,24 +59,41 @@ def commands() -> list[tuple[str, list[str]]]:
         out.append((f"factor m_poly F_{spec} a={a} n={n}",
                     ["factor", "--field", spec, "--poly", poly]))
     for spec, a in VERIFY:
-        for check in CHECKS:
-            out.append((f"verify --theorem {check} F_{spec} a={a} n=2",
-                        ["verify", "--field", spec, "--a", a, "--theorem", check, "--n", "2"]))
-    return out
+        for n in ("1", "2"):
+            for check in CHECKS:
+                out.append((f"verify --theorem {check} F_{spec} a={a} n={n}",
+                            ["verify", "--field", spec, "--a", a, "--theorem", check,
+                             "--n", n]))
+    census = ["census", "--fields", "3,5,7,3^2", "--nmax", "2"]
+    out += [("census F_3,F_5,F_7,F_9 nmax=2", census),
+            ("census F_3,F_5,F_7,F_9 nmax=2 csv", census + ["--csv"])]
+    for spec, a, n in COUNT:
+        out.append((f"count --enumerate F_{spec} a={a} n={n}",
+                    ["count", "--field", spec, "--a", a, "--n", str(n), "--enumerate"]))
+    for spec, a, f, srm in POLY:
+        for command, poly, extra in (("recip", f, []), ("transform", f, []),
+                                     ("classify", srm, []), ("parity", srm, ["--verify"]),
+                                     ("invtransform", srm, [])):
+            out.append((f"{command} F_{spec} a={a} {poly}",
+                        [command, "--field", spec, "--a", a, "--poly", poly, *extra]))
+    return out + FAILING
 
 
-def run(argv: list[str]) -> tuple[int, str]:
-    """The exit code of ``main(argv)`` and the sha256 of its stdout."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code of ``main(argv)`` and the sha256 of its stdout and of
+    its stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return (code, hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            hashlib.sha256(err.getvalue().encode()).hexdigest())
 
 
 if __name__ == "__main__":
     rows = []
     for name, argv in commands():
-        code, digest = run(argv)
-        rows.append({"name": name, "argv": argv, "exit": code, "sha256": digest})
+        code, out_digest, err_digest = run(argv)
+        rows.append({"name": name, "argv": argv, "exit": code, "sha256": out_digest,
+                     "stderr_sha256": err_digest})
     json.dump(rows, sys.stdout, indent=1)
     sys.stdout.write("\n")

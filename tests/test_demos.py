@@ -1,4 +1,5 @@
-"""Each script in demos/ runs to completion and prints the same text twice."""
+"""Each script in demos/ runs to completion, with warnings as errors, and
+prints the same text twice."""
 
 import os
 import subprocess
@@ -15,7 +16,7 @@ def _run(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, str(script)], capture_output=True,
+    return subprocess.run([sys.executable, "-W", "error", str(script)], capture_output=True,
                           env=env, cwd=ROOT, timeout=120)
 
 

@@ -116,16 +116,26 @@ def test_barrett_setups_only_for_long_ladders(monkeypatch):
 
 
 def test_long_divisions_take_the_newton_quotient(monkeypatch):
-    # the oracle's exact divisions f // g reach _quotient through
+    # the oracle's exact divisions f // g reach _divider through
     # Poly.__divmod__ once divisor and quotient are long, and the short
-    # divisors keep the code-list walk: none of 3 codes or fewer takes it
-    depth, divisors, calls = [], [], []
-    quotient, divide = poly._quotient, Poly.__divmod__
+    # divisors keep the code-list walk: none of 3 codes or fewer takes it.
+    # _barrett builds pow_mod's set-ups through _divider too; those calls
+    # are not divisions
+    depth, divisors, calls, setups = [], [], [], []
+    divider, barrett, divide = poly._divider, poly._barrett, Poly.__divmod__
 
-    def counted_quotient(fld, a, b):
-        assert depth, "_quotient called outside Poly.__divmod__"
-        divisors.append(len(b))
-        return quotient(fld, a, b)
+    def counted_divider(fld, b, k, nbytes):
+        if not setups:
+            assert depth, "_divider called outside Poly.__divmod__ and _barrett"
+            divisors.append(len(b))
+        return divider(fld, b, k, nbytes)
+
+    def counted_barrett(f):
+        setups.append(f)
+        try:
+            return barrett(f)
+        finally:
+            setups.pop()
 
     def counted_divmod(f, g):
         calls.append(g.degree + 1)
@@ -135,7 +145,8 @@ def test_long_divisions_take_the_newton_quotient(monkeypatch):
         finally:
             depth.pop()
 
-    monkeypatch.setattr(poly, "_quotient", counted_quotient)
+    monkeypatch.setattr(poly, "_divider", counted_divider)
+    monkeypatch.setattr(poly, "_barrett", counted_barrett)
     monkeypatch.setattr(Poly, "__divmod__", counted_divmod)
     m = m_poly(F3, F3.element(2), 6)
     assert factorize(m).expand() == m

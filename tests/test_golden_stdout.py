@@ -12,7 +12,8 @@ def test_golden_table_lists_every_command():
 
 
 def test_factor_and_verify_stdout_digests_unchanged():
-    # every command's exit code and stdout as the reference tree gave them
+    # every command's exit code, stdout and stderr as the reference tree gave
+    # them
     moved = [row["name"] for row in TABLE
-             if run(row["argv"]) != (row["exit"], row["sha256"])]
-    assert not moved, f"stdout or exit code moved: {moved}"
+             if run(row["argv"]) != (row["exit"], row["sha256"], row["stderr_sha256"])]
+    assert not moved, f"stdout, stderr or exit code moved: {moved}"

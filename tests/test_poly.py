@@ -18,7 +18,7 @@ from gfrecip import (
 )
 from gfrecip import poly
 from gfrecip.poly import (BARRETT_MIN_WORK, GCD_PACKED_MIN, KRON_MIN_LENGTH, QUOTIENT_MIN, _barrett,
-                          _quotient, _remainder, _sums)
+                          _divider, _remainder, _sums)
 
 F5 = Field(5)
 F7 = Field(7)
@@ -270,17 +270,26 @@ def test_barrett_mu_is_the_code_list_quotient(field):
     # degree 2, where mu is 1 and the Newton loop does not run.  As f
     # is a unit mod x^n when f(0) != 0, its remainder mod x^n, low half -
     # quotient * f, is right only if that quotient is the code-list one.
+    # _divider's divide, in the same slots, gives that quotient and
+    # remainder of the product, and mulmod, which repeats its lines, agrees
     rng = random.Random(field.q + 6)
     top = [field._pack([field.p - 1] * field.e)]
     for n in (2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 40, 70):
         for f in (_random_poly(field, n, rng).monic(), Poly._raw(field, top * n + [1])):
             nbytes, mulmod = _barrett(f)
+            divide, twin = _divider(field, f._codes, n - 1, nbytes)
             rand = [list(_random_poly(field, n - 1, rng)._codes) for _ in range(2)]
             for a, b in (rand, (top * n, top * n)):
-                rem = _sums(a, b)
-                _remainder(field, rem, f._codes)
-                got = mulmod(field._kron_pack(a, nbytes), field._kron_pack(b, nbytes))
-                assert field._kron_unpack(got, nbytes, n) == rem + [0] * (n - len(rem))
+                rem, quo = _sums(a, b), [0] * (n - 1)
+                _remainder(field, rem, f._codes, quo)
+                rem += [0] * (n - len(rem))
+                va, vb = field._kron_pack(a, nbytes), field._kron_pack(b, nbytes)
+                got = mulmod(va, vb)
+                assert field._kron_unpack(got, nbytes, n) == rem
+                dq, dr = divide(va * vb)
+                assert field._kron_unpack(dq, nbytes, n - 1) == quo
+                assert field._kron_unpack(dr, nbytes, n) == rem
+                assert dr == got == twin(va, vb)
 
 
 def _pow_mod_by_products(base, k, f):
@@ -388,12 +397,21 @@ QUOTIENT_FIELDS = [Field(3), Field(7), Field(257), Field(2 ** 31 - 1), Field(2 *
                    Field(3, 2), Field(5, 3), Field(3, 6), Field(10007, 2)]
 
 
+def _divided(field, a, b):
+    # (quotient, remainder) codes of _divider's divide, a of degree m + k - 1
+    # for b of degree m, in divmod's slots of room for k + 1 products
+    k, m = len(a) - len(b) + 1, len(b) - 1
+    nbytes = field._kron_bytes(k + 1)
+    quo, rem = _divider(field, b, k, nbytes)[0](field._kron_pack(a, nbytes))
+    return field._kron_unpack(quo, nbytes, k), field._kron_unpack(rem, nbytes, m)
+
+
 @pytest.mark.parametrize("field", QUOTIENT_FIELDS, ids=str)
 def test_newton_quotient_matches_the_code_list_walk(field):
-    # _quotient against _remainder's quotient and divmod against _remainder,
-    # for divisor and quotient lengths from 1 code to past 1000, on both sides
-    # of QUOTIENT_MIN: exact and inexact divisions, monic and non-monic
-    # divisors, the divisor longer than the quotient and the reverse
+    # _divider's quotient and remainder, and divmod, against _remainder, for
+    # divisor and quotient lengths from 1 code to past 1000, on both sides of
+    # QUOTIENT_MIN: exact and inexact divisions, monic and non-monic divisors,
+    # the divisor longer than the quotient and the reverse
     rng = random.Random(field.q + 9)
     k = QUOTIENT_MIN
     reached = set()
@@ -410,7 +428,7 @@ def test_newton_quotient_matches_the_code_list_walk(field):
             rem = list(a._codes)
             quo = [0] * dq
             _remainder(field, rem, b._codes, quo)
-            assert _quotient(field, a._codes, b._codes) == quo
+            assert _divided(field, a._codes, b._codes) == (quo, rem + [0] * (db - 1 - len(rem)))
             assert divmod(a, b) == (Poly._raw(field, quo), Poly._raw(field, rem))
             reached.add(db >= k <= dq)
     assert reached == {False, True}
