@@ -96,8 +96,11 @@ def _squarefree_parts(f: Poly) -> dict[int, Poly]:
 
     def accumulate(g: Poly, scale: int):
         # a p-th power has g' == 0, so c == g and all of it goes to the
-        # p-th root below
+        # p-th root below; a squarefree g has c == 1 and is its own part
         c = gcd(g, g.derivative())
+        if not c.degree:
+            out[scale] = out[scale] * g if scale in out else g
+            return
         w = g // c
         i = 1
         while w.degree > 0:

@@ -14,9 +14,15 @@ w-bit slot (Kronecker substitution applied to F_p[t]/(m)).  Adding or
 multiplying codes as plain ints adds or convolves the coordinates
 slot by slot, so polynomial kernels can accumulate sums of products
 with int arithmetic and call ``Field._reduce`` once per result.
-``Field.__init__`` binds ``_reduce``, ``_pow`` and ``_inv`` once: to the
-int builtins over F_p, to the slot kernels over F_{p^e}.  They and the
-other ``Field._*`` methods are the only int kernels in the package.
+``Field.__init__`` binds ``_reduce``, ``_neg``, ``_pow`` and ``_inv``
+once: to the int builtins over F_p, to the slot kernels over F_{p^e}.
+There ``_reduce`` and ``_neg`` are closures, not methods (there is no
+``_slot_reduce``), over p, the slot width w and its mask, the width and
+mask of e slots and the fold rows, the codes of t^e, ..., t^(2e-2) mod
+the modulus: a call reads no attribute.  ``_reduce`` folds slot e + i
+back in as its residue times row i, then takes each slot mod p up to
+the last nonzero one.  They and the other ``Field._*`` methods are the
+only int kernels in the package.
 The inverse over F_{p^e}, ``_slot_inv``, is the extended Euclidean
 algorithm on the coordinates modulo the field's modulus, run with the
 int builtins over F_p (von zur Gathen & Gerhard, Modern Computer
@@ -314,7 +320,7 @@ class FieldElement:
 class Field:
     """The finite field with p**e elements, p an odd prime."""
 
-    __slots__ = ("p", "e", "q", "modulus", "zero", "one", "_reduce", "_pow", "_inv",
+    __slots__ = ("p", "e", "q", "modulus", "zero", "one", "_reduce", "_neg", "_pow", "_inv",
                  "_index_code", "_slot_bits", "_slot_mask", "_reduction_codes")
 
     def __init__(self, p: int, e: int = 1, modulus: Sequence[int] | None = None):
@@ -342,27 +348,55 @@ class Field:
         self._slot_mask = (1 << self._slot_bits) - 1
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
-        # _reduce, _pow, _inv: the int builtins over F_p, the slot kernels over F_{p^e};
-        # _index_code: i < q to the i-th code in the canonical order, c0 its top digit
+        # _reduce, _neg, _pow, _inv: the int builtins over F_p, the slot kernels over
+        # F_{p^e}; _index_code: i < q to the i-th code in the canonical order, c0 its top digit
         if e == 1:
             if modulus is not None and tuple(c % p for c in modulus) != (0, 1):
                 raise DomainError("prime fields use the fixed modulus x")
             self.modulus = (0, 1)
             # closures: partial(pow, mod=p) takes ~300 ns more a call (Python 3.11)
             self._reduce = p.__rmod__
+            self._neg = lambda code: -code % p
             self._pow = lambda code, k: pow(code, k, p)
             self._inv = lambda code: pow(code, -1, p)
             self._index_code = operator.index
-        else:
-            self.modulus = (_smallest_irreducible(p, e) if modulus is None
-                            else self._checked_modulus(modulus))
-            self._reduce, self._pow, self._inv = self._slot_reduce, self._slot_pow, self._slot_inv
-            steps = [(p ** (e - 1 - k), self._slot_bits * k) for k in range(e)]
-            self._index_code = lambda i: sum([i // pk % p << shift for pk, shift in steps])
-        # codes of t^e, ..., t^(2e-2) mod modulus, each t times the one before
-        self._reduction_codes = (self._pack([-c % p for c in self.modulus[:e]]),)
+            self._reduction_codes = ()
+            return
+        self.modulus = (_smallest_irreducible(p, e) if modulus is None
+                        else self._checked_modulus(modulus))
+        w, mask = self._slot_bits, self._slot_mask
+        low_bits = w * e
+        low_mask = (1 << low_bits) - 1
+        # the codes of t^e, ..., t^(2e-2) mod modulus, each t times the one before
+        rows = [self._pack([-c % p for c in self.modulus[:e]])]
+
+        def reduce(v):
+            # the code of a packed accumulator (nonnegative slots, t-degree at
+            # most 2e-2), e.g. a sum of products of codes: slot e + i folds back
+            # in as its residue times t^(e+i) mod m, then each slot mod p, up to
+            # the last nonzero one, as many codes lie in a small subfield; a
+            # loop, as a comprehension costs about 1.5x here (Python 3.11)
+            if v > low_mask:
+                high = v >> low_bits
+                v &= low_mask
+                for row in rows:
+                    v += (high & mask) % p * row
+                    high >>= w
+            code = shift = 0
+            while v:
+                code |= (v & mask) % p << shift
+                v >>= w
+                shift += w
+            return code
+
         for _ in range(e - 2):
-            self._reduction_codes += (self._reduce(self._reduction_codes[-1] << self._slot_bits),)
+            rows.append(reduce(rows[-1] << w))
+        self._reduction_codes = rows = tuple(rows)
+        # -x = (p - 1) x, and scaling a code scales every slot
+        self._neg = lambda code: reduce(code * (p - 1))
+        self._reduce, self._pow, self._inv = reduce, self._slot_pow, self._slot_inv
+        steps = [(p ** (e - 1 - k), w * k) for k in range(e)]
+        self._index_code = lambda i: sum([i // pk % p << shift for pk, shift in steps])
 
     # -- construction helpers ------------------------------------------------
 
@@ -393,30 +427,6 @@ class Field:
             out.append(code & mask)
             code >>= w
         return tuple(out)
-
-    def _slot_reduce(self, v: int) -> int:
-        """``_reduce`` over F_{p^e}: the code of a packed accumulator
-        (nonnegative slots, t-degree at most 2e-2), e.g. a sum of products of codes."""
-        p = self.p
-        w, mask = self._slot_bits, self._slot_mask
-        low_bits = w * self.e
-        high = v >> low_bits
-        if high:
-            # fold slot e + k back in as its residue times t^(e+k) mod m
-            v &= (1 << low_bits) - 1
-            for row in self._reduction_codes:
-                v += (high & mask) % p * row
-                high >>= w
-        code = shift = 0
-        while v:
-            code |= (v & mask) % p << shift
-            v >>= w
-            shift += w
-        return code
-
-    def _neg(self, code: int) -> int:
-        # -x = (p - 1) x, and scaling a code scales every slot
-        return self._reduce(code * (self.p - 1))
 
     def _slot_pow(self, code: int, k: int) -> int:
         reduce = self._reduce

@@ -19,19 +19,24 @@ only when it is read or returned.  ``coeffs``, indexing and ``lc()``
 hand out ``FieldElement``s.
 
 Division with remainder has two kernels, chosen by size.  The short
-one is a loop on code lists, ``_remainder``, and it also serves ``gcd``,
-``resultant`` and ``pow_mod``.  It reduces a list in place: each
-quotient term, highest first, is reduced, negated on its own (times
--lc^-1 of the divisor) and added times the divisor's codes, so the
-divisor itself is never negated or copied into a ``Poly``.  The list may
-hold unreduced sums of products of codes, such as the schoolbook
-product's (``_sums``): the loop reduces each entry it reads, and the
-remainder's entries once, at the end, also when the list is shorter
-than the divisor.  ``resultant`` runs its whole remainder sequence on
-two such lists and builds an element only for the answer.  Every call
-lists the divisor's nonzero codes once and walks only them, so the
-walk's x^(q^d) - x costs only its few nonzero codes.  It stays the
-reference in the tests.
+one is a loop on code lists, the division walk ``_walk``, and it serves
+``divmod``, ``gcd``, ``resultant`` and ``pow_mod``.  It reduces a list
+in place by a prepared divisor: its degree and the (j, code) pairs of its
+nonzero codes below the top, which times a scale, if one is given, are
+-code / lc.  Each step, highest first, reduces the top entry and adds it
+(times the scale) times the pairs, so the divisor is never negated in
+the loop or copied into a ``Poly``.  The list may hold unreduced sums of
+products of codes, such as the schoolbook product's (``_sums``): the
+loop reduces each entry it reads, and the remainder's entries once, at
+the end, also when the list is shorter than the divisor.  Only nonzero
+codes are walked, so the walk's x^(q^d) - x costs only its few.
+``_remainder(fld, rem, div, quo)`` lists the divisor's codes as they
+are, with the scale -lc^-1, once a call: it serves ``divmod``,
+``gcd``'s code-list tail and ``resultant``, which runs its whole
+remainder sequence on two such lists and builds an element only for the
+answer.  It stays the reference in the tests.  ``pow_mod``'s code-list
+ladder lists its monic modulus's codes negated, once a call, with no
+scale.
 
 ``divmod`` takes the long kernel once the divisor and the quotient both
 have ``QUOTIENT_MIN`` coefficients: ``_divider``, division by a Newton
@@ -87,10 +92,12 @@ runs field.py's one powering ladder, ``_ladder``, over one of two
 reductions, chosen by the work the ladder will do.  Below degree N =
 ``KRON_MIN_LENGTH`` a short ladder, whose degree n times the exponent's
 bit length stays below ``BARRETT_MIN_WORK`` (Ben-Or's steps power by q),
-and every ladder at degree 1 take code lists: a step is ``_sums`` and
-``_remainder``, with no quotient and no ``Poly`` built.  The schoolbook
-product's sums go to ``_remainder`` unreduced, so each coefficient is
-reduced once, where the division reads it.
+and every ladder at degree 1 take code lists.  The ladder prepares monic
+f once a call, its negated low codes and no inverse, and reduces the
+base and every step by ``_walk``: a step is ``_sums`` and the walk, one
+reduction a quotient code, with no ``Poly`` built.  The schoolbook
+product's sums go to the walk unreduced, so each coefficient is reduced
+once, where the division reads it.
 Every other ladder works on packed ints alone: from degree N on, and
 from degree 2 on a long exponent, such as an equal-degree draw's
 (q^d - 1)/2.  For f of degree n its set-up, ``_barrett(f)``, is the slot
@@ -126,21 +133,22 @@ KRON_MIN_LENGTH = 8
 # the Barrett ladder once n * k.bit_length() reaches this: its set-up is paid
 # once a call and pays off over the ladder's steps.  Measured per call, set-up
 # included, on 20 random monic f and bases per cell at exponent bit lengths 3
-# to 16 (geometric mean of two runs, 2 vCPU host, CPython 3.11), Barrett costs
+# to 16 (geometric mean of four runs, 2 vCPU host, CPython 3.11), Barrett costs
 # less at every bit length from this one on:
 #
 #   degree     2    3    4    5    6    7
-#   F_3        6    7    6    5    5    5
-#   F_7        7    5    6    5    5    4
-#   F_257      7    9    5    4    4    4
-#   F_9       >16  14    9    5    4    3
-#   F_5^3     16    6    5    4    4    3
-#   F_13^2    >16   7    4    4    3    3
+#   F_3      >16   13    9    9    8    6
+#   F_7       13    9   11    8    6    5
+#   F_257    >16   12    8    6    5    4
+#   F_9      >16  >16    9    6    5    4
+#   F_5^3    >16   12    7    5    5    4
+#   F_13^2   >16   15    7    5    4    4
 #
-# At n * bits = 32 Barrett took 0.49 to 0.89 of the code-list time from
-# degree 3 on, 1.03 for F_9 at degree 4, and at degree 2 over F_9 and F_13^2
-# the two ladders cost about the same at 16 bits.  So equal-degree draws, which
-# power by (q^d - 1)/2, take Barrett, and Ben-Or's steps by a small q do not.
+# One bound on n * bits serves best: applied to every cell of the table, 32
+# to 35 cost 0.6 to 0.9% over the cheaper ladder of each cell, 28 and 40
+# 1.3%.  At degree 2 no field but F_7 gains by Barrett up to 16 bits (F_9,
+# F_13^2 and F_5^3 take 1.24 to 1.38 times as long at 16), but Ben-Or's steps
+# power by q and a degree-2 draw by (q - 1)/2, so no such call is made.
 BARRETT_MIN_WORK = 32
 
 # gcd runs its remainder sequence on packed ints while the shorter operand
@@ -463,19 +471,27 @@ def _remainder(fld: Field, rem: list, div, quo: list | None = None) -> None:
     remainder's codes without trailing zeros; store the quotient's codes
     in ``quo`` if given (``len(rem) - deg div`` or more zeros)."""
     db = len(div) - 1
-    top = len(rem) - 1 - db
-    reduce = fld._reduce
-    inv = fld._inv(div[-1])
-    ninv = fld._neg(inv)
-    # the (j, code) pairs of div's nonzero codes below its top, the only ones added
-    low = [(j, dv) for j, dv in enumerate(div[:db]) if dv]
-    # rem[k + db] cancels exactly at step k and is never read again
-    for k in range(top, -1, -1):
+    reduce, inv = fld._reduce, fld._inv(div[-1])
+    # div's codes as they are, each step's top code scaled by -lc^-1
+    _walk(reduce, rem, db, [(j, dv) for j, dv in enumerate(div[:db]) if dv], fld._neg(inv), quo)
+    if quo is not None:
+        quo[:] = [reduce(c * inv) for c in quo]
+
+
+def _walk(reduce, rem: list, db: int, low, scale=None, quo: list | None = None) -> None:
+    # the division walk: rem mod a divisor of degree db in place.  low holds
+    # the (j, code) pairs of the divisor's nonzero codes below its top, and
+    # those codes times scale, if given, are -code / lc.  Step k, from the
+    # top, reduces c = rem[k + db], keeps it in quo[k] if given, and adds c
+    # (times scale) times each pair to rem[k + j]; rem[k + db] cancels
+    # exactly and is never read again
+    for k in range(len(rem) - 1 - db, -1, -1):
         c = reduce(rem[k + db])
         if c:
             if quo is not None:
-                quo[k] = reduce(c * inv)
-            c = reduce(c * ninv)
+                quo[k] = c
+            if scale is not None:
+                c = reduce(c * scale)
             for j, dv in low:
                 rem[k + j] += c * dv
     rem[:] = [reduce(v) for v in rem[:db]]
@@ -545,22 +561,27 @@ def pow_mod(base: Poly, k: int, modulus: Poly) -> Poly:
     fld = f.field
     if base.field is not fld and base.field != fld:
         raise FieldMismatchError("polynomials over different fields")
-    if base.degree >= f.degree:
-        base = base % f
     if not k:
         return Poly.one(fld)
     n = f.degree
     if n < KRON_MIN_LENGTH and (n < 2 or n * k.bit_length() < BARRETT_MIN_WORK):
-        # degree 1, or a ladder too short to pay for a Barrett set-up
-        div = f._codes
+        # degree 1, or a ladder too short to pay for a Barrett set-up: the
+        # walk by f's low codes, listed and negated once; f is monic, so no
+        # scale and no inverse
+        reduce, neg = fld._reduce, fld._neg
+        low = [(j, neg(c)) for j, c in enumerate(f._codes[:n]) if c]
 
         def mulmod(a, b):
-            # _remainder reduces the sums it reads and the remainder
+            # the walk reduces the sums it reads and the remainder
             rem = _sums(a, b)
-            _remainder(fld, rem, div)
+            _walk(reduce, rem, n, low)
             return rem
 
-        return Poly._raw(fld, _ladder(base._codes, k, mulmod))
+        rem = list(base._codes)
+        _walk(reduce, rem, n, low)
+        return Poly._raw(fld, _ladder(rem, k, mulmod))
+    if base.degree >= n:
+        base = base % f
     try:
         nbytes, mulmod = f._setup
     except AttributeError:

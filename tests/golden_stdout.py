@@ -11,7 +11,8 @@ commands are:
   requests that the factorization oracle's arithmetic (gcd, division,
   ``pow_mod``) can move;
 - ``verify --theorem T`` for every check at n = 1 and 2 over F_3, F_5 and
-  F_9, with several a each;
+  F_9, with several a each, and checks 8, 9 and 10 at n = 3 over F_7 and
+  F_9, the sizes the benchmark's small-field sweep runs;
 - ``census`` as JSON and as CSV, and ``count --enumerate``;
 - one ``classify``, ``parity --verify``, ``recip``, ``transform`` and
   ``invtransform`` over a prime and over an extension field;
@@ -36,6 +37,8 @@ FACTOR = [("3", 3, 1, "2", 4), ("257", 257, 1, "3", 1), ("3^2", 3, 2, "t+2", 2),
 # (field spec, a) of each verify request, for every check at n = 1 and 2
 VERIFY = [("3", "1"), ("3", "2"), ("5", "2"), ("5", "4"), ("3^2", "t"), ("3^2", "2"),
           ("3^2", "1+t")]
+# (field spec, a) of each verify request for checks 8, 9 and 10 at n = 3
+VERIFY_N3 = [("7", "3"), ("3^2", "t")]
 # (field spec, a, n) of each count --enumerate request
 COUNT = [("5", "2", 3), ("3^2", "t", 2)]
 # (field spec, a, f of degree 3, its quadratic transform) for the single-poly
@@ -64,6 +67,10 @@ def commands() -> list[tuple[str, list[str]]]:
                 out.append((f"verify --theorem {check} F_{spec} a={a} n={n}",
                             ["verify", "--field", spec, "--a", a, "--theorem", check,
                              "--n", n]))
+    for spec, a in VERIFY_N3:
+        for check in ("8", "9", "10"):
+            out.append((f"verify --theorem {check} F_{spec} a={a} n=3",
+                        ["verify", "--field", spec, "--a", a, "--theorem", check, "--n", "3"]))
     census = ["census", "--fields", "3,5,7,3^2", "--nmax", "2"]
     out += [("census F_3,F_5,F_7,F_9 nmax=2", census),
             ("census F_3,F_5,F_7,F_9 nmax=2 csv", census + ["--csv"])]

@@ -189,6 +189,75 @@ def test_factorize_pth_power():
     assert [(g.to_string(), m) for g, m in result.factors] == [("t,1", 3), ("1,1", 6)]
 
 
+def _squarefree_corpus():
+    # (field, monic f): seeded squarefree products, repeated factors, p-th
+    # powers and mixed ones, over F_3, F_7, F_9 and F_5^3
+    rng = random.Random(28)
+    F7, F125 = Field(7), Field(5, 3)
+    out = []
+    for field in (F3, F7, F9, F125):
+        def draw(n):
+            return Poly(field, [field._index_code(rng.randrange(field.q)) for _ in range(n)]
+                        + [1])
+        for n in range(1, 7):
+            out += [(field, draw(n)) for _ in range(4)]
+        out += [(field, draw(1) ** 2 * draw(2)), (field, draw(2) ** 3 * draw(1) ** 2),
+                (field, draw(1) ** field.p), (field, (draw(1) * draw(2) ** 2) ** field.p)]
+    out += [(F3, Poly(F3, [1, 0, 1]) ** 9), (F3, Poly(F3, [1, 0, 1]) ** 3 * Poly(F3, [1, 1]))]
+    t = F9.element([0, 1])
+    out.append((F9, (Poly(F9, [t, 1]) * Poly(F9, [1, 1]) ** 2) ** 3))
+    out.append((F9, (Poly(F9, [1, t, 1]) * Poly(F9, [t, 0, 1]) ** 2) ** 3))
+    return out
+
+
+def test_squarefree_parts_group_the_factors():
+    # the parts are the irreducible factors grouped by multiplicity, each
+    # multiplicity counted by dividing f until the factor no longer divides;
+    # they multiply back to f
+    for field, f in _squarefree_corpus():
+        parts = factor._squarefree_parts(f)
+        grouped = {}
+        for irr, mult in factorize(f).factors:
+            count, rest = 0, f
+            while not rest % irr:
+                rest, count = rest // irr, count + 1
+            assert count == mult, (f, irr)
+            grouped[mult] = grouped.get(mult, Poly.one(field)) * irr
+        assert parts == grouped, f
+        product = Poly.one(field)
+        for mult, part in parts.items():
+            assert part.is_monic and part.degree > 0
+            product = product * part ** mult
+        assert product == f
+
+
+def test_squarefree_input_takes_one_gcd(monkeypatch):
+    # a squarefree input is its own part after gcd(f, f') = 1: one gcd and no
+    # division; an input with a repeated factor goes on past it
+    gcds, divisions = [], []
+    count_gcd, divide = factor.gcd, Poly.__divmod__
+
+    def counted_gcd(f, g):
+        gcds.append(f)
+        return count_gcd(f, g)
+
+    def counted_divmod(f, g):
+        divisions.append(f)
+        return divide(f, g)
+
+    monkeypatch.setattr(factor, "gcd", counted_gcd)
+    monkeypatch.setattr(Poly, "__divmod__", counted_divmod)
+    for field, f in _squarefree_corpus():
+        gcds.clear()
+        divisions.clear()
+        parts = factor._squarefree_parts(f)
+        if list(parts) == [1]:
+            assert (len(gcds), len(divisions)) == (1, 0), f
+            assert parts[1] == f
+        else:
+            assert len(gcds) > 1 and divisions, f
+
+
 def test_factorize_master_poly_structure():
     # x^10 - 2 over F_3: one copy of x^2 - 2, the rest irreducible quartics
     f = Poly(F3, [-2] + [0] * 9 + [1])

@@ -490,3 +490,50 @@ def test_large_prime_field_paths():
     assert x ** (f.q - 1) == f.one
     r = f.element(4).sqrt()
     assert r is not None and r * r == f.element(4)
+
+
+def _coordinate_reduce(field, parts):
+    # reference: the t^k parts of an accumulator each mod p, then long
+    # division by the field's modulus, one coordinate at a time in plain ints
+    p, e = field.p, field.e
+    coords = [c % p for c in parts]
+    for k in range(len(coords) - 1, e - 1, -1):
+        c, coords[k] = coords[k], 0
+        for j, m in enumerate(field.modulus[:e]):
+            coords[k - e + j] = (coords[k - e + j] - c * m) % p
+    return tuple(coords[:e] + [0] * (e - len(coords)))
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (3, 4), (5, 3), (17, 2), (3, 6), (10007, 2)])
+def test_reduce_and_neg_against_coordinates(p, e):
+    # Field._reduce on codes, on sums of products of codes and on
+    # accumulators at the documented bound, 2^32 e (p - 1)^2 in every t^k
+    # part, k <= 2e - 2; Field._neg on codes, one coordinate at a time
+    field = Field(p, e)
+    w, bound = field._slot_bits, 2 ** 32 * e * (p - 1) ** 2
+    rng = random.Random(p * e + 1)
+
+    def pack(parts):
+        return sum(c << w * k for k, c in enumerate(parts))
+
+    def unpack(v, n):
+        return [v >> w * k & field._slot_mask for k in range(n)]
+
+    codes = [field._pack([rng.randrange(p) for _ in range(e)]) for _ in range(200)]
+    codes += [0, 1, field._pack([p - 1] * e)]
+    accumulators = [(code, e) for code in codes]
+    for terms in (1, 2, 7, 50):
+        for _ in range(40):
+            pairs = [(rng.choice(codes), rng.choice(codes)) for _ in range(terms)]
+            accumulators.append((sum(a * b for a, b in pairs), 2 * e - 1))
+    for low in (bound, bound - 1, bound - p, bound // 2):
+        accumulators.append((pack([low] * (2 * e - 1)), 2 * e - 1))
+        for _ in range(20):
+            accumulators.append((pack([rng.choice((bound, bound - rng.randrange(p ** 2)))
+                                       for _ in range(2 * e - 1)]), 2 * e - 1))
+    for v, n in accumulators:
+        parts = unpack(v, n)
+        assert max(parts) <= bound and pack(parts) == v
+        assert field._unpack(field._reduce(v)) == _coordinate_reduce(field, parts)
+    for code in codes:
+        assert field._unpack(field._neg(code)) == tuple(-c % p for c in field._unpack(code))

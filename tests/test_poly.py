@@ -17,6 +17,7 @@ from gfrecip import (
     resultant,
 )
 from gfrecip import poly
+from gfrecip.field import _ladder
 from gfrecip.poly import (BARRETT_MIN_WORK, GCD_PACKED_MIN, KRON_MIN_LENGTH, QUOTIENT_MIN, _barrett,
                           _divider, _remainder, _sums)
 
@@ -338,6 +339,67 @@ def test_pow_mod_below_kron_min_length_on_both_ladders(field):
             ladders.add(n * k.bit_length() >= BARRETT_MIN_WORK)
             assert pow_mod(base, k, f) == _square_and_multiply(base, k, f), (n, k)
     assert ladders == {False, True}
+
+
+def _code_list_power(base, k, f):
+    # right to left on _sums and _remainder by the codes of f itself, monic
+    # or not: the remainders mod f and mod monic f are the same
+    field, div = f.field, f._codes
+
+    def mod(rem):
+        _remainder(field, rem, div)
+        return rem
+
+    acc, square = mod([1]), mod(list(base._codes))
+    while k:
+        if k & 1:
+            acc = mod(_sums(acc, square))
+        square = mod(_sums(square, square))
+        k >>= 1
+    return Poly._raw(field, acc)
+
+
+def _barrett_power(base, k, f):
+    # the Barrett ladder, whatever the work: _barrett's mulmod by monic f
+    field, monic = f.field, f.monic()
+    nbytes, mulmod = _barrett(monic)
+    acc = _ladder(field._kron_pack((base % monic)._codes, nbytes), k, mulmod)
+    return Poly._raw(field, field._kron_unpack(acc, nbytes, monic.degree))
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(7), Field(3, 2), Field(5, 3)], ids=str)
+def test_code_list_ladder_on_seeded_triples(field, monkeypatch):
+    # pow_mod's code-list ladder, degrees 1 to 7 with degree times the
+    # exponent's bit length below BARRETT_MIN_WORK, on non-monic moduli and
+    # bases of every degree up to past the modulus's: equal to _sums and
+    # _remainder powering and to the Barrett ladder; Field._inv runs once a
+    # call, for monic(), and no Barrett set-up is built
+    rng = random.Random(field.q + 28)
+    units = [c for c in field._codes() if c not in (0, 1)]
+    triples = []
+    for n in range(1, KRON_MIN_LENGTH):
+        bits = 40 if n == 1 else (BARRETT_MIN_WORK - 1) // n
+        for _ in range(12):
+            f = Poly._raw(field, [field._index_code(rng.randrange(field.q)) for _ in range(n)]
+                          + [rng.choice(units)])
+            base = Poly._raw(field, [field._index_code(rng.randrange(field.q))
+                                     for _ in range(rng.randrange(n + 4))])
+            k = rng.randrange(1, 2 ** rng.randrange(1, bits + 1))
+            assert n < 2 or n * k.bit_length() < BARRETT_MIN_WORK
+            triples.append((base, k, f))
+    expected = [_code_list_power(base, k, f) for base, k, f in triples]
+    for (base, k, f), want in zip(triples, expected):
+        if f.degree >= 2:
+            assert _barrett_power(base, k, f) == want, (base, k, f)
+    inverses, setups = [], []
+    inv = field._inv
+    monkeypatch.setattr(field, "_inv", lambda code: inverses.append(code) or inv(code))
+    monkeypatch.setattr(poly, "_barrett", lambda f: setups.append(f))
+    for (base, k, f), want in zip(triples, expected):
+        inverses.clear()
+        assert pow_mod(base, k, f) == want, (base, k, f)
+        assert inverses == [f._codes[-1]]
+    assert setups == []
 
 
 @pytest.mark.parametrize("p, e", [(17, 1), (19, 1), (17, 2)])
