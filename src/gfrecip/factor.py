@@ -11,6 +11,13 @@ test is its first block.  Each of its steps is one ``pow_mod`` by the
 current remainder.  Each equal-degree draw r costs one ``pow_mod`` and
 one gcd, gcd(r^((q^d-1)/2) - 1, f): a factor on which r vanishes lands
 on the side where r^((q^d-1)/2) != 1, so it needs no separate gcd(r, f).
+A draw has degree below 2d, not below deg f: a draw splits two factors
+g and h of degree d exactly when r mod g and r mod h fall on different
+sides, and r mod gh, which fixes both (CRT), is r itself, uniform over
+all of F_q[x]/(gh).  So every pair of factors splits as often as with a
+draw of full degree (Cantor & Zassenhaus, Math. Comp. 36 (1981); von zur
+Gathen & Gerhard, Modern Computer Algebra, 14.3), and the draw costs
+2d random codes and a short base for the ladder.
 Every modulus that takes ``pow_mod``'s Barrett ladder builds its
 reduction set-up once (see poly.py), however many steps or draws power
 by it: from degree 8 on, and below that from degree 2 on a long
@@ -146,14 +153,15 @@ def _random_poly(fld: Field, max_degree: int, rng: random.Random) -> Poly:
 
 def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     """Cantor-Zassenhaus split of a monic squarefree product of degree-d
-    irreducibles; valid only for odd q."""
+    irreducibles, by draws of degree below 2d (see the module docstring);
+    valid only for odd q."""
     if f.degree == d:
         return [f]
     fld = f.field
     exponent = (fld.q ** d - 1) // 2
     one = Poly.one(fld)
     while True:
-        r = _random_poly(fld, f.degree - 1, rng)
+        r = _random_poly(fld, min(f.degree, 2 * d) - 1, rng)
         if r.degree < 1:
             continue
         g = gcd(pow_mod(r, exponent, f) - one, f)

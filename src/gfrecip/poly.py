@@ -32,11 +32,11 @@ the end, also when the list is shorter than the divisor.  Only nonzero
 codes are walked, so the walk's x^(q^d) - x costs only its few.
 ``_remainder(fld, rem, div, quo)`` lists the divisor's codes as they
 are, with the scale -lc^-1, once a call: it serves ``divmod``,
-``gcd``'s code-list tail and ``resultant``, which runs its whole
-remainder sequence on two such lists and builds an element only for the
-answer.  It stays the reference in the tests.  ``pow_mod``'s code-list
-ladder lists its monic modulus's codes negated, once a call, with no
-scale.
+``gcd`` on code lists and in its packed top solves, and ``resultant``,
+which runs its whole remainder sequence on two such lists and builds an
+element only for the answer.  It stays the reference in the tests.
+``pow_mod``'s code-list ladder lists its monic modulus's codes negated,
+once a call, with no scale.
 
 ``divmod`` takes the long kernel once the divisor and the quotient both
 have ``QUOTIENT_MIN`` coefficients: ``_divider``, division by a Newton
@@ -52,30 +52,35 @@ Gathen & Gerhard, Modern Computer Algebra, 9.1 and ch. 14).  So an exact
 division f // g, one per split in factor.py, costs a few bigint products
 instead of deg f * deg g code products.
 
-``gcd`` runs on code lists once the shorter operand has fewer than
-``GCD_PACKED_MIN`` coefficients.  Above that it runs the remainder
-sequence on two packed ints (``Field._kron_pack``), in slots with room
-for a code plus one product of two codes per coefficient of the shorter
-operand.  A step takes a, of degree gap t over b, to a nonzero multiple
-of a mod b: one bigint product pair and one fold from ``Field._folder``
-reduce every slot, the top t + 1 slots come out zero, and the new degree
-is the value's bit length over the slot width.  Nearly every step has
-t <= 1, and it is a pseudo-remainder step (Knuth, TAOCP vol. 2, 4.6.1,
-Algorithm R): with a1, a0 and b1, b0 the top two codes of a and of b
-(``Field._kron_unpack``), the quotient times b1^(t+1) is a1 (t = 0) or
-a1 b1 x + a0 b1 - a1 b0 (t = 1), three ``_reduce`` calls with the scale
--b1^(t+1), and q * b - b1^(t+1) * a is the step, with no field inverse
-and no ``_remainder`` call.  A difference is taken as a sum with P - c,
-P the int with every coordinate p, so no code is negated.  A step with t
->= 2 reads the top t + 1 codes of each (in bulk for a large t, as in the
-walk's gcd(x^(q^d) - x, f)), solves for the t + 1 quotient codes from
-those alone (``_remainder`` on those codes), and takes quotient * b +
-(p - 1) a = -(a mod b), as a times the code p - 1 is -a.  gcd's answer
-is monic, so no scale or sign matters.  gcd binds its fold once, for a's
-slot count: no later value has more slots, and a zero slot stays zero,
-so it serves every step.  Each step costs a few bigint operations on the
-whole remainder instead of one reduction per coefficient (von zur
-Gathen & Gerhard, ch. 3 and 9).
+``gcd`` runs on code lists when the shorter operand has fewer than
+``GCD_PACKED_MIN`` coefficients.  From that length on it enters the
+remainder sequence on two packed ints (``Field._kron_pack``), in slots
+with room for a code plus one product of two codes per coefficient of
+the shorter operand, and stays there until the remainder is a constant
+(the gcd is 1) or zero: the constant decides entry only.  A step takes
+a, of degree gap t over b, to a nonzero multiple of a mod b: one bigint
+product pair and one fold from ``Field._folder`` reduce every slot, the
+top t + 1 slots come out zero, and the new degree is the value's bit
+length over the slot width.  Nearly every step has t <= 1, and it is a
+pseudo-remainder step (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R) on the
+top two slots a1, a0 and b1, b0 of a and of b, cut out by shift and mask
+and used as they are.  A slot holds a code's coordinates in its
+sub-slots, so the product of two slots is a slot of sums of products,
+the layout the fold reduces.  The quotient times b1^(t+1) is a1 (t = 0)
+or a1 b1 x + a0 b1 - a1 b0 (t = 1), whose three codes one more fold
+reduces, and q * b - b1^(t+1) * a is the step: no field inverse, no code
+read or packed, no ``_reduce`` or ``_remainder`` call.  A difference is
+taken as a sum with P - c, P the slot with every coordinate p, so no
+coordinate goes negative.  A step with t >= 2 reads the top t + 1 codes
+of each (in bulk for a large t, as in the walk's gcd(x^(q^d) - x, f)),
+solves for the t + 1 quotient codes from those alone (``_remainder`` on
+those codes), and takes quotient * b + (p - 1) a = -(a mod b), as a
+times the code p - 1 is -a.  gcd's answer is monic, so no scale or sign
+matters, and a is read only when b reaches zero.  gcd binds its fold
+once, for a's slot count: no later value has more slots, and a zero
+slot stays zero, so it serves every step.  Each step costs a few bigint
+operations on the whole remainder instead of one reduction per
+coefficient (von zur Gathen & Gerhard, ch. 3 and 9).
 
 Multiplication is likewise one kernel on code lists, ``_mul``, and it
 serves ``*``.  Once both operands have at least ``KRON_MIN_LENGTH``
@@ -151,25 +156,29 @@ KRON_MIN_LENGTH = 8
 # power by q and a degree-2 draw by (q - 1)/2, so no such call is made.
 BARRETT_MIN_WORK = 32
 
-# gcd runs its remainder sequence on packed ints while the shorter operand
-# has at least this many coefficients, and on code lists below.  Measured as
-# gcd's time on 8 random pairs of degrees 100 and 99 with each threshold,
-# relative to 48 (best of 9 interleaved rounds, 2 vCPU host, CPython 3.11;
-# read each cell as +-10%):
+# gcd enters its remainder sequence on packed ints when the shorter operand
+# has at least this many coefficients, and then runs it there to the end, so
+# the constant decides entry only; below it gcd runs on code lists.  Measured
+# as the code-list time over the packed time of gcd on 8 random pairs of
+# degrees L - 1 and L - 2 (median of three runs, each the best of 9
+# interleaved rounds; 2 vCPU host, CPython 3.11; read each cell as +-10%):
 #
-#   threshold   12    16    20    24    28    32    40
-#   F_3        1.00  0.98  1.00  0.98  0.93  0.97  0.95
-#   F_7        1.08  0.91  0.93  0.94  1.08  0.99  1.17
-#   F_257      0.93  1.16  0.87  0.92  0.95  0.91  0.93
-#   F_8191     0.84  1.06  1.05  1.14  0.89  0.85  1.00
-#   F_9        0.58  0.60  0.69  0.69  0.76  0.85  0.88
-#   F_13^2     0.66  0.67  0.68  0.72  0.75  0.79  0.90
-#   F_5^3      0.67  0.69  0.67  0.73  0.76  0.81  0.90
-#   F_3^6      0.71  0.75  0.79  0.85  0.80  0.86  0.85
+#   L            8    12    16    20    24    28    32    40    60
+#   F_3        0.57  0.59  0.62  0.79  0.78  0.83  1.04  1.14  1.45
+#   F_7        0.81  0.95  0.94  1.05  1.13  1.25  1.25  1.70  2.07
+#   F_257      1.11  1.36  1.54  1.67  1.94  2.01  2.16  2.57  3.21
+#   F_8191     1.19  1.43  1.67  1.80  2.04  2.19  2.30  2.62  3.14
+#   F_9        1.09  1.72  1.82  1.62  1.85  2.03  1.72  2.41  2.65
+#   F_13^2     1.81  2.20  2.41  2.67  3.06  3.26  3.48  3.56  4.13
+#   F_5^3      2.18  2.34  2.71  2.66  2.98  3.08  3.39  3.53  4.12
+#   F_3^6      3.16  2.99  3.19  3.38  3.45  3.52  3.71  3.74  3.86
 #
-# The prime fields are flat within the noise; at degrees 40 and 39 F_3 and
-# F_7 took 1.07 and 1.08 at 24 and 1.17 and 1.14 at 16, the other fields
-# 0.46 to 0.91 at 24.  24 keeps most of the extension fields' gain.
+# F_3, where one step in three has a degree gap of 2 or more and pays a top
+# solve, gains from 32 on, F_7 from 20, the other fields from 8.  One
+# constant serves all: entering at 8 or at 12, which would keep the
+# extension fields' gain below 24, moved the oracle-ext benchmark's wall_s by
+# no more than its noise (+-3% over two alternating 10 s rounds), as such
+# short gcds take little of a factorization.
 GCD_PACKED_MIN = 24
 
 # divmod takes the Newton quotient once the divisor and the quotient both have
@@ -508,31 +517,33 @@ def gcd(f: Poly, g: Poly) -> Poly:
     if len(a) < len(b):
         a, b = b, a
     if len(b) >= GCD_PACKED_MIN:
-        # the remainder sequence on packed ints while b is that long; a
-        # slot sums one product (a times the scale or p - 1) and up to len(b)
-        # more (quotient times b); no value has more than na slots, so one
+        # the remainder sequence on packed ints until b is a constant or zero;
+        # a slot sums up to len(b) products (quotient times b) and one more (a
+        # times p - 1 or the scale, whose coordinates reach p where t = 0 and
+        # the quotient is one code); no value has more than na slots, so one
         # fold serves
         nbytes = fld._kron_bytes(len(b) + 1)
         bits = 8 * nbytes
-        pack, codes, reduce, neg_one = fld._kron_pack, fld._kron_unpack, fld._reduce, fld.p - 1
-        # every coordinate p: minus - c is -c with no coordinate negative
-        minus, slot = fld._pack([fld.p] * fld.e), (1 << bits) - 1
+        pack, codes, neg_one = fld._kron_pack, fld._kron_unpack, fld.p - 1
+        # a slot of every coordinate p: minus - c is -c with no sub-slot negative
+        minus, slot = pack([fld._pack([fld.p] * fld.e)], nbytes), (1 << bits) - 1
         va, vb, na, nb = pack(a, nbytes), pack(b, nbytes), len(a), len(b)
         fold = fld._folder(nbytes, na)
-        while nb >= GCD_PACKED_MIN:
+        while nb >= 2:
             t = na - nb
             if t < 2:
-                # a pseudo-remainder step: with a1, a0 and b1, b0 the top two
-                # codes of a and of b, q = b1^(t+1) (a div b) is a1 (t = 0) or
-                # a1 b1 x + a0 b1 - a1 b0 (t = 1), and q * b - b1^(t+1) * a =
-                # -b1^(t+1) (a mod b); packed with the scale, slot 0
-                a0, a1 = codes(va >> bits * (na - 2), nbytes, 2)
-                b0, b1 = codes(vb >> bits * (nb - 2), nbytes, 2)
+                # a pseudo-remainder step on the top two slots a1, a0 of a and
+                # b1, b0 of b, as they are: q = b1^(t+1) (a div b) is a1 (t =
+                # 0) or a1 b1 x + a0 b1 - a1 b0 (t = 1), and q * b - b1^(t+1) *
+                # a = -b1^(t+1) (a mod b).  A product of two slots is a slot of
+                # sums, so the fold reduces t = 1's quotient codes
+                a1, b1 = va >> bits * (na - 1), vb >> bits * (nb - 1)
                 if t:
-                    v = pack([reduce(b1 * (minus - b1)), reduce(a0 * b1 + a1 * (minus - b0)),
-                              reduce(a1 * b1)], nbytes)
+                    a0, b0 = va >> bits * (na - 2) & slot, vb >> bits * (nb - 2) & slot
+                    v = fold(a1 * b1 << 2 * bits | a0 * b1 + a1 * (minus - b0) << bits
+                             | b1 * (minus - b1))
                 else:
-                    v = pack([reduce(minus - b1), a1], nbytes)
+                    v = a1 << bits | minus - b1
                 va = fold((v >> bits) * vb + (v & slot) * va)
             else:
                 # the t + 1 quotient codes from the top t + 1 codes of a and
@@ -543,7 +554,8 @@ def gcd(f: Poly, g: Poly) -> Poly:
                 _remainder(fld, rem, codes(vb >> bits * (nb - top), nbytes, top), quo)
                 va = fold(pack(quo, nbytes) * vb + neg_one * va)
             va, vb, na, nb = vb, va, nb, -(-va.bit_length() // bits)
-        a, b = codes(va, nbytes, na), codes(vb, nbytes, nb)
+        # b is a nonzero constant, so the gcd is 1, or zero, so it is a's
+        a, b = [1] if nb else codes(va, nbytes, na), []
     while b:
         _remainder(fld, a, b)
         a, b = b, a

@@ -33,7 +33,8 @@ from gfrecip.verify import CHECKS
 
 # (field spec, p, e, a, n) of each factored master polynomial
 FACTOR = [("3", 3, 1, "2", 4), ("257", 257, 1, "3", 1), ("3^2", 3, 2, "t+2", 2),
-          ("5^3", 5, 3, "t+2", 1), ("7", 7, 1, "3", 3), ("13", 13, 1, "2", 2)]
+          ("5^3", 5, 3, "t+2", 1), ("7", 7, 1, "3", 3), ("13", 13, 1, "2", 2),
+          ("7^2", 7, 2, "t+2", 1), ("13^2", 13, 2, "t+2", 1), ("3^4", 3, 4, "t+2", 1)]
 # (field spec, a) of each verify request, for every check at n = 1 and 2
 VERIFY = [("3", "1"), ("3", "2"), ("5", "2"), ("5", "4"), ("3^2", "t"), ("3^2", "2"),
           ("3^2", "1+t")]

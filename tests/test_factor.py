@@ -324,8 +324,8 @@ def _splitting_cases():
 @pytest.mark.parametrize("f, factors", list(_splitting_cases()),
                          ids=["x^3-x", "x^5-x", "x^9-x", "quadratics F_3"])
 def test_equal_degree_split_when_the_draw_vanishes_on_a_factor(f, factors):
-    # a random draw r of degree < deg f vanishes on one of these many
-    # small factors with high probability; such a factor lands on the
+    # a random draw r of degree < 2d vanishes on one of these many small
+    # factors with high probability; such a factor lands on the
     # r^((q^d-1)/2) != 1 side and the split must still be right.  The
     # expected list is in canonical order: by degree, then by coordinates
     ordered = sorted(factors, key=lambda g: (g.degree, [c.coords for c in g.coeffs]))
@@ -333,6 +333,53 @@ def test_equal_degree_split_when_the_draw_vanishes_on_a_factor(f, factors):
     assert len(expected) == f.degree // factors[0].degree
     for seed in range(50):
         assert factorize(f, seed=seed).factors == expected
+
+
+def _irreducibles(field, d):
+    # every monic irreducible of degree d, in canonical order
+    pool = list(field.elements())
+    monic = (Poly(field, lower + (field.one,)) for lower in itertools.product(pool, repeat=d))
+    return [g for g in monic if is_irreducible(g)]
+
+
+EQUAL_DEGREE_CASES = [(F3, 1), (F3, 2), (F3, 3), (F3, 4), (F5, 2), (F9, 2)]
+
+
+@pytest.mark.parametrize("field, d", EQUAL_DEGREE_CASES,
+                         ids=[f"{fld} d={d}" for fld, d in EQUAL_DEGREE_CASES])
+def test_equal_degree_splits_every_irreducible_of_degree_d(field, d, monkeypatch):
+    # the product of all monic irreducibles of degree d is one distinct-degree
+    # block, and the equal-degree stage must split it into exactly that list
+    # for every seed.  Its draws have degree below min(deg f, 2d), f the
+    # block being split: for any two of its factors such a draw is uniform mod
+    # their product, so each pair splits as often as with a draw of degree
+    # below deg f
+    irreducible = _irreducibles(field, d)
+    product = Poly.one(field)
+    for g in irreducible:
+        product = product * g
+    expected = tuple((g, 1) for g in irreducible)
+    blocks, draws = [], []
+    split, draw = factor._equal_degree, factor._random_poly
+
+    def tracked_split(f, degree, rng):
+        blocks.append(f.degree)
+        try:
+            return split(f, degree, rng)
+        finally:
+            blocks.pop()
+
+    def tracked_draw(fld, max_degree, rng):
+        r = draw(fld, max_degree, rng)
+        draws.append((min(blocks[-1], 2 * d) - 1, max_degree, r.degree))
+        return r
+
+    monkeypatch.setattr(factor, "_equal_degree", tracked_split)
+    monkeypatch.setattr(factor, "_random_poly", tracked_draw)
+    for seed in range(50):
+        assert factorize(product, seed=seed).factors == expected
+    assert draws
+    assert all(bound == max_degree >= degree for bound, max_degree, degree in draws)
 
 
 def test_agreement_with_is_irreducible():

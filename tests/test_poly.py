@@ -631,11 +631,13 @@ def test_sparse_divisors(field):
 
 @pytest.mark.parametrize("field", [Field(3), Field(257), Field(3, 2), Field(10007, 2)], ids=str)
 def test_packed_gcd_steps_match_euclid(field, monkeypatch):
-    # a wrong quotient still leaves a remainder with the same gcd, only a
-    # longer sequence: the packed steps, each reading the top codes of both
-    # operands once, must be the reference Euclid's divisions by divisors
-    # of GCD_PACKED_MIN or more coefficients; then both operands are read
-    # once more, as code lists
+    # a packed step of degree gap t <= 1 reads no code: it works on the top
+    # two slots of both operands as they are.  A step of gap t >= 2 reads
+    # the top t + 1 codes of a, then the top min(t + 1, len(b)) of b, and
+    # the answer is read once, when the remainder reaches zero; one that
+    # reaches a nonzero constant means gcd 1 and is not read.  So the reads
+    # name, in order, the reference Euclid's divisions of gap 2 or more by
+    # divisors of 2 or more codes; random pairs, then with a planted factor
     reads = []
     unpack = Field._kron_unpack
 
@@ -647,23 +649,27 @@ def test_packed_gcd_steps_match_euclid(field, monkeypatch):
     rng = random.Random(field.q + 3)
     for df, dg in ((120, 119), (130, 100), (60, 60)):
         f, g = _random_poly(field, df, rng), _random_poly(field, dg, rng)
-        reads.clear()
-        gcd(f, g)
-        count = len(reads)
-        steps = 0
-        while g.degree + 1 >= GCD_PACKED_MIN:
-            f, g = g, f % g
-            steps += 1
-        assert count == 2 * steps + 2
+        h = _random_poly(field, 5, rng)
+        for f, g in ((f, g), (f * h, g * h)):
+            want = [n for size, t in _divisions(f, g) if size >= 2 and t >= 2
+                    for n in (t + 1, min(t + 1, size))]
+            d = _euclid(f, g)
+            if d.degree > 0:
+                want.append(d.degree + 1)
+            reads.clear()
+            assert gcd(f, g) == d
+            assert reads == want
 
 
 @pytest.mark.parametrize("field", [Field(3), Field(257), Field(3, 2), Field(10007, 2)], ids=str)
 def test_packed_kernels_fold_only_sums(field, monkeypatch):
     # slots that hold codes are read as they are: gcd folds once per packed
-    # step (quotient * b - a), pow_mod three times per ladder product (the
-    # high half, the quotient and the remainder), and neither folds again
-    # where it reads its answer.  Every fold a Field._folder hands out is
-    # counted, those f's set-up keeps included.
+    # step (quotient * b - a) and once more in a step of degree gap 1 (its
+    # two quotient codes, sums of products of slots), down to a divisor of 2
+    # codes; pow_mod folds three times per ladder product (the high half,
+    # the quotient and the remainder), and neither folds again where it
+    # reads its answer.  Every fold a Field._folder hands out is counted,
+    # those f's set-up keeps included.
     folds = []
     folder = Field._folder
 
@@ -683,14 +689,10 @@ def test_packed_kernels_fold_only_sums(field, monkeypatch):
     base = _random_poly(field, KRON_MIN_LENGTH + 3, rng)
     pow_mod(base, 2, f)  # builds f._setup, whose Newton inverse folds too
     for a, b in pairs:
+        want = sum(1 + (t == 1) for size, t in _divisions(a, b) if size >= 2)
         folds.clear()
         gcd(a, b)
-        count = len(folds)
-        steps = 0
-        while b.degree + 1 >= GCD_PACKED_MIN:
-            a, b = b, a % b
-            steps += 1
-        assert count == steps
+        assert len(folds) == want
     for k in (1, 2, 3, 13, field.q):
         folds.clear()
         pow_mod(base, k, f)
@@ -772,20 +774,26 @@ def test_pseudo_remainder_steps_match_euclid(field):
 
 @pytest.mark.parametrize("field", GCD_FIELDS, ids=str)
 def test_pseudo_remainder_steps_take_no_inverse(field, monkeypatch):
-    # the packed loop's t <= 1 steps call neither Field._inv nor _remainder:
-    # _remainder runs once per t >= 2 packed step and per code-list step,
-    # and takes one inverse a call; monic() may take one more at the end
+    # the packed loop's t <= 1 steps call neither Field._inv nor _remainder,
+    # and a gcd that enters the loop stays in it down to a constant or zero
+    # remainder: _remainder runs once per t >= 2 packed step, and once per
+    # division in a gcd entered below GCD_PACKED_MIN, and takes one inverse a
+    # call; monic() may take one more at the end
     rng = random.Random(field.q + 11)
     m = GCD_PACKED_MIN
     h = _random_poly(field, m + 3, rng)
     pairs = [(_random_poly(field, 3 * m, rng), _random_poly(field, 3 * m - 1, rng)),
              (_random_poly(field, 2 * m, rng), _random_poly(field, 2 * m, rng))]
     pairs += [(f * h, g * h) for f, g in pairs]
+    pairs.append((_random_poly(field, m - 1, rng), _random_poly(field, m - 2, rng)))
     expected = []
     for f, g in pairs:
         steps = _divisions(f, g)
-        assert any(n >= m and t <= 1 for n, t in steps)
-        expected.append(sum(n < m or t >= 2 for n, t in steps))
+        if len(g._codes) >= m:
+            assert any(n >= m and t <= 1 for n, t in steps)
+            expected.append(sum(n >= 2 and t >= 2 for n, t in steps))
+        else:
+            expected.append(len(steps))
     inverses, walks = [], []
     inv, walk = field._inv, poly._remainder
 
@@ -805,6 +813,44 @@ def test_pseudo_remainder_steps_take_no_inverse(field, monkeypatch):
         gcd(f, g)
         assert len(walks) == want
         assert len(inverses) - len(walks) in (0, 1)
+
+
+def _linear_quotient_pair(field, n, tail, rng):
+    # a pair of degrees n and n - 1 whose reference Euclid divides by a
+    # linear quotient at every step, down to tail (their gcd, made monic):
+    # built upward from (tail, 0) by a, b = q a + b, a
+    x, a, b = Poly.x(field), tail, Poly(field, [])
+    while a.degree < n:
+        unit = field.element([rng.randrange(1, field.p)] * field.e)
+        a, b = (unit * x + _random_poly(field, 0, rng)) * a + b, a
+    return a, b
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(257), Field(3, 2), Field(10007, 2)], ids=str)
+def test_packed_gcd_runs_to_the_end_without_remainder(field, monkeypatch):
+    # a gcd that enters the packed loop stays in it until the remainder is a
+    # constant or zero: when every step has degree gap t <= 1 it makes no
+    # _remainder call at all, down to gcd 1 or to a planted common factor
+    rng = random.Random(field.q + 12)
+    walks = []
+    walk = poly._remainder
+
+    def counted_walk(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(poly, "_remainder", counted_walk)
+    for n in (60, 120):
+        for tail in (Poly.constant(field, field.element([2] * field.e)),
+                     Poly.x(field) ** 3 + _random_poly(field, 2, rng)):
+            f, g = _linear_quotient_pair(field, n, tail, rng)
+            assert (f.degree, g.degree) == (n, n - 1)
+            assert {t for _, t in _divisions(f, g)} == {1}
+            d = _euclid(f, g)
+            assert d == tail.monic()
+            walks.clear()
+            assert gcd(f, g) == d == gcd(g, f)
+            assert not walks
 
 
 @pytest.mark.parametrize("field", [Field(3), Field(257), Field(3, 2), Field(10007, 2)], ids=str)
