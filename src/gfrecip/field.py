@@ -34,12 +34,13 @@ The same substitution one level up packs a whole polynomial into one
 int: ``_kron_pack`` joins its codes into byte-aligned slots of
 ``_kron_bytes(terms)`` bytes each, wide enough for a sum of ``terms``
 products of two codes, so one bigint product of two packed polynomials
-convolves their coefficients.  A fold, the function ``_folder(nbytes,
+convolves their coefficients.  A fold, the function ``_folder(terms,
 n)`` returns, is called only where slots hold such sums: it reduces every
-slot of an int of at most n slots to a code in place, returning a packed
-int again.  ``_kron_unpack``, the one reader, cuts an int whose slots
-hold codes, as ``_kron_pack`` and the folds leave them, into those
-codes: one slot at a time if few, else all at once.
+slot of an int of at most n slots of ``_kron_bytes(terms)`` bytes to a
+code in place, returning a packed int again.  ``_kron_unpack``, the one
+reader, cuts an int whose slots hold codes, as ``_kron_pack`` and the
+folds leave them, into those codes: one slot at a time if few, else all
+at once.
 A packed slot is 2e-1 tight sub-slots of B bytes, one per power t^k of
 a product of codes, each wide enough for ``terms`` sums of e products
 of two coordinates, with no headroom beyond that.  Codes are
@@ -68,11 +69,21 @@ product to fill; the same mask picks the quotients out of
 r + 2^g - p lies below 2^(g+1) and has bit g set just where r >= p, so
 subtracting p times that bit leaves every residue in [0, p).  As
 g + 1 <= k, the correction runs once on the rejoined halves.  Over
-F_{p^e} the fold mod m is e-1 more products: sub-slot e+k of every slot,
-masked and moved to sub-slot 0, times sum_j c_kj 2^(k j) adds c_kj times
-it to each sub-slot j, and the sums, below e (p-1)^2, are reduced by a
-second pass.  Unpacking reads the residue bytes of each coordinate, up
-to 8 at a time, as the machine words of an ``array``.
+F_{p^e} the fold mod m is e-1 more products: sub-slot e+i of every slot,
+masked and moved to sub-slot 0, times sum_j c_ij 2^(k j) adds c_ij times
+it to each sub-slot j, c_ij being coordinate j of t^(e+i) mod m, and a
+residue pass reduces the sums.  A slot that sums at most T products of
+two codes holds at most T min(l+1, 2e-1-l) (p-1)^2 in sub-slot l, so
+rows taken from these sub-slots as they are leave low sub-slot j at most
+T (p-1)^2 ((j+1) + sum_i (e-1-i) c_ij).  The largest of those brackets,
+``_fold_gain`` (3 for F_9, 13 for F_81), is derived once from the
+modulus.  Where T times it times (p-1)^2 fits in k bits, the fold takes
+the rows from v as it is and runs the one residue pass; elsewhere, as
+``_kron_bytes`` sizes a sub-slot for T e (p-1)^2 only, it first takes
+every sub-slot mod p, which leaves the sums below e (p-1)^2.  So the
+rule never widens a slot; it skips a pass where the width has room.
+Unpacking reads the residue bytes of each coordinate, up to 8 at a time,
+as the machine words of an ``array``.
 
 The canonical total order on elements — used for square-root tie
 breaking, factor sorting, enumeration streams and random draws — is
@@ -321,7 +332,7 @@ class Field:
     """The finite field with p**e elements, p an odd prime."""
 
     __slots__ = ("p", "e", "q", "modulus", "zero", "one", "_reduce", "_neg", "_pow", "_inv",
-                 "_index_code", "_slot_bits", "_slot_mask", "_reduction_codes")
+                 "_index_code", "_slot_bits", "_slot_mask", "_reduction_codes", "_fold_gain")
 
     def __init__(self, p: int, e: int = 1, modulus: Sequence[int] | None = None):
         if not isinstance(p, int) or not is_prime(p):
@@ -361,6 +372,7 @@ class Field:
             self._inv = lambda code: pow(code, -1, p)
             self._index_code = operator.index
             self._reduction_codes = ()
+            self._fold_gain = 1
             return
         self.modulus = (_smallest_irreducible(p, e) if modulus is None
                         else self._checked_modulus(modulus))
@@ -392,6 +404,12 @@ class Field:
         for _ in range(e - 2):
             rows.append(reduce(rows[-1] << w))
         self._reduction_codes = rows = tuple(rows)
+        # g: a fold that takes its rows from unreduced sub-slots leaves low
+        # sub-slot j at most (j + 1 + sum_i (e-1-i) c_ij) (p-1)^2 a term, c_ij
+        # coordinate j of t^(e+i) mod m (see _folder)
+        coords = [self._unpack(row) for row in rows]
+        self._fold_gain = max(j + 1 + sum([(e - 1 - i) * c[j] for i, c in enumerate(coords)])
+                              for j in range(e))
         # -x = (p - 1) x, and scaling a code scales every slot
         self._neg = lambda code: reduce(code * (p - 1))
         self._reduce, self._pow, self._inv = reduce, self._slot_pow, self._slot_inv
@@ -524,13 +542,19 @@ class Field:
             codes = [c | d << shift for c, d in zip(codes, part)]
         return codes
 
-    def _folder(self, nbytes: int, n: int):
-        """The fold of packed ints of at most ``n`` slots of ``nbytes`` bytes:
-        every slot of sums to a code in place, ``_kron_pack`` of each slot's
-        ``_reduce``, its t^k part taken at bit w k.  A zero slot stays zero."""
+    def _folder(self, terms: int, n: int):
+        """The fold of packed ints of at most ``n`` slots of ``_kron_bytes(terms)``
+        bytes, each slot a sum of at most ``terms`` products of two codes:
+        every slot to a code in place, ``_kron_pack`` of each slot's
+        ``_reduce``, its t^k part taken at bit w k.  A zero slot stays zero.
+
+        Over F_{p^e} it takes the modulus rows from the unreduced sub-slots,
+        with one residue pass after them, where a sub-slot has room for
+        terms g (p-1)^2 (g is ``_fold_gain``), and else reduces every
+        sub-slot mod p before the rows too."""
         p, e = self.p, self.e
         span = 2 * e - 1
-        sub = nbytes // span
+        sub = self._kron_bytes(terms) // span
         k, g, m = 8 * sub, (2 * p).bit_length(), (1 << 8 * sub) // p
         full, zero = b"\xff" * sub, bytes(sub)
         # every other sub-slot, and the low byte of every sub-slot
@@ -554,12 +578,14 @@ class Field:
         first = int.from_bytes((full + zero * (span - 1)) * n, "little")
         rows = [(k * (e + i), sum(c << k * j for j, c in enumerate(self._unpack(code))))
                 for i, code in enumerate(self._reduction_codes)]
+        twice = (terms * self._fold_gain * (p - 1) ** 2).bit_length() > k
 
         def fold(v):
-            r = residues(v)
-            acc = r & low
+            if twice:
+                v = residues(v)
+            acc = v & low
             for shift, row in rows:
-                acc += (r >> shift & first) * row
+                acc += (v >> shift & first) * row
             return residues(acc)
 
         return fold

@@ -44,13 +44,17 @@ reciprocal on packed ints, which ``pow_mod``'s Barrett ladder shares.  For
 a divisor b of degree m and quotients of k coefficients it computes mu =
 x^(m+k-1) div b once, as the reverse of rev(b)^-1 mod x^k by Newton
 iteration (two products and two folds a doubling), and binds one
-``Field._folder`` fold of max(m, k) slots.  A value v of degree at most m
-+ k - 1 then divides by two more bigint products: its quotient is (v div
-x^m) mu div x^(k-1), and its remainder v mod x^m - quotient * b mod x^m
-needs only the low m codes of b (Barrett reduction; von zur
-Gathen & Gerhard, Modern Computer Algebra, 9.1 and ch. 14).  So an exact
-division f // g, one per split in factor.py, costs a few bigint products
-instead of deg f * deg g code products.
+``Field._folder`` fold of max(m, k) slots.  Every caller of a fold passes
+it the most products of two codes a slot sums, the ``terms`` that
+``Field._kron_bytes`` sizes the slots by, so width and fold come from
+one count; over F_{p^e} the fold takes one residue pass where the slot
+has room for that many.  A value v of degree at most m + k - 1 then
+divides by two more bigint products: its quotient is (v div x^m) mu div
+x^(k-1), and its remainder v mod x^m - quotient * b mod x^m needs only
+the low m codes of b (Barrett reduction; von zur Gathen & Gerhard,
+Modern Computer Algebra, 9.1 and ch. 14).  So an exact division f // g,
+one per split in factor.py, costs a few bigint products instead of deg f
+* deg g code products.
 
 ``gcd`` runs on code lists when the shorter operand has fewer than
 ``GCD_PACKED_MIN`` coefficients.  From that length on it enters the
@@ -77,10 +81,12 @@ solves for the t + 1 quotient codes from those alone (``_remainder`` on
 those codes), and takes quotient * b + (p - 1) a = -(a mod b), as a
 times the code p - 1 is -a.  gcd's answer is monic, so no scale or sign
 matters, and a is read only when b reaches zero.  gcd binds its fold
-once, for a's slot count: no later value has more slots, and a zero
-slot stays zero, so it serves every step.  Each step costs a few bigint
-operations on the whole remainder instead of one reduction per
-coefficient (von zur Gathen & Gerhard, ch. 3 and 9).
+once, for a's slot count and len(b) + 1 terms: no later value has more
+slots, and a zero slot stays zero, so it serves every step.  A step
+whose remainder is not shorter than its divisor raises
+``VerificationError``, so a faulty fold cannot loop for ever.  Each step
+costs a few bigint operations on the whole remainder instead of one
+reduction per coefficient (von zur Gathen & Gerhard, ch. 3 and 9).
 
 Multiplication is likewise one kernel on code lists, ``_mul``, and it
 serves ``*``.  Once both operands have at least ``KRON_MIN_LENGTH``
@@ -106,14 +112,14 @@ once, where the division reads it.
 Every other ladder works on packed ints alone: from degree N on, and
 from degree 2 on a long exponent, such as an equal-degree draw's
 (q^d - 1)/2.  For f of degree n its set-up, ``_barrett(f)``, is the slot
-width and ``_divider``'s ``mulmod`` for k = n - 1, the product mod f of
-two packed residues, whose product has degree at most 2n - 2; the high
-half, quotient and remainder all pass through the one fold, so the
-ladder builds no coefficient list between steps.  It is paid once per
-modulus and pays off over the ladder's steps.  It lives on the monic
-modulus: built on the first Barrett ladder by f, it is kept in f's
-``_setup`` slot, so a caller that powers again and again by one modulus
-object (the distinct-degree walk and the equal-degree draws in
+width and ``_divider``'s ``mulmod`` for k = n - 1, both for 2n terms,
+the product mod f of two packed residues, whose product has degree at
+most 2n - 2; the high half, quotient and remainder all pass through the
+one fold, so the ladder builds no coefficient list between steps.  It
+is paid once per modulus and pays off over the ladder's steps.  It lives
+on the monic modulus: built on the first Barrett ladder by f, it is kept
+in f's ``_setup`` slot, so a caller that powers again and again by one
+modulus object (the distinct-degree walk and the equal-degree draws in
 factor.py) builds it once.
 ``pow_mod`` is the only routine that powers mod a ``Poly`` (square roots
 power pairs of codes mod x^2 - w in field.py).
@@ -121,7 +127,7 @@ power pairs of codes mod x^2 - w in field.py).
 
 from __future__ import annotations
 
-from .errors import DomainError, FieldMismatchError
+from .errors import DomainError, FieldMismatchError, VerificationError
 from .field import Field, FieldElement, _ladder
 
 
@@ -207,12 +213,13 @@ def _mul(fld: Field, a, b) -> list[int]:
     ``KRON_MIN_LENGTH`` codes, where a squaring packs once and lets the
     int multiplier see it, and the schoolbook loop below that."""
     if len(a) >= KRON_MIN_LENGTH <= len(b):
-        nbytes = fld._kron_bytes(min(len(a), len(b)))
+        terms = min(len(a), len(b))
+        nbytes = fld._kron_bytes(terms)
         pack = fld._kron_pack
         va = pack(a, nbytes)
         vb = va if a is b else pack(b, nbytes)
         n = len(a) + len(b) - 1
-        return fld._kron_unpack(fld._folder(nbytes, n)(va * vb), nbytes, n)
+        return fld._kron_unpack(fld._folder(terms, n)(va * vb), nbytes, n)
     reduce = fld._reduce
     return [reduce(v) for v in _sums(a, b)]
 
@@ -393,7 +400,7 @@ class Poly:
             # the Newton division; slots sum at most k + 1 products
             k = len(a) - len(b) + 1
             nbytes = f._kron_bytes(k + 1)
-            quo, rem = _divider(f, b, k, nbytes)[0](f._kron_pack(a, nbytes))
+            quo, rem = _divider(f, b, k, k + 1)[0](f._kron_pack(a, nbytes))
             unpack = f._kron_unpack
             return (Poly._raw(f, unpack(quo, nbytes, k)),
                     Poly._raw(f, unpack(rem, nbytes, len(b) - 1)))
@@ -519,16 +526,19 @@ def gcd(f: Poly, g: Poly) -> Poly:
     if len(b) >= GCD_PACKED_MIN:
         # the remainder sequence on packed ints until b is a constant or zero;
         # a slot sums up to len(b) products (quotient times b) and one more (a
-        # times p - 1 or the scale, whose coordinates reach p where t = 0 and
-        # the quotient is one code); no value has more than na slots, so one
-        # fold serves
-        nbytes = fld._kron_bytes(len(b) + 1)
+        # times p - 1 or the scale); no value has more than na slots, so one
+        # fold serves.  A factor P - c has coordinates up to p, and (p-1) p <=
+        # 2 (p-1)^2, so a product with it counts as two: a t = 0 step sums
+        # a1 b_j + (P - b1) a_j, three, and t = 1's quotient fold at most
+        # a0 b1 + a1 (P - b0), three, both inside len(b) + 1 >= 25
+        terms = len(b) + 1
+        nbytes = fld._kron_bytes(terms)
         bits = 8 * nbytes
         pack, codes, neg_one = fld._kron_pack, fld._kron_unpack, fld.p - 1
         # a slot of every coordinate p: minus - c is -c with no sub-slot negative
         minus, slot = pack([fld._pack([fld.p] * fld.e)], nbytes), (1 << bits) - 1
         va, vb, na, nb = pack(a, nbytes), pack(b, nbytes), len(a), len(b)
-        fold = fld._folder(nbytes, na)
+        fold = fld._folder(terms, na)
         while nb >= 2:
             t = na - nb
             if t < 2:
@@ -554,6 +564,10 @@ def gcd(f: Poly, g: Poly) -> Poly:
                 _remainder(fld, rem, codes(vb >> bits * (nb - top), nbytes, top), quo)
                 va = fold(pack(quo, nbytes) * vb + neg_one * va)
             va, vb, na, nb = vb, va, nb, -(-va.bit_length() // bits)
+            if nb >= na:
+                # a remainder shorter than its divisor is exact arithmetic;
+                # without this a faulty step would loop for ever
+                raise VerificationError(f"packed gcd step left {nb} of {na} slots")
         # b is a nonzero constant, so the gcd is 1, or zero, so it is a's
         a, b = [1] if nb else codes(va, nbytes, na), []
     while b:
@@ -602,18 +616,20 @@ def pow_mod(base: Poly, k: int, modulus: Poly) -> Poly:
     return Poly._raw(fld, fld._kron_unpack(acc, nbytes, n))
 
 
-def _divider(fld: Field, b, k: int, nbytes: int):
+def _divider(fld: Field, b, k: int, terms: int):
     """Division by the codes ``b`` (nonzero last code, degree m) on packed
-    ints of nbytes-byte slots, through mu = x^(m+k-1) div b: the pair
-    (divide, mulmod).  divide(v), v of degree at most m + k - 1, gives the
-    packed quotient and remainder of v by b; mulmod(a, c) is divide(a c)'s
-    remainder, for the product of two residues when k = m - 1.  A slot
-    holds the sum of k + 1 products when v holds codes, and more when v is
-    an unreduced product (see ``_barrett``).  One fold of max(m, k) slots
-    serves every value, as zero slots stay zero."""
+    ints of ``_kron_bytes(terms)``-byte slots, through mu = x^(m+k-1) div b:
+    the pair (divide, mulmod).  divide(v), v of degree at most m + k - 1,
+    gives the packed quotient and remainder of v by b; mulmod(a, c) is
+    divide(a c)'s remainder, for the product of two residues when k = m - 1.
+    A slot sums up to k + 1 products when v holds codes, and more when v is
+    an unreduced product (see ``_barrett``): ``terms``, which sizes both the
+    slots and the fold.  One fold of max(m, k) slots serves every value, as
+    zero slots stay zero."""
     m = len(b) - 1
+    nbytes = fld._kron_bytes(terms)
     bits = 8 * nbytes
-    pack, fold = fld._kron_pack, fld._folder(nbytes, max(m, k))
+    pack, fold = fld._kron_pack, fld._folder(terms, max(m, k))
     # mu reversed is rev(b)^-1 mod x^k, by Newton iteration: when h is
     # rev(b)^-1 mod x^j and rev(b) h = 1 + x^j e mod x^2j, h - x^j (h e mod
     # x^j) is rev(b)^-1 mod x^2j.  With g = -rev(b), g h = -1 - x^j e, so
@@ -652,8 +668,7 @@ def _barrett(f: Poly):
     # and the product of two packed residues mod f.  Slots hold up to 2n - 1
     # products (n - 1 in quo * (-f), n in the low half of the product reduced)
     n = f.degree
-    nbytes = f.field._kron_bytes(2 * n)
-    return nbytes, _divider(f.field, f._codes, n - 1, nbytes)[1]
+    return f.field._kron_bytes(2 * n), _divider(f.field, f._codes, n - 1, 2 * n)[1]
 
 
 def resultant(f: Poly, g: Poly) -> FieldElement:

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import resource
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -261,3 +262,32 @@ def mirrored_residual(monkeypatch):
         return k, g * Poly(f.field, (-factor[0],) + factor.coeffs[1:])
 
     monkeypatch.setattr(recip, "_strip", off)
+
+
+@pytest.fixture
+def spin_alarm():
+    """A SIGALRM after 60 s that fails the test, so that a loop that spins
+    fails rather than hangs."""
+    def spun(signum, frame):
+        raise AssertionError("still running after 60 s")
+
+    old = signal.signal(signal.SIGALRM, spun)
+    signal.setitimer(signal.ITIMER_REAL, 60)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, old)
+
+
+@pytest.fixture
+def short_p_slot(monkeypatch):
+    """Field._pack taking a coordinate p as p - 1: poly.gcd's slot P, every
+    coordinate p, then has every coordinate p - 1, and P - c is -c - 1."""
+    pack = Field._pack
+    monkeypatch.setattr(Field, "_pack",
+                        lambda self, coords: pack(self, [c - (c == self.p) for c in coords]))
+
+
+@pytest.fixture
+def unreduced_folds(monkeypatch):
+    """Field._folder handing out folds that return their value as it is."""
+    monkeypatch.setattr(Field, "_folder", lambda self, terms, n: lambda v: v)

@@ -13,6 +13,8 @@ commands are:
 - ``verify --theorem T`` for every check at n = 1 and 2 over F_3, F_5 and
   F_9, with several a each, and checks 8, 9 and 10 at n = 3 over F_7 and
   F_9, the sizes the benchmark's small-field sweep runs;
+- ``verify --theorem 6`` at n = 1 over F_7^2 and F_5^3 with a ``--modulus``
+  that is not the default, whose reduction rows the folds take;
 - ``census`` as JSON and as CSV, and ``count --enumerate``;
 - one ``classify``, ``parity --verify``, ``recip``, ``transform`` and
   ``invtransform`` over a prime and over an extension field;
@@ -40,6 +42,9 @@ VERIFY = [("3", "1"), ("3", "2"), ("5", "2"), ("5", "4"), ("3^2", "t"), ("3^2", 
           ("3^2", "1+t")]
 # (field spec, a) of each verify request for checks 8, 9 and 10 at n = 3
 VERIFY_N3 = [("7", "3"), ("3^2", "t")]
+# (field spec, modulus) of each verify --theorem 6 --n 1 --a t request with a
+# modulus other than the default: t^2 + t + 3 and t^3 + 4t + 2
+MODULUS = [("7^2", "3,1,1"), ("5^3", "2,4,0,1")]
 # (field spec, a, n) of each count --enumerate request
 COUNT = [("5", "2", 3), ("3^2", "t", 2)]
 # (field spec, a, f of degree 3, its quadratic transform) for the single-poly
@@ -72,6 +77,10 @@ def commands() -> list[tuple[str, list[str]]]:
         for check in ("8", "9", "10"):
             out.append((f"verify --theorem {check} F_{spec} a={a} n=3",
                         ["verify", "--field", spec, "--a", a, "--theorem", check, "--n", "3"]))
+    for spec, modulus in MODULUS:
+        out.append((f"verify --theorem 6 F_{spec} modulus={modulus} a=t n=1",
+                    ["verify", "--field", spec, "--modulus", modulus, "--a", "t",
+                     "--theorem", "6", "--n", "1"]))
     census = ["census", "--fields", "3,5,7,3^2", "--nmax", "2"]
     out += [("census F_3,F_5,F_7,F_9 nmax=2", census),
             ("census F_3,F_5,F_7,F_9 nmax=2 csv", census + ["--csv"])]

@@ -488,3 +488,12 @@ def test_verification_error_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "invtransform", "--field", "5", "--a", "2", "--poly", f)
     assert (code, out) == (2, "")
     assert err == "verification failure: quadratic transform round trip failed\n"
+
+
+def test_faulty_packed_gcd_step_exits_2(capsys, short_p_slot, spin_alarm):
+    # the oracle behind check 6 runs 8 packed gcds here; a faulty step ends
+    # the request with exit 2, where it once looped for ever
+    code, out, err = run(capsys, "verify", "--field", "3^2", "--a", "t", "--theorem", "6",
+                         "--n", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("verification failure: packed gcd step left ")

@@ -10,6 +10,7 @@ from gfrecip import (
     FieldElement,
     FieldMismatchError,
     Poly,
+    VerificationError,
     discriminant,
     gcd,
     is_squarefree,
@@ -17,7 +18,7 @@ from gfrecip import (
     resultant,
 )
 from gfrecip import poly
-from gfrecip.field import _ladder
+from gfrecip.field import _ladder, _smallest_irreducible
 from gfrecip.poly import (BARRETT_MIN_WORK, GCD_PACKED_MIN, KRON_MIN_LENGTH, QUOTIENT_MIN, _barrett,
                           _divider, _remainder, _sums)
 
@@ -201,69 +202,126 @@ def _joined(accs, nbytes, shift):
                                     .to_bytes(nbytes, "little") for acc in accs]), "little")
 
 
-# F_3^10 runs the fold mod m with e = 10, 9 products a fold
+def _field_id(field):
+    # the spec, and after it a modulus other than the default
+    spec = field.spec_string()
+    if field.e > 1 and field.modulus != _smallest_irreducible(field.p, field.e):
+        spec += ":" + ",".join(map(str, field.modulus))
+    return spec
+
+
+# F_3^10 runs the fold mod m with e = 10, 9 products a fold; F_7^2 and F_5^3
+# also with a modulus of their own, t^2 + t + 3 (rows (4, 6)) and t^3 + 4t + 2
 KERNEL_FIELDS = [Field(3), Field(5), Field(7), Field(13), Field(31), Field(127),
                  Field(131), Field(257), Field(65537), Field(2 ** 31 - 1),
                  Field(2 ** 89 - 1), Field(3, 2), Field(5, 3), Field(3, 6), Field(13, 2),
-                 Field(127, 3), Field(131, 2), Field(10007, 2), Field(3, 10)]
+                 Field(127, 3), Field(131, 2), Field(10007, 2), Field(3, 10),
+                 Field(7, 2, (3, 1, 1)), Field(5, 3, (2, 4, 0, 1))]
 
 
-@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=Field.spec_string)
+def _fold_terms(field, nbytes):
+    # (top, room) for slots of nbytes bytes: the most terms they are sized
+    # for, whose fold over F_{p^e} takes two residue passes, and the most
+    # sized for them whose fold takes one (0 if none).  One pass fits where
+    # terms g (p-1)^2 fits a sub-slot, g the largest (j+1) + sum_i (e-1-i)
+    # c_ij, c_ij coordinate j of t^(e+i) mod m, derived here through _reduce
+    p, e, w = field.p, field.e, field._slot_bits
+    rows = [field._unpack(field._reduce(1 << w * (e + i))) for i in range(e - 1)]
+    g = max(j + 1 + sum((e - 1 - i) * c[j] for i, c in enumerate(rows)) for j in range(e))
+    assert field._fold_gain == g
+    full = (1 << 8 * (nbytes // (2 * e - 1))) - 1
+    top, room = full // (e * (p - 1) ** 2), full // (g * (p - 1) ** 2)
+    assert field._kron_bytes(top) == nbytes < field._kron_bytes(top + 1)
+    assert e == 1 or (top * g * (p - 1) ** 2).bit_length() > full.bit_length()
+    return top, room if field._kron_bytes(room) == nbytes else 0
+
+
+def _part_bounds(field, terms):
+    # a sum of `terms` products of codes: at most min(k+1, 2e-1-k) products
+    # of two coordinates in each of its parts at t^k
+    span = 2 * field.e - 1
+    return [terms * min(k + 1, span - k) * (field.p - 1) ** 2 for k in range(span)]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=_field_id)
 def test_kron_kernels_match_per_slot_reference(field):
     # the SWAR Barrett kernels, and over F_{p^e} their fold mod m, against
     # one slot at a time: each slot's accumulator, its t^k parts moved to
-    # bit w k, through Field._reduce
+    # bit w k, through Field._reduce.  Parts of any width take the fold for
+    # the most terms the slots hold, two residue passes over F_{p^e}; parts
+    # within the terms bound also take folds for fewer terms, where the
+    # fold skips its first pass
     p, e, w = field.p, field.e, field._slot_bits
     span = 2 * e - 1
     rng = random.Random(field.q)
+    one_pass = []
 
     for terms in (1, 60, 70000, 2 ** 26):
         nbytes = field._kron_bytes(terms)
+        top, room = _fold_terms(field, nbytes)
+        one_pass.append(terms <= room)
         # where a slot holds its t^k part, and the most each part can hold
         # that the reference takes too (_reduce: 2^32 products a part)
         shift = 8 * (nbytes // span)
         caps = [min((1 << shift) - 1, 2 ** 32 * e * (p - 1) ** 2)] * span
-
-        # a sum of `terms` products of codes: at most min(k+1, 2e-1-k)
-        # products of two coordinates in each of them at t^k
-        bound = [terms * min(k + 1, span - k) * (p - 1) ** 2 for k in range(span)]
+        bound = _part_bounds(field, terms)
         for n in (1, 2, 7, 300, 2000):
-            for accs in ([[rng.randrange(cap + 1) for cap in caps] for _ in range(n)],
-                         [caps] * n,                    # every part full (0xFF bytes)
-                         [[p - 1] * span] * n,          # every part p - 1
-                         [bound] * n):                  # every part at the bound
+            cases = [(top, [[rng.randrange(cap + 1) for cap in caps] for _ in range(n)]),
+                     (top, [caps] * n),                 # every part full (0xFF bytes)
+                     (top, [[p - 1] * span] * n),       # every part p - 1
+                     (top, [bound] * n)]                # every part at the bound
+            for size in sorted({terms, room, top} - {0}):
+                # within the bound of a fold for `size` terms: random, every
+                # part p - 1 and every part at the bound
+                most = [min(cap, b) for cap, b in zip(caps, _part_bounds(field, size))]
+                cases += [(size, [[rng.randrange(b + 1) for b in most] for _ in range(n)]),
+                          (size, [[p - 1] * span] * n), (size, [most] * n)]
+            for size, accs in cases:
                 v = _joined(accs, nbytes, shift)
                 codes = [field._reduce(sum(a << w * k for k, a in enumerate(acc)))
                          for acc in accs]
                 packed = _joined([field._unpack(c) for c in codes], nbytes, shift)
-                fold = field._folder(nbytes, n)
+                fold = field._folder(size, n)
                 assert field._kron_unpack(fold(v), nbytes, n) == codes
                 assert field._kron_unpack(packed, nbytes, n) == codes
                 assert fold(v) == packed
                 assert field._kron_pack(codes, nbytes) == packed
+    # every extension field's fold takes one pass for some tested count,
+    # but where g > 2^8 e: a sub-slot sized for T e (p-1)^2 has fewer than 8
+    # bits to spare, so T g (p-1)^2 never fits it (F_10007^2, g = 10007)
+    assert e == 1 or any(one_pass) != (field._fold_gain > 2 ** 8 * e)
 
 
-@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=Field.spec_string)
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=_field_id)
 def test_fold_serves_shorter_values(field):
     # a fold bound for N slots reduces values of 1, N/2 + 1 and N slots as
     # the per-slot reference does, leaving every slot above them zero: gcd
-    # folds every step with the fold of its first operand's slot count
+    # folds every step with the fold of its first operand's slot count.
+    # Full-width parts take the fold for the most terms the slots hold (two
+    # passes over F_{p^e}), parts within the bound of the most terms one
+    # pass serves take that fold
     span, w = 2 * field.e - 1, field._slot_bits
     nbytes = field._kron_bytes(200)
     shift = 8 * (nbytes // span)
+    top, room = _fold_terms(field, nbytes)
     rng = random.Random(field.q + 5)
+    cases = [(top, [(1 << shift) - 1] * span)]
+    if room:
+        cases.append((room, _part_bounds(field, room)))
 
     for big in (2, 8, 64, 1024):
-        fold = field._folder(nbytes, big)
-        for n in (1, big // 2 + 1, big):
-            # full-width parts, none zero, so the value has n slots
-            accs = [[rng.randrange(1, 1 << shift) for _ in range(span)] for _ in range(n)]
-            codes = [field._reduce(sum(a << w * k for k, a in enumerate(acc))) for acc in accs]
-            assert fold(_joined(accs, nbytes, shift)) == \
-                _joined([field._unpack(c) for c in codes], nbytes, shift)
+        for size, most in cases:
+            fold = field._folder(size, big)
+            for n in (1, big // 2 + 1, big):
+                # parts up to the most, none zero, so the value has n slots
+                accs = [[rng.randrange(1, m + 1) for m in most] for _ in range(n)]
+                codes = [field._reduce(sum(a << w * k for k, a in enumerate(acc)))
+                         for acc in accs]
+                assert fold(_joined(accs, nbytes, shift)) == \
+                    _joined([field._unpack(c) for c in codes], nbytes, shift)
 
 
-@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=Field.spec_string)
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=_field_id)
 def test_barrett_mu_is_the_code_list_quotient(field):
     # the mulmod of _barrett(f), whose quotient is taken with mu from the
     # packed Newton inverse, against _sums and _remainder by the code-list
@@ -278,7 +336,7 @@ def test_barrett_mu_is_the_code_list_quotient(field):
     for n in (2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 40, 70):
         for f in (_random_poly(field, n, rng).monic(), Poly._raw(field, top * n + [1])):
             nbytes, mulmod = _barrett(f)
-            divide, twin = _divider(field, f._codes, n - 1, nbytes)
+            divide, twin = _divider(field, f._codes, n - 1, 2 * n)
             rand = [list(_random_poly(field, n - 1, rng)._codes) for _ in range(2)]
             for a, b in (rand, (top * n, top * n)):
                 rem, quo = _sums(a, b), [0] * (n - 1)
@@ -464,7 +522,7 @@ def _divided(field, a, b):
     # for b of degree m, in divmod's slots of room for k + 1 products
     k, m = len(a) - len(b) + 1, len(b) - 1
     nbytes = field._kron_bytes(k + 1)
-    quo, rem = _divider(field, b, k, nbytes)[0](field._kron_pack(a, nbytes))
+    quo, rem = _divider(field, b, k, k + 1)[0](field._kron_pack(a, nbytes))
     return field._kron_unpack(quo, nbytes, k), field._kron_unpack(rem, nbytes, m)
 
 
@@ -673,8 +731,8 @@ def test_packed_kernels_fold_only_sums(field, monkeypatch):
     folds = []
     folder = Field._folder
 
-    def counted_folder(self, nbytes, n):
-        fold = folder(self, nbytes, n)
+    def counted_folder(self, terms, n):
+        fold = folder(self, terms, n)
 
         def counted(v):
             folds.append(n)
@@ -707,9 +765,9 @@ def test_packed_gcd_binds_one_fold(field, monkeypatch):
     shapes = []
     folder = Field._folder
 
-    def counted_folder(self, nbytes, n):
+    def counted_folder(self, terms, n):
         shapes.append(n)
-        return folder(self, nbytes, n)
+        return folder(self, terms, n)
 
     monkeypatch.setattr(Field, "_folder", counted_folder)
     rng = random.Random(field.q + 5)
@@ -719,6 +777,21 @@ def test_packed_gcd_binds_one_fold(field, monkeypatch):
         d = gcd(f, g)
         assert shapes == [df + 1]
         assert d == _euclid(f, g)
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(257), Field(3, 2), Field(10007, 2)], ids=str)
+@pytest.mark.parametrize("plant", ["short_p_slot", "unreduced_folds"])
+def test_faulty_packed_gcd_step_raises(field, plant, request, spin_alarm):
+    # a packed step whose arithmetic is wrong leaves a remainder no shorter
+    # than its divisor, and gcd raises on it rather than looping for ever;
+    # first steps of degree gap 0, 1 and more
+    rng = random.Random(field.q + 11)
+    pairs = [(_random_poly(field, df, rng), _random_poly(field, dg, rng))
+             for df, dg in ((60, 60), (60, 59), (80, 40))]
+    request.getfixturevalue(plant)
+    for f, g in pairs:
+        with pytest.raises(VerificationError, match=r"^packed gcd step left \d+ of \d+ slots$"):
+            gcd(f, g)
 
 
 def _divisions(f, g):
