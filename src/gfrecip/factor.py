@@ -8,8 +8,9 @@ splitting with the odd-q exponent (q^d - 1)/2.
 
 The oracle has one q-power walk, the distinct-degree stage, and Ben-Or's
 test is its first block.  Each of its steps is one ``pow_mod`` by the
-current remainder.  Each equal-degree draw r costs one ``pow_mod`` and
-one gcd, gcd(r^((q^d-1)/2) - 1, f): a factor on which r vanishes lands
+current remainder.  Each equal-degree draw r is one ``_power_gcd``
+call, gcd(r^((q^d-1)/2) - 1, f): one ladder and one packed gcd on f's
+set-up, with no ``Poly`` built between them (see poly.py).  A factor on which r vanishes lands
 on the side where r^((q^d-1)/2) != 1, so it needs no separate gcd(r, f).
 A draw has degree below 2d, not below deg f: a draw splits two factors
 g and h of degree d exactly when r mod g and r mod h fall on different
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .field import Field, FieldElement
-from .poly import Poly, gcd, pow_mod
+from .poly import Poly, _power_gcd, gcd, pow_mod
 
 DEFAULT_SEED = 1729
 
@@ -159,12 +160,11 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
         return [f]
     fld = f.field
     exponent = (fld.q ** d - 1) // 2
-    one = Poly.one(fld)
     while True:
         r = _random_poly(fld, min(f.degree, 2 * d) - 1, rng)
         if r.degree < 1:
             continue
-        g = gcd(pow_mod(r, exponent, f) - one, f)
+        g = _power_gcd(r, exponent, f)
         if 0 < g.degree < f.degree:
             return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
 

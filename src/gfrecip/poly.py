@@ -44,12 +44,13 @@ reciprocal on packed ints, which ``pow_mod``'s Barrett ladder shares.  For
 a divisor b of degree m and quotients of k coefficients it computes mu =
 x^(m+k-1) div b once, as the reverse of rev(b)^-1 mod x^k by Newton
 iteration (two products and two folds a doubling), and binds one
-``Field._folder`` fold of max(m, k) slots.  Every caller of a fold passes
+``Field._folder`` fold of max(m, k) + 1 slots.  Every caller of a fold passes
 it the most products of two codes a slot sums, the ``terms`` that
 ``Field._kron_bytes`` sizes the slots by, so width and fold come from
 one count; over F_{p^e} the fold takes one residue pass where the slot
-has room for that many.  A value v of degree at most m + k - 1 then
-divides by two more bigint products: its quotient is (v div x^m) mu div
+has room for that many.  A value v of codes of degree at most m + k - 1
+then divides by two more bigint products and two folds (``mulmod``, on
+an unreduced product, folds its high half first): its quotient is (v div x^m) mu div
 x^(k-1), and its remainder v mod x^m - quotient * b mod x^m needs only
 the low m codes of b (Barrett reduction; von zur Gathen & Gerhard,
 Modern Computer Algebra, 9.1 and ch. 14).  So an exact division f // g,
@@ -84,7 +85,9 @@ matters, and a is read only when b reaches zero.  gcd binds its fold
 once, for a's slot count and len(b) + 1 terms: no later value has more
 slots, and a zero slot stays zero, so it serves every step.  A step
 whose remainder is not shorter than its divisor raises
-``VerificationError``, so a faulty fold cannot loop for ever.  Each step
+``VerificationError``, so a faulty fold cannot loop for ever.  The step
+is one private closure, ``_stepper``'s, which ``gcd`` and
+``_power_gcd`` share with the loop that runs it, ``_packed_gcd``.  Each step
 costs a few bigint operations on the whole remainder instead of one
 reduction per coefficient (von zur Gathen & Gerhard, ch. 3 and 9).
 
@@ -121,6 +124,14 @@ on the monic modulus: built on the first Barrett ladder by f, it is kept
 in f's ``_setup`` slot, so a caller that powers again and again by one
 modulus object (the distinct-degree walk and the equal-degree draws in
 factor.py) builds it once.
+The set-up also holds a fold bound once for f's n + 1 slots, which the
+ladder's ``mulmod`` and gcd steps by f share, that step and f packed.
+``_power_gcd(r, k, f)``, one equal-degree draw, returns the monic
+gcd(r^k mod f - 1, f) on the ladder ``pow_mod`` would take (one rule,
+``_list_ladder``): on Barrett's it stays in slots from the power to the
+gcd, h - 1 being one change to coordinate 0 of slot 0, and an h of one
+slot ends the draw with no gcd (h = 1 gives f, another constant 1); on
+the code-list ladder its gcd runs on code lists, with no ``Poly`` built.
 ``pow_mod`` is the only routine that powers mod a ``Poly`` (square roots
 power pairs of codes mod x^2 - w in field.py).
 """
@@ -238,8 +249,8 @@ def _sums(a, b) -> list[int]:
 
 
 class Poly:
-    # _setup: (slot bytes, mulmod), pow_mod's reduction set-up by this monic
-    # modulus, set on its first Barrett ladder (see _barrett and pow_mod);
+    # _setup: _barrett's reduction set-up by this monic modulus, set on its
+    # first Barrett ladder (see _barrett, pow_mod and _power_gcd);
     # a Poly never changes, so it never goes stale
     __slots__ = ("field", "_codes", "_setup")
 
@@ -523,58 +534,122 @@ def gcd(f: Poly, g: Poly) -> Poly:
     a, b = list(f._codes), list(g._codes)
     if len(a) < len(b):
         a, b = b, a
-    if len(b) >= GCD_PACKED_MIN:
-        # the remainder sequence on packed ints until b is a constant or zero;
-        # a slot sums up to len(b) products (quotient times b) and one more (a
-        # times p - 1 or the scale); no value has more than na slots, so one
-        # fold serves.  A factor P - c has coordinates up to p, and (p-1) p <=
-        # 2 (p-1)^2, so a product with it counts as two: a t = 0 step sums
-        # a1 b_j + (P - b1) a_j, three, and t = 1's quotient fold at most
-        # a0 b1 + a1 (P - b0), three, both inside len(b) + 1 >= 25
-        terms = len(b) + 1
-        nbytes = fld._kron_bytes(terms)
-        bits = 8 * nbytes
-        pack, codes, neg_one = fld._kron_pack, fld._kron_unpack, fld.p - 1
-        # a slot of every coordinate p: minus - c is -c with no sub-slot negative
-        minus, slot = pack([fld._pack([fld.p] * fld.e)], nbytes), (1 << bits) - 1
-        va, vb, na, nb = pack(a, nbytes), pack(b, nbytes), len(a), len(b)
-        fold = fld._folder(terms, na)
-        while nb >= 2:
-            t = na - nb
-            if t < 2:
-                # a pseudo-remainder step on the top two slots a1, a0 of a and
-                # b1, b0 of b, as they are: q = b1^(t+1) (a div b) is a1 (t =
-                # 0) or a1 b1 x + a0 b1 - a1 b0 (t = 1), and q * b - b1^(t+1) *
-                # a = -b1^(t+1) (a mod b).  A product of two slots is a slot of
-                # sums, so the fold reduces t = 1's quotient codes
-                a1, b1 = va >> bits * (na - 1), vb >> bits * (nb - 1)
-                if t:
-                    a0, b0 = va >> bits * (na - 2) & slot, vb >> bits * (nb - 2) & slot
-                    v = fold(a1 * b1 << 2 * bits | a0 * b1 + a1 * (minus - b0) << bits
-                             | b1 * (minus - b1))
-                else:
-                    v = a1 << bits | minus - b1
-                va = fold((v >> bits) * vb + (v & slot) * va)
-            else:
-                # the t + 1 quotient codes from the top t + 1 codes of a and
-                # of b, then quotient * b - a = -(a mod b)
-                top = min(t + 1, nb)
-                rem = [0] * (top - 1) + codes(va >> bits * (na - t - 1), nbytes, t + 1)
-                quo = [0] * (t + 1)
-                _remainder(fld, rem, codes(vb >> bits * (nb - top), nbytes, top), quo)
-                va = fold(pack(quo, nbytes) * vb + neg_one * va)
-            va, vb, na, nb = vb, va, nb, -(-va.bit_length() // bits)
-            if nb >= na:
-                # a remainder shorter than its divisor is exact arithmetic;
-                # without this a faulty step would loop for ever
-                raise VerificationError(f"packed gcd step left {nb} of {na} slots")
-        # b is a nonzero constant, so the gcd is 1, or zero, so it is a's
-        a, b = [1] if nb else codes(va, nbytes, na), []
+    if len(b) < GCD_PACKED_MIN:
+        return _list_gcd(fld, a, b)
+    # the remainder sequence on packed ints until b is a constant or zero; a
+    # slot sums up to len(b) + 1 products (see _stepper), and no value has
+    # more than len(a) slots, so one fold serves
+    terms = len(b) + 1
+    nbytes = fld._kron_bytes(terms)
+    pack = fld._kron_pack
+    step = _stepper(fld, nbytes, fld._folder(terms, len(a)))
+    return _packed_gcd(fld, nbytes, step, pack(a, nbytes), len(a), pack(b, nbytes), len(b))
+
+
+def _list_gcd(fld: Field, a: list, b: list) -> Poly:
+    # the monic gcd of two code lists by the code-list division, in place
     while b:
         _remainder(fld, a, b)
         a, b = b, a
     out = Poly._raw(fld, a)
     return out.monic() if a else out
+
+
+def _packed_gcd(fld: Field, nbytes: int, step, va: int, na: int, vb: int, nb: int) -> Poly:
+    # the monic gcd of a and b, packed in nbytes-byte slots, na >= nb slots:
+    # steps until b is a nonzero constant (the gcd is 1) or zero (it is a's,
+    # read once)
+    while nb >= 2:
+        vr, nr = step(va, na, vb, nb)
+        va, na, vb, nb = vb, nb, vr, nr
+    if nb:
+        return Poly.one(fld)
+    return Poly._raw(fld, fld._kron_unpack(va, nbytes, na)).monic()
+
+
+def _stepper(fld: Field, nbytes: int, fold):
+    """gcd's packed remainder step on ints of ``nbytes``-byte slots, each
+    slot a code, reduced by ``fold``: step(va, na, vb, nb), for a of na
+    slots over b of 2 <= nb <= na, gives (v, n), v = q b + s a a nonzero
+    multiple of a mod b, packed in n < nb slots.  A slot sums up to nb + 1
+    products of two codes, so ``fold`` must serve nb + 1 terms and na slots.
+    A step whose remainder is not shorter than b raises
+    ``VerificationError``: a faulty fold cannot loop for ever."""
+    bits = 8 * nbytes
+    slot, neg_one, codes = (1 << bits) - 1, fld.p - 1, fld._kron_unpack
+    # a slot of every coordinate p: minus - c is -c with no sub-slot negative.
+    # A factor P - c has coordinates up to p, and (p-1) p <= 2 (p-1)^2, so a
+    # product with it counts as two
+    minus = fld._kron_pack([fld._pack([fld.p] * fld.e)], nbytes)
+
+    def step(va, na, vb, nb):
+        t = na - nb
+        if t < 2:
+            # one stage (t = 0) or two (t = 1) on the top two slots a1, a0
+            # of a and b1, b0 of b, as they are: q is a1 or a1 b1 x + a0 b1 -
+            # a1 b0, s is -b1^(t+1), and t = 1's q and s, products of two
+            # slots, take one fold
+            a1, b1 = va >> bits * (na - 1), vb >> bits * (nb - 1)
+            if t:
+                a0, b0 = va >> bits * (na - 2) & slot, vb >> bits * (nb - 2) & slot
+                v = fold(a1 * b1 << 2 * bits | a0 * b1 + a1 * (minus - b0) << bits
+                         | b1 * (minus - b1))
+            else:
+                v = a1 << bits | minus - b1
+            q, s = v >> bits, v & slot
+        else:
+            # the t + 1 quotient codes from the top t + 1 codes of a and of
+            # b (in bulk for a large t, as in the walk's gcd(x^(q^d) - x,
+            # f)), then quotient * b - a = -(a mod b), a times p - 1 being -a
+            top = min(t + 1, nb)
+            rem = [0] * (top - 1) + codes(va >> bits * (na - t - 1), nbytes, t + 1)
+            quo = [0] * (t + 1)
+            _remainder(fld, rem, codes(vb >> bits * (nb - top), nbytes, top), quo)
+            q, s = fld._kron_pack(quo, nbytes), neg_one
+        # a slot sums at most min(t + 1, nb) products in q b and one in s a,
+        # two where s is P - b1 (t = 0): at most nb + 1
+        v = fold(q * vb + s * va)
+        n = -(-v.bit_length() // bits)
+        if n >= nb:
+            # a remainder shorter than its divisor is exact arithmetic;
+            # without this a faulty step would loop for ever
+            raise VerificationError(f"packed gcd step left {n} of {nb} slots")
+        return v, n
+
+    return step
+
+
+def _list_ladder(n: int, k: int) -> bool:
+    # whether powering by k mod a degree-n modulus takes the code-list ladder
+    # rather than Barrett's: degree 1, or a ladder too short to pay for a set-up
+    return n < KRON_MIN_LENGTH and (n < 2 or n * k.bit_length() < BARRETT_MIN_WORK)
+
+
+def _list_power(base: Poly, k: int, f: Poly) -> list:
+    # pow_mod's code-list ladder for k >= 1: the walk by monic f's low codes,
+    # listed and negated once, so no scale and no inverse
+    fld, n = f.field, f.degree
+    reduce, neg = fld._reduce, fld._neg
+    low = [(j, neg(c)) for j, c in enumerate(f._codes[:n]) if c]
+
+    def mulmod(a, b):
+        # the walk reduces the sums it reads and the remainder
+        rem = _sums(a, b)
+        _walk(reduce, rem, n, low)
+        return rem
+
+    rem = list(base._codes)
+    _walk(reduce, rem, n, low)
+    return _ladder(rem, k, mulmod)
+
+
+def _barrett_setup(f: Poly):
+    # monic f's Barrett set-up (see _barrett), built on first use and kept
+    try:
+        return f._setup
+    except AttributeError:
+        f._setup = _barrett(f)
+        return f._setup
 
 
 def pow_mod(base: Poly, k: int, modulus: Poly) -> Poly:
@@ -590,46 +665,57 @@ def pow_mod(base: Poly, k: int, modulus: Poly) -> Poly:
     if not k:
         return Poly.one(fld)
     n = f.degree
-    if n < KRON_MIN_LENGTH and (n < 2 or n * k.bit_length() < BARRETT_MIN_WORK):
-        # degree 1, or a ladder too short to pay for a Barrett set-up: the
-        # walk by f's low codes, listed and negated once; f is monic, so no
-        # scale and no inverse
-        reduce, neg = fld._reduce, fld._neg
-        low = [(j, neg(c)) for j, c in enumerate(f._codes[:n]) if c]
-
-        def mulmod(a, b):
-            # the walk reduces the sums it reads and the remainder
-            rem = _sums(a, b)
-            _walk(reduce, rem, n, low)
-            return rem
-
-        rem = list(base._codes)
-        _walk(reduce, rem, n, low)
-        return Poly._raw(fld, _ladder(rem, k, mulmod))
+    if _list_ladder(n, k):
+        return Poly._raw(fld, _list_power(base, k, f))
     if base.degree >= n:
         base = base % f
-    try:
-        nbytes, mulmod = f._setup
-    except AttributeError:
-        nbytes, mulmod = f._setup = _barrett(f)
+    nbytes, mulmod = _barrett_setup(f)[:2]
     acc = _ladder(fld._kron_pack(base._codes, nbytes), k, mulmod)
     return Poly._raw(fld, fld._kron_unpack(acc, nbytes, n))
+
+
+def _power_gcd(r: Poly, k: int, f: Poly) -> Poly:
+    """The monic gcd(r^k mod f - 1, f), for monic f of degree >= 1 and k >=
+    1: one equal-degree draw.  It powers on the ladder ``pow_mod`` would
+    take.  On Barrett's it stays on f's set-up from the power to the gcd:
+    h - 1 is one change to slot 0, and the gcd's steps take f packed and
+    the set-up's fold.  On the code-list ladder the gcd runs on code
+    lists."""
+    fld, n = f.field, f.degree
+    if _list_ladder(n, k):
+        h = _list_power(r, k, f)
+        h[:1] = [fld._reduce(h[0] + fld.p - 1)] if h else [fld.p - 1]
+        while h and not h[-1]:
+            h.pop()
+        return _list_gcd(fld, list(f._codes), h)
+    if r.degree >= n:
+        r = r % f
+    nbytes, mulmod, step, vf = _barrett_setup(f)
+    v = _ladder(fld._kron_pack(r._codes, nbytes), k, mulmod)
+    # minus 1 on coordinate 0 of slot 0, the low sub-slot: no carry, no fold
+    v = v - 1 if v & (1 << 8 * (nbytes // (2 * fld.e - 1))) - 1 else v + fld.p - 1
+    nb = -(-v.bit_length() // (8 * nbytes))
+    if nb < 2:
+        # h - 1 zero: r^k = 1 mod f; a nonzero constant: gcd 1
+        return Poly.one(fld) if nb else f
+    return _packed_gcd(fld, nbytes, step, vf, n + 1, v, nb)
 
 
 def _divider(fld: Field, b, k: int, terms: int):
     """Division by the codes ``b`` (nonzero last code, degree m) on packed
     ints of ``_kron_bytes(terms)``-byte slots, through mu = x^(m+k-1) div b:
-    the pair (divide, mulmod).  divide(v), v of degree at most m + k - 1,
-    gives the packed quotient and remainder of v by b; mulmod(a, c) is
-    divide(a c)'s remainder, for the product of two residues when k = m - 1.
-    A slot sums up to k + 1 products when v holds codes, and more when v is
-    an unreduced product (see ``_barrett``): ``terms``, which sizes both the
-    slots and the fold.  One fold of max(m, k) slots serves every value, as
-    zero slots stay zero."""
+    (divide, mulmod, fold).  divide(v), v of codes of degree at most m + k -
+    1, gives the packed quotient and remainder of v by b; mulmod(a, c) is
+    the remainder of the product a c, of degree at most m + k - 1, for the
+    product of two residues when k = m - 1.  A slot sums up to k + 1
+    products in divide, and more in mulmod, whose value is an unreduced
+    product (see ``_barrett``): ``terms``, which sizes both the slots and
+    the fold.  The one fold has max(m, k) + 1 slots: no value here has more,
+    zero slots stay zero, and _barrett's gcd steps take it for f's m + 1."""
     m = len(b) - 1
     nbytes = fld._kron_bytes(terms)
     bits = 8 * nbytes
-    pack, fold = fld._kron_pack, fld._folder(terms, max(m, k))
+    pack, fold = fld._kron_pack, fld._folder(terms, max(m, k) + 1)
     # mu reversed is rev(b)^-1 mod x^k, by Newton iteration: when h is
     # rev(b)^-1 mod x^j and rev(b) h = 1 + x^j e mod x^2j, h - x^j (h e mod
     # x^j) is rev(b)^-1 mod x^2j.  With g = -rev(b), g h = -1 - x^j e, so
@@ -650,25 +736,32 @@ def _divider(fld: Field, b, k: int, terms: int):
 
     def divide(v):
         # the quotient is (v div x^m) mu div x^(k-1), and the remainder v mod
-        # x^m - quotient * b mod x^m needs b mod x^m alone
-        quo = fold(fold(v >> low_bits) * mu >> quo_shift)
+        # x^m - quotient * b mod x^m needs b mod x^m alone; v's slots are
+        # codes, so the high half times mu sums k products a slot, unfolded
+        quo = fold((v >> low_bits) * mu >> quo_shift)
         return quo, fold((quo * neg_low + (v & low_mask)) & low_mask)
 
     def mulmod(a, c):
-        # divide's two lines inlined, for pow_mod's ladder steps
+        # divide's two lines for pow_mod's ladder steps, on the product a c,
+        # whose high half is folded first: its slots sum products
         v = a * c
         quo = fold(fold(v >> low_bits) * mu >> quo_shift)
         return fold((quo * neg_low + (v & low_mask)) & low_mask)
 
-    return divide, mulmod
+    return divide, mulmod, fold
 
 
 def _barrett(f: Poly):
-    # pow_mod's reduction set-up for the monic f of degree n >= 2: slot bytes
-    # and the product of two packed residues mod f.  Slots hold up to 2n - 1
-    # products (n - 1 in quo * (-f), n in the low half of the product reduced)
-    n = f.degree
-    return f.field._kron_bytes(2 * n), _divider(f.field, f._codes, n - 1, 2 * n)[1]
+    # the reduction set-up for the monic f of degree n >= 2, for pow_mod's
+    # ladder and the draws of _power_gcd: slot bytes, the product of two
+    # packed residues mod f, gcd's step on its fold and f packed.  Slots hold
+    # up to 2n - 1 products (n - 1 in quo * (-f), n in the low half of the
+    # product reduced), and a gcd step by b of at most n slots sums at most
+    # n + 1; the fold has room for f's n + 1 slots
+    n, fld = f.degree, f.field
+    nbytes = fld._kron_bytes(2 * n)
+    mulmod, fold = _divider(fld, f._codes, n - 1, 2 * n)[1:]
+    return nbytes, mulmod, _stepper(fld, nbytes, fold), fld._kron_pack(f._codes, nbytes)
 
 
 def resultant(f: Poly, g: Poly) -> FieldElement:

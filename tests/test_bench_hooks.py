@@ -65,7 +65,8 @@ def test_frobenius_steps_call_pow_mod(monkeypatch):
 
 def test_factorize_calls_gcd(monkeypatch):
     # the tracer counts poly.gcd.calls and times poly.gcd.total_s through
-    # the name factor.gcd, so the oracle's gcds, packed or not, go through it
+    # the name factor.gcd: the walk's and the squarefree gcds, packed or not,
+    # go through it; the equal-degree draws take poly._power_gcd and do not
     calls = []
     step = gfrecip.factor.gcd
 

@@ -330,13 +330,15 @@ def test_barrett_mu_is_the_code_list_quotient(field):
     # is a unit mod x^n when f(0) != 0, its remainder mod x^n, low half -
     # quotient * f, is right only if that quotient is the code-list one.
     # _divider's divide, in the same slots, gives that quotient and
-    # remainder of the product, and mulmod, which repeats its lines, agrees
+    # remainder of the product folded to codes, and mulmod, which repeats
+    # its lines on the unreduced product, agrees
     rng = random.Random(field.q + 6)
     top = [field._pack([field.p - 1] * field.e)]
     for n in (2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 40, 70):
         for f in (_random_poly(field, n, rng).monic(), Poly._raw(field, top * n + [1])):
-            nbytes, mulmod = _barrett(f)
-            divide, twin = _divider(field, f._codes, n - 1, 2 * n)
+            nbytes, mulmod = _barrett(f)[:2]
+            divide, twin = _divider(field, f._codes, n - 1, 2 * n)[:2]
+            product = field._folder(2 * n, 2 * n - 1)
             rand = [list(_random_poly(field, n - 1, rng)._codes) for _ in range(2)]
             for a, b in (rand, (top * n, top * n)):
                 rem, quo = _sums(a, b), [0] * (n - 1)
@@ -345,7 +347,7 @@ def test_barrett_mu_is_the_code_list_quotient(field):
                 va, vb = field._kron_pack(a, nbytes), field._kron_pack(b, nbytes)
                 got = mulmod(va, vb)
                 assert field._kron_unpack(got, nbytes, n) == rem
-                dq, dr = divide(va * vb)
+                dq, dr = divide(product(va * vb))
                 assert field._kron_unpack(dq, nbytes, n - 1) == quo
                 assert field._kron_unpack(dr, nbytes, n) == rem
                 assert dr == got == twin(va, vb)
@@ -420,7 +422,7 @@ def _code_list_power(base, k, f):
 def _barrett_power(base, k, f):
     # the Barrett ladder, whatever the work: _barrett's mulmod by monic f
     field, monic = f.field, f.monic()
-    nbytes, mulmod = _barrett(monic)
+    nbytes, mulmod = _barrett(monic)[:2]
     acc = _ladder(field._kron_pack((base % monic)._codes, nbytes), k, mulmod)
     return Poly._raw(field, field._kron_unpack(acc, nbytes, monic.degree))
 
@@ -1093,3 +1095,57 @@ def test_monic():
     assert f == Poly(F5, [3, 1])
     with pytest.raises(DomainError):
         Poly(F5, []).monic()
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=_field_id)
+def test_power_gcd_is_the_draws_gcd(field):
+    # one equal-degree draw, gcd(r^k mod f - 1, f), on both ladders: node
+    # degrees 2 to 7 with short and long exponents, then 8, 23 to 25, 40 and
+    # 100; draws of degree past f's, r = 1 (h = 1, no split), r = -1 with
+    # an odd k (h = -1, gcd 1) and a draw that vanishes on one factor
+    rng = random.Random(field.q + 31)
+    one = Poly.one(field)
+    for n in (2, 3, 4, 5, 6, 7, 8, 23, 24, 25, 40, 100):
+        f = _random_poly(field, n, rng).monic()
+        for k in (1, 3, (field.q - 1) // 2, 2 ** 20 + 1):
+            draws = [_random_poly(field, rng.randrange(n), rng),
+                     _random_poly(field, n + 3, rng), one, -one]
+            for r in draws:
+                assert poly._power_gcd(r, k, f) == gcd(pow_mod(r, k, f) - one, f), (n, k, r)
+        g, h = _random_poly(field, 3, rng).monic(), _random_poly(field, n, rng).monic()
+        r = g * _random_poly(field, 1, rng)
+        assert poly._power_gcd(r, 5, g * h) == gcd(pow_mod(r, 5, g * h) - one, g * h)
+    assert poly._power_gcd(one, 7, f) == f
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(257), Field(3, 2), Field(10007, 2)], ids=str)
+def test_divide_folds_twice_and_mulmod_three_times(field, monkeypatch):
+    # _divider's divide takes codes, so its high half needs no fold: two
+    # folds (quotient and remainder), against mulmod's three on a product,
+    # with the code-list walk's quotient and remainder
+    rng = random.Random(field.q + 32)
+    m = k = 45
+    b = list(_random_poly(field, m, rng)._codes)
+    a = list(_random_poly(field, m + k - 1, rng)._codes)
+    nbytes = field._kron_bytes(k + 1)
+    folds = []
+    folder = Field._folder
+
+    def counted_folder(self, terms, n):
+        inner = folder(self, terms, n)
+        return lambda v: folds.append(n) or inner(v)
+
+    monkeypatch.setattr(Field, "_folder", counted_folder)
+    divide, mulmod, _ = _divider(field, b, k, k + 1)
+    folds.clear()
+    quo, rem = divide(field._kron_pack(a, nbytes))
+    assert len(folds) == 2
+    want_rem, want_quo = list(a), [0] * k
+    _remainder(field, want_rem, b, want_quo)
+    assert field._kron_unpack(quo, nbytes, k) == want_quo
+    assert field._kron_unpack(rem, nbytes, m) == want_rem + [0] * (m - len(want_rem))
+    f = _random_poly(field, 12, rng).monic()
+    mul = _barrett(f)[1]
+    folds.clear()
+    mul(field._kron_pack(a[:12], field._kron_bytes(24)), field._kron_pack(b[:12], field._kron_bytes(24)))
+    assert len(folds) == 3
