@@ -44,7 +44,8 @@ reciprocal on packed ints, which ``pow_mod``'s Barrett ladder shares.  For
 a divisor b of degree m and quotients of k coefficients it computes mu =
 x^(m+k-1) div b once, as the reverse of rev(b)^-1 mod x^k by Newton
 iteration (two products and two folds a doubling), and binds one
-``Field._folder`` fold of max(m, k) + 1 slots.  Every caller of a fold passes
+``Field._folder`` fold of max(m, k) slots, or more where its caller asks
+(``_barrett``, for its gcd steps).  Every caller of a fold passes
 it the most products of two codes a slot sums, the ``terms`` that
 ``Field._kron_bytes`` sizes the slots by, so width and fold come from
 one count; over F_{p^e} the fold takes one residue pass where the slot
@@ -76,11 +77,18 @@ or a1 b1 x + a0 b1 - a1 b0 (t = 1), whose three codes one more fold
 reduces, and q * b - b1^(t+1) * a is the step: no field inverse, no code
 read or packed, no ``_reduce`` or ``_remainder`` call.  A difference is
 taken as a sum with P - c, P the slot with every coordinate p, so no
-coordinate goes negative.  A step with t >= 2 reads the top t + 1 codes
-of each (in bulk for a large t, as in the walk's gcd(x^(q^d) - x, f)),
-solves for the t + 1 quotient codes from those alone (``_remainder`` on
-those codes), and takes quotient * b + (p - 1) a = -(a mod b), as a
-times the code p - 1 is -a.  gcd's answer is monic, so no scale or sign
+coordinate goes negative.  A step with 2 <= t <= ``STAGED_GAP_MAX`` over
+a divisor of t + 3 slots or more, in a gcd whose fold serves at most
+``STAGED_SLOTS_MAX`` slots, runs Algorithm R's t + 1 stages on the
+top t + 1 slots of a, with the quotient q and the scale s = -b1^(t+1)
+in the same int, one fold a stage, and ends in the same q * b + s * a:
+no inverse and no code read either.  A longer step, rare but for the
+walk's gcd(x^(q^d) - x, f), whose gaps reach deg f over divisors of a
+few codes, reads the top t + 1 codes of each, solves for the t + 1
+quotient codes from those alone (``_remainder`` on those codes, which
+skips zero codes), and takes quotient * b + (p - 1) a = -(a mod b), as a
+times the code p - 1 is -a.  Stages there would cost a fold of the
+window each, quadratic in t, and a fold costs its bound's width.  gcd's answer is monic, so no scale or sign
 matters, and a is read only when b reaches zero.  gcd binds its fold
 once, for a's slot count and len(b) + 1 terms: no later value has more
 slots, and a zero slot stays zero, so it serves every step.  A step
@@ -130,8 +138,10 @@ ladder's ``mulmod`` and gcd steps by f share, that step and f packed.
 gcd(r^k mod f - 1, f) on the ladder ``pow_mod`` would take (one rule,
 ``_list_ladder``): on Barrett's it stays in slots from the power to the
 gcd, h - 1 being one change to coordinate 0 of slot 0, and an h of one
-slot ends the draw with no gcd (h = 1 gives f, another constant 1); on
-the code-list ladder its gcd runs on code lists, with no ``Poly`` built.
+slot ends the draw with no gcd (h = 1 gives f, another constant 1).  Its
+gcd runs packed on the set-up at every length, as the set-up leaves no
+entry cost to weigh against ``GCD_PACKED_MIN``; on the code-list ladder
+it runs on code lists, with no ``Poly`` built.
 ``pow_mod`` is the only routine that powers mod a ``Poly`` (square roots
 power pairs of codes mod x^2 - w in field.py).
 """
@@ -178,25 +188,69 @@ BARRETT_MIN_WORK = 32
 # the constant decides entry only; below it gcd runs on code lists.  Measured
 # as the code-list time over the packed time of gcd on 8 random pairs of
 # degrees L - 1 and L - 2 (median of three runs, each the best of 9
-# interleaved rounds; 2 vCPU host, CPython 3.11; read each cell as +-10%):
+# interleaved rounds; 2 vCPU host, CPython 3.11; read each cell as +-10%),
+# with steps of degree gap 2 and 3 on Algorithm R's stages:
 #
 #   L            8    12    16    20    24    28    32    40    60
-#   F_3        0.57  0.59  0.62  0.79  0.78  0.83  1.04  1.14  1.45
-#   F_7        0.81  0.95  0.94  1.05  1.13  1.25  1.25  1.70  2.07
-#   F_257      1.11  1.36  1.54  1.67  1.94  2.01  2.16  2.57  3.21
-#   F_8191     1.19  1.43  1.67  1.80  2.04  2.19  2.30  2.62  3.14
-#   F_9        1.09  1.72  1.82  1.62  1.85  2.03  1.72  2.41  2.65
-#   F_13^2     1.81  2.20  2.41  2.67  3.06  3.26  3.48  3.56  4.13
-#   F_5^3      2.18  2.34  2.71  2.66  2.98  3.08  3.39  3.53  4.12
-#   F_3^6      3.16  2.99  3.19  3.38  3.45  3.52  3.71  3.74  3.86
+#   F_3        0.54  0.64  0.80  0.87  0.95  1.15  1.04  1.29  1.63
+#   F_7        0.66  0.72  1.05  1.25  1.36  1.38  1.57  1.81  2.33
+#   F_257      0.97  1.20  1.40  1.56  1.69  1.86  2.02  2.32  2.92
+#   F_8191     1.04  1.26  1.44  1.63  1.82  1.99  2.16  2.37  3.01
+#   F_9        1.42  1.88  2.11  2.65  2.33  2.50  3.19  3.89  4.67
+#   F_13^2     2.38  2.55  3.11  3.54  3.90  4.23  4.58  3.74  4.23
+#   F_5^3      2.65  2.78  3.32  3.72  4.07  4.29  4.86  5.24  5.92
+#   F_3^6      2.81  3.55  3.90  4.25  4.34  4.53  4.74  5.07  5.03
 #
-# F_3, where one step in three has a degree gap of 2 or more and pays a top
-# solve, gains from 32 on, F_7 from 20, the other fields from 8.  One
-# constant serves all: entering at 8 or at 12, which would keep the
-# extension fields' gain below 24, moved the oracle-ext benchmark's wall_s by
-# no more than its noise (+-3% over two alternating 10 s rounds), as such
-# short gcds take little of a factorization.
+# F_3 holds from 24 and gains from 28 (it gained from 32 while every step
+# of gap 2 or more paid a top solve), F_7 from 16, the other fields from 8.
+# No entry from 8 to 16 holds on every field (F_3 loses 20% at 16), so the
+# constant stays 24.  One constant serves all: entering at 8 or at 12, which
+# would keep the extension fields' gain below 24, moved the oracle-ext
+# benchmark's wall_s by no more than its noise (+-3% over two alternating
+# 10 s rounds), as such short gcds take little of a factorization.
 GCD_PACKED_MIN = 24
+
+# A packed gcd step of degree gap 2 <= t <= STAGED_GAP_MAX, over a divisor of
+# at least t + 3 slots, runs Algorithm R's t + 1 stages on the top slots (one
+# fold a stage, see _stepper); a longer gap reads the top codes and solves
+# for the quotient on code lists.  Measured as the solve's time over the
+# stages' time for one step with a divisor of nb slots (5 random pairs, each
+# the best of 5; 2 vCPU host, CPython 3.11; read each cell as +-10%):
+#
+#   t              2     3     4     5     6     8    12
+#   F_3     nb 60  2.27  2.26  2.03  1.98  1.93  1.87  1.57
+#   F_257   nb 60  1.78  1.75  1.63  1.36  1.49  1.61  1.36
+#   F_9     nb 150 1.34  1.35  1.22  1.19  1.21  1.04  0.95
+#   F_3^4   nb 26  1.45  1.40  1.37  1.19  1.09  0.95  0.84
+#   F_3^4   nb 150 1.01  0.98  0.89  0.89  0.84  0.78  0.72
+#   F_7^2   nb 150 1.37  1.32  1.23  1.17  1.15  1.06  0.97
+#   F_5^3   nb 150 1.19  1.09  1.07  1.04  1.00  0.94  0.87
+#   F_13^2  nb 150 0.98  0.95  1.04  0.99  0.97  0.94  0.79
+#
+# (F_5 and nb 26 and 60 of every field lie between these rows.)  A stage
+# costs one fold of the window, so the stages lose where the field's fold is
+# dear and the window long: up to t = 3 every cell holds or gains, at 4
+# F_3^4 loses.  The walk's long gaps (up to deg f over a divisor of a few
+# codes) stay on the solve, which skips zero codes: stages for every gap
+# made walk-only F_3 n=9 take 73 s against 0.77 s.
+STAGED_GAP_MAX = 3
+
+# A step takes those stages only while its fold serves at most this many
+# slots: a fold costs its bound's width even on a stage's few.  Measured as
+# above, t = 2
+# and nb = 30 and 200, with the fold bound for B slots:
+#
+#   B        250   500  1000  2000  4000
+#   F_3     1.77  1.38  1.14  0.98  0.71
+#   F_7     1.61  1.23  1.07  0.85  0.62
+#   F_9     1.20  1.07  0.86  0.55  0.46
+#   F_7^2   1.94  1.89  1.25  1.00  0.74
+#   F_3^4   1.65  1.15  1.06  0.84  0.69
+#
+# Full F_3 n=9, whose draws' gcds fold for 19657 slots, read 8.44 s
+# against 7.87 s (medians of 8 alternating pairs) with stages at every
+# bound.  The oracle benchmarks' gcds fold for at most 345 slots.
+STAGED_SLOTS_MAX = 500
 
 # divmod takes the Newton quotient once the divisor and the quotient both have
 # at least this many coefficients, and the code-list walk below.  Measured as
@@ -542,7 +596,7 @@ def gcd(f: Poly, g: Poly) -> Poly:
     terms = len(b) + 1
     nbytes = fld._kron_bytes(terms)
     pack = fld._kron_pack
-    step = _stepper(fld, nbytes, fld._folder(terms, len(a)))
+    step = _stepper(fld, nbytes, fld._folder(terms, len(a)), len(a))
     return _packed_gcd(fld, nbytes, step, pack(a, nbytes), len(a), pack(b, nbytes), len(b))
 
 
@@ -567,20 +621,41 @@ def _packed_gcd(fld: Field, nbytes: int, step, va: int, na: int, vb: int, nb: in
     return Poly._raw(fld, fld._kron_unpack(va, nbytes, na)).monic()
 
 
-def _stepper(fld: Field, nbytes: int, fold):
+def _stepper(fld: Field, nbytes: int, fold, slots: int):
     """gcd's packed remainder step on ints of ``nbytes``-byte slots, each
-    slot a code, reduced by ``fold``: step(va, na, vb, nb), for a of na
-    slots over b of 2 <= nb <= na, gives (v, n), v = q b + s a a nonzero
-    multiple of a mod b, packed in n < nb slots.  A slot sums up to nb + 1
-    products of two codes, so ``fold`` must serve nb + 1 terms and na slots.
-    A step whose remainder is not shorter than b raises
-    ``VerificationError``: a faulty fold cannot loop for ever."""
+    slot a code, reduced by ``fold``, bound for ``slots`` slots:
+    step(va, na, vb, nb), for a of na <= slots slots over b of 2 <= nb <=
+    na, gives (v, n), v = q b + s a a nonzero multiple of a mod b, packed in
+    n < nb slots.  A slot sums up to nb + 1 products of two codes, so
+    ``fold`` must serve nb + 1 terms.  A step whose remainder is not shorter
+    than b raises ``VerificationError``: a faulty fold cannot loop for
+    ever."""
     bits = 8 * nbytes
     slot, neg_one, codes = (1 << bits) - 1, fld.p - 1, fld._kron_unpack
     # a slot of every coordinate p: minus - c is -c with no sub-slot negative.
     # A factor P - c has coordinates up to p, and (p-1) p <= 2 (p-1)^2, so a
     # product with it counts as two
     minus = fld._kron_pack([fld._pack([fld.p] * fld.e)], nbytes)
+    # the longest gap that takes Algorithm R's stages (see STAGED_SLOTS_MAX)
+    gap_max = STAGED_GAP_MAX if slots <= STAGED_SLOTS_MAX else 1
+
+    def stages(w, t, vb, nb):
+        # Algorithm R on w, a's top t + 1 slots (the window), by bt, b's top
+        # t + 1 slots, with s and q above the window in the same int, of 2t +
+        # 3 slots: stage i, from t down, reads c, the window's slot i, and
+        # sets window <- b1 window - c x^i bt, q <- b1 q + c x^i and s <- b1
+        # s, s from -1, which clears slot i, in one fold.  A slot of bt below
+        # the window's slot 0 cannot reach the quotient, so it is dropped.  A
+        # window slot sums three products (b1 times it, one with P - c), a q
+        # slot one and a code
+        b1 = vb >> bits * (nb - 1)
+        # bt with b1 at slot t; its cut at stage i is bt >> bits * (t - i)
+        bt = vb >> bits * (nb - t - 1)
+        w |= neg_one << bits * (t + 1)
+        for i in range(t, -1, -1):
+            c = w >> bits * i & slot
+            w = fold(b1 * w + (minus - c) * (bt >> bits * (t - i)) + (c << bits * (t + 2 + i)))
+        return w >> bits * (t + 2), w >> bits * (t + 1) & slot
 
     def step(va, na, vb, nb):
         t = na - nb
@@ -597,6 +672,8 @@ def _stepper(fld: Field, nbytes: int, fold):
             else:
                 v = a1 << bits | minus - b1
             q, s = v >> bits, v & slot
+        elif t <= gap_max and nb >= t + 3:
+            q, s = stages(va >> bits * (nb - 1), t, vb, nb)
         else:
             # the t + 1 quotient codes from the top t + 1 codes of a and of
             # b (in bulk for a large t, as in the walk's gcd(x^(q^d) - x,
@@ -679,8 +756,8 @@ def _power_gcd(r: Poly, k: int, f: Poly) -> Poly:
     1: one equal-degree draw.  It powers on the ladder ``pow_mod`` would
     take.  On Barrett's it stays on f's set-up from the power to the gcd:
     h - 1 is one change to slot 0, and the gcd's steps take f packed and
-    the set-up's fold.  On the code-list ladder the gcd runs on code
-    lists."""
+    the set-up's fold, at every length.  On the code-list ladder the gcd
+    runs on code lists."""
     fld, n = f.field, f.degree
     if _list_ladder(n, k):
         h = _list_power(r, k, f)
@@ -698,10 +775,16 @@ def _power_gcd(r: Poly, k: int, f: Poly) -> Poly:
     if nb < 2:
         # h - 1 zero: r^k = 1 mod f; a nonzero constant: gcd 1
         return Poly.one(fld) if nb else f
+    # packed at every length, below GCD_PACKED_MIN too: f is packed and the
+    # fold bound once per modulus, so a draw pays none of the entry cost that
+    # gcd's table weighs.  With gcd's entry instead (short h - 1 read once,
+    # Euclid on code lists), oracle-ext's wall_s read 0.199/0.200 s against
+    # 0.174/0.185 s (alternating 5 s runs, 2 vCPU host), sweep-small no
+    # different beyond its noise
     return _packed_gcd(fld, nbytes, step, vf, n + 1, v, nb)
 
 
-def _divider(fld: Field, b, k: int, terms: int):
+def _divider(fld: Field, b, k: int, terms: int, slots: int = 0):
     """Division by the codes ``b`` (nonzero last code, degree m) on packed
     ints of ``_kron_bytes(terms)``-byte slots, through mu = x^(m+k-1) div b:
     (divide, mulmod, fold).  divide(v), v of codes of degree at most m + k -
@@ -710,12 +793,12 @@ def _divider(fld: Field, b, k: int, terms: int):
     product of two residues when k = m - 1.  A slot sums up to k + 1
     products in divide, and more in mulmod, whose value is an unreduced
     product (see ``_barrett``): ``terms``, which sizes both the slots and
-    the fold.  The one fold has max(m, k) + 1 slots: no value here has more,
-    zero slots stay zero, and _barrett's gcd steps take it for f's m + 1."""
+    the fold.  The one fold has max(m, k, ``slots``) slots: no value here
+    has more than max(m, k), and zero slots stay zero."""
     m = len(b) - 1
     nbytes = fld._kron_bytes(terms)
     bits = 8 * nbytes
-    pack, fold = fld._kron_pack, fld._folder(terms, max(m, k) + 1)
+    pack, fold = fld._kron_pack, fld._folder(terms, max(m, k, slots))
     # mu reversed is rev(b)^-1 mod x^k, by Newton iteration: when h is
     # rev(b)^-1 mod x^j and rev(b) h = 1 + x^j e mod x^2j, h - x^j (h e mod
     # x^j) is rev(b)^-1 mod x^2j.  With g = -rev(b), g h = -1 - x^j e, so
@@ -760,8 +843,8 @@ def _barrett(f: Poly):
     # n + 1; the fold has room for f's n + 1 slots
     n, fld = f.degree, f.field
     nbytes = fld._kron_bytes(2 * n)
-    mulmod, fold = _divider(fld, f._codes, n - 1, 2 * n)[1:]
-    return nbytes, mulmod, _stepper(fld, nbytes, fold), fld._kron_pack(f._codes, nbytes)
+    mulmod, fold = _divider(fld, f._codes, n - 1, 2 * n, n + 1)[1:]
+    return nbytes, mulmod, _stepper(fld, nbytes, fold, n + 1), fld._kron_pack(f._codes, nbytes)
 
 
 def resultant(f: Poly, g: Poly) -> FieldElement:

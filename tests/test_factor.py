@@ -124,11 +124,11 @@ def test_long_divisions_take_the_newton_quotient(monkeypatch):
     depth, divisors, calls, setups = [], [], [], []
     divider, barrett, divide = poly._divider, poly._barrett, Poly.__divmod__
 
-    def counted_divider(fld, b, k, terms):
+    def counted_divider(fld, b, k, terms, *slots):
         if not setups:
             assert depth, "_divider called outside Poly.__divmod__ and _barrett"
             divisors.append(len(b))
-        return divider(fld, b, k, terms)
+        return divider(fld, b, k, terms, *slots)
 
     def counted_barrett(f):
         setups.append(f)

@@ -19,8 +19,8 @@ from gfrecip import (
 )
 from gfrecip import poly
 from gfrecip.field import _ladder, _smallest_irreducible
-from gfrecip.poly import (BARRETT_MIN_WORK, GCD_PACKED_MIN, KRON_MIN_LENGTH, QUOTIENT_MIN, _barrett,
-                          _divider, _remainder, _sums)
+from gfrecip.poly import (BARRETT_MIN_WORK, GCD_PACKED_MIN, KRON_MIN_LENGTH, QUOTIENT_MIN,
+                          STAGED_GAP_MAX, _barrett, _divider, _remainder, _sums)
 
 F5 = Field(5)
 F7 = Field(7)
@@ -330,7 +330,7 @@ def test_barrett_mu_is_the_code_list_quotient(field):
     # is a unit mod x^n when f(0) != 0, its remainder mod x^n, low half -
     # quotient * f, is right only if that quotient is the code-list one.
     # _divider's divide, in the same slots, gives that quotient and
-    # remainder of the product folded to codes, and mulmod, which repeats
+    # remainder of the product's codes, packed, and mulmod, which repeats
     # its lines on the unreduced product, agrees
     rng = random.Random(field.q + 6)
     top = [field._pack([field.p - 1] * field.e)]
@@ -338,7 +338,6 @@ def test_barrett_mu_is_the_code_list_quotient(field):
         for f in (_random_poly(field, n, rng).monic(), Poly._raw(field, top * n + [1])):
             nbytes, mulmod = _barrett(f)[:2]
             divide, twin = _divider(field, f._codes, n - 1, 2 * n)[:2]
-            product = field._folder(2 * n, 2 * n - 1)
             rand = [list(_random_poly(field, n - 1, rng)._codes) for _ in range(2)]
             for a, b in (rand, (top * n, top * n)):
                 rem, quo = _sums(a, b), [0] * (n - 1)
@@ -347,7 +346,7 @@ def test_barrett_mu_is_the_code_list_quotient(field):
                 va, vb = field._kron_pack(a, nbytes), field._kron_pack(b, nbytes)
                 got = mulmod(va, vb)
                 assert field._kron_unpack(got, nbytes, n) == rem
-                dq, dr = divide(product(va * vb))
+                dq, dr = divide(field._kron_pack([field._reduce(c) for c in _sums(a, b)], nbytes))
                 assert field._kron_unpack(dq, nbytes, n - 1) == quo
                 assert field._kron_unpack(dr, nbytes, n) == rem
                 assert dr == got == twin(va, vb)
@@ -691,13 +690,15 @@ def test_sparse_divisors(field):
 
 @pytest.mark.parametrize("field", [Field(3), Field(257), Field(3, 2), Field(10007, 2)], ids=str)
 def test_packed_gcd_steps_match_euclid(field, monkeypatch):
-    # a packed step of degree gap t <= 1 reads no code: it works on the top
-    # two slots of both operands as they are.  A step of gap t >= 2 reads
-    # the top t + 1 codes of a, then the top min(t + 1, len(b)) of b, and
-    # the answer is read once, when the remainder reaches zero; one that
-    # reaches a nonzero constant means gcd 1 and is not read.  So the reads
-    # name, in order, the reference Euclid's divisions of gap 2 or more by
-    # divisors of 2 or more codes; random pairs, then with a planted factor
+    # a packed step of degree gap t <= 1, or of 2 <= t <= STAGED_GAP_MAX by
+    # a divisor of t + 3 codes or more (Algorithm R's stages), reads no
+    # code: it works on the top slots of both operands as they are.  Any
+    # other step reads the top t + 1 codes of a, then the top min(t + 1,
+    # len(b)) of b, and the answer is read once, when the remainder reaches
+    # zero; one that reaches a nonzero constant means gcd 1 and is not read.
+    # So the reads name, in order, the reference Euclid's solved divisions
+    # by divisors of 2 or more codes; random pairs, pairs with a gap-2 and a
+    # gap-3 step mid-sequence, then each with a planted factor
     reads = []
     unpack = Field._kron_unpack
 
@@ -707,11 +708,20 @@ def test_packed_gcd_steps_match_euclid(field, monkeypatch):
 
     monkeypatch.setattr(Field, "_kron_unpack", counted)
     rng = random.Random(field.q + 3)
-    for df, dg in ((120, 119), (130, 100), (60, 60)):
-        f, g = _random_poly(field, df, rng), _random_poly(field, dg, rng)
+    x = Poly.x(field)
+    pairs = [(_random_poly(field, df, rng), _random_poly(field, dg, rng))
+             for df, dg in ((120, 119), (130, 100), (60, 60))]
+    for gap in (2, 3):
+        # r0 mod r1 = s, then r1 mod s has degree gap `gap`
+        r1 = _random_poly(field, 60, rng)
+        pairs.append(((x + 1) * r1 + x ** (60 - gap) + x + 1, r1))
+    staged = 0
+    for f, g in pairs:
         h = _random_poly(field, 5, rng)
         for f, g in ((f, g), (f * h, g * h)):
-            want = [n for size, t in _divisions(f, g) if size >= 2 and t >= 2
+            steps = [(size, t) for size, t in _divisions(f, g) if size >= 2]
+            staged += sum(2 <= t and not _solved(size, t) for size, t in steps)
+            want = [n for size, t in steps if _solved(size, t)
                     for n in (t + 1, min(t + 1, size))]
             d = _euclid(f, g)
             if d.degree > 0:
@@ -719,17 +729,19 @@ def test_packed_gcd_steps_match_euclid(field, monkeypatch):
             reads.clear()
             assert gcd(f, g) == d
             assert reads == want
+    assert staged >= 4
 
 
 @pytest.mark.parametrize("field", [Field(3), Field(257), Field(3, 2), Field(10007, 2)], ids=str)
 def test_packed_kernels_fold_only_sums(field, monkeypatch):
     # slots that hold codes are read as they are: gcd folds once per packed
-    # step (quotient * b - a) and once more in a step of degree gap 1 (its
-    # two quotient codes, sums of products of slots), down to a divisor of 2
-    # codes; pow_mod folds three times per ladder product (the high half,
-    # the quotient and the remainder), and neither folds again where it
-    # reads its answer.  Every fold a Field._folder hands out is counted,
-    # those f's set-up keeps included.
+    # step (quotient * b - a), once more in a step of degree gap 1 (its two
+    # quotient codes, sums of products of slots) and t + 1 times more in a
+    # step that runs Algorithm R's stages (one a stage), down to a divisor
+    # of 2 codes; a solved step folds once.  pow_mod folds three times per
+    # ladder product (the high half, the quotient and the remainder), and
+    # neither folds again where it reads its answer.  Every fold a
+    # Field._folder hands out is counted, those f's set-up keeps included.
     folds = []
     folder = Field._folder
 
@@ -743,13 +755,18 @@ def test_packed_kernels_fold_only_sums(field, monkeypatch):
 
     monkeypatch.setattr(Field, "_folder", counted_folder)
     rng = random.Random(field.q + 3)
+    x = Poly.x(field)
     pairs = [(_random_poly(field, df, rng), _random_poly(field, dg, rng))
              for df, dg in ((120, 119), (130, 100), (60, 60))]
+    for gap in (2, 3):
+        r1 = _random_poly(field, 60, rng)
+        pairs.append(((x + 1) * r1 + x ** (60 - gap) + x + 1, r1))
     f = _random_poly(field, KRON_MIN_LENGTH + 4, rng).monic()
     base = _random_poly(field, KRON_MIN_LENGTH + 3, rng)
     pow_mod(base, 2, f)  # builds f._setup, whose Newton inverse folds too
     for a, b in pairs:
-        want = sum(1 + (t == 1) for size, t in _divisions(a, b) if size >= 2)
+        want = sum(1 + (t == 1) + (t >= 2 and not _solved(size, t)) * (t + 1)
+                   for size, t in _divisions(a, b) if size >= 2)
         folds.clear()
         gcd(a, b)
         assert len(folds) == want
@@ -796,6 +813,12 @@ def test_faulty_packed_gcd_step_raises(field, plant, request, spin_alarm):
             gcd(f, g)
 
 
+def _solved(size, t):
+    # whether a packed gcd step of degree gap t by a divisor of size codes
+    # reads the top codes and solves on code lists, not runs its stages
+    return t > STAGED_GAP_MAX or t >= 2 and size < t + 3
+
+
 def _divisions(f, g):
     # (divisor length, degree gap) of each division of the reference Euclid
     steps = []
@@ -807,9 +830,10 @@ def _divisions(f, g):
 
 @pytest.mark.parametrize("field", GCD_FIELDS, ids=str)
 def test_pseudo_remainder_steps_match_euclid(field):
-    # gcd's packed steps of degree gap t <= 1 are pseudo-remainder steps and
-    # those of t >= 2 top solves; each case, at and around GCD_PACKED_MIN, is
-    # checked against _euclid and shown to reach the step it is built for
+    # gcd's packed steps of degree gap t <= 1 are pseudo-remainder steps,
+    # those of 2 <= t <= STAGED_GAP_MAX Algorithm R's stages and longer ones
+    # top solves; each case, at and around GCD_PACKED_MIN, is checked
+    # against _euclid and shown to reach the step it is built for
     rng = random.Random(field.q + 10)
     m = GCD_PACKED_MIN
     x = Poly.x(field)
@@ -849,16 +873,23 @@ def test_pseudo_remainder_steps_match_euclid(field):
 
 @pytest.mark.parametrize("field", GCD_FIELDS, ids=str)
 def test_pseudo_remainder_steps_take_no_inverse(field, monkeypatch):
-    # the packed loop's t <= 1 steps call neither Field._inv nor _remainder,
-    # and a gcd that enters the loop stays in it down to a constant or zero
-    # remainder: _remainder runs once per t >= 2 packed step, and once per
-    # division in a gcd entered below GCD_PACKED_MIN, and takes one inverse a
-    # call; monic() may take one more at the end
+    # the packed loop's steps of degree gap t <= 1 and its staged steps (2
+    # <= t <= STAGED_GAP_MAX by a divisor of t + 3 codes or more) call
+    # neither Field._inv nor _remainder, and a gcd that enters the loop
+    # stays in it down to a constant or zero remainder: _remainder runs once
+    # per solved packed step, and once per division in a gcd entered below
+    # GCD_PACKED_MIN, and takes one inverse a call; monic() may take one
+    # more at the end
     rng = random.Random(field.q + 11)
     m = GCD_PACKED_MIN
+    x = Poly.x(field)
     h = _random_poly(field, m + 3, rng)
     pairs = [(_random_poly(field, 3 * m, rng), _random_poly(field, 3 * m - 1, rng)),
              (_random_poly(field, 2 * m, rng), _random_poly(field, 2 * m, rng))]
+    for gap in (2, 3):
+        # a staged step mid-sequence: r0 mod r1 = s, r1 mod s of gap `gap`
+        r1 = _random_poly(field, 2 * m, rng)
+        pairs.append(((x + 1) * r1 + x ** (2 * m - gap) + x + 1, r1))
     pairs += [(f * h, g * h) for f, g in pairs]
     pairs.append((_random_poly(field, m - 1, rng), _random_poly(field, m - 2, rng)))
     expected = []
@@ -866,9 +897,11 @@ def test_pseudo_remainder_steps_take_no_inverse(field, monkeypatch):
         steps = _divisions(f, g)
         if len(g._codes) >= m:
             assert any(n >= m and t <= 1 for n, t in steps)
-            expected.append(sum(n >= 2 and t >= 2 for n, t in steps))
+            expected.append(sum(n >= 2 and _solved(n, t) for n, t in steps))
         else:
             expected.append(len(steps))
+    assert sum(n >= 2 and t >= 2 and not _solved(n, t)
+               for f, g in pairs[:-1] for n, t in _divisions(f, g)) >= 4
     inverses, walks = [], []
     inv, walk = field._inv, poly._remainder
 
@@ -1149,3 +1182,111 @@ def test_divide_folds_twice_and_mulmod_three_times(field, monkeypatch):
     folds.clear()
     mul(field._kron_pack(a[:12], field._kron_bytes(24)), field._kron_pack(b[:12], field._kron_bytes(24)))
     assert len(folds) == 3
+
+
+def _step_case(field, na, nb, rng):
+    # a random a of na codes and b of nb, packed in gcd's slots for b, and
+    # the reference a mod b
+    a, b = _random_poly(field, na - 1, rng), _random_poly(field, nb - 1, rng)
+    nbytes = field._kron_bytes(nb + 1)
+    return a, b, nbytes, field._kron_pack(a._codes, nbytes), field._kron_pack(b._codes, nbytes)
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(257), Field(3, 2), Field(10007, 2)], ids=str)
+def test_packed_step_every_gap(field, monkeypatch):
+    # the step gcd and the draws share, alone: degree gaps 0 to 5 by
+    # divisors of 2 to 30 codes, and long gaps over short divisors (nb <=
+    # t, as in the walk's gcd(x^(q^d) - x, f)), each a nonzero multiple of
+    # a mod b in fewer slots than b, with a fold for na slots and for more
+    # than STAGED_SLOTS_MAX.  Folds: 1 at t = 0, 2 at t = 1, t + 2 for a
+    # staged step and 1 for a solved one, which alone calls _remainder
+    rng = random.Random(field.q + 33)
+    walks = []
+    walk = poly._remainder
+    monkeypatch.setattr(poly, "_remainder", lambda *args: walks.append(1) or walk(*args))
+    cases = [(nb + t, nb) for t in range(6) for nb in (2, 3, 4, 5, 8, 30) if nb + t >= 2]
+    cases += [(43, 3), (105, 5), (80, 40)]
+    for (na, nb), slots in itertools.product(cases, (0, poly.STAGED_SLOTS_MAX + 1)):
+        a, b, nbytes, va, vb = _step_case(field, na, nb, rng)
+        folds = []
+        inner = field._folder(nb + 1, max(na, slots))
+        step = poly._stepper(field, nbytes, lambda v: folds.append(1) or inner(v), max(na, slots))
+        r, t = a % b, na - nb
+        walks.clear()
+        v, n = step(va, na, vb, nb)
+        got = Poly._raw(field, field._kron_unpack(v, nbytes, n))
+        assert n == len(r._codes) < nb
+        assert (got.monic() if got else got) == (r.monic() if r else r)
+        staged = 2 <= t <= STAGED_GAP_MAX and nb >= t + 3 and not slots
+        assert len(folds) == (1 + (t == 1) if t < 2 else t + 2 if staged else 1), (na, nb)
+        assert len(walks) == (t >= 2 and not staged)
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(257), Field(3, 2), Field(10007, 2)], ids=str)
+def test_planted_stage_faults_are_caught(field):
+    # planted faults in a staged step: a sign fault (the first stage adds -c
+    # to q, not c) leaves the top slot of q b + s a at -2 c b1^(t+1), so the
+    # step raises VerificationError.  A first stage left unfolded is exact
+    # wherever the next stage's sums stay inside their slots and no P - c
+    # goes below zero, so it is planted where the slots have no room for it
+    # (p - 1 > nb + 1): there it raises VerificationError or gives a
+    # remainder other than a mod b's multiple.  The packed loop that runs a
+    # faulty step stops either way
+    rng = random.Random(field.q + 34)
+    neg = field.p - 1
+    for t in range(2, STAGED_GAP_MAX + 1):
+        for nb in (t + 3, 30):
+            na = nb + t
+            a, b, nbytes, va, vb = _step_case(field, na, nb, rng)
+            bits, inner = 8 * nbytes, field._folder(nb + 1, na)
+
+            def signed(v, calls):
+                v = inner(v)
+                if not calls:
+                    # q sits above the window and s, from slot t + 2
+                    calls.append(1)
+                    low = v & (1 << bits * (t + 2)) - 1
+                    v = low | inner(neg * (v >> bits * (t + 2))) << bits * (t + 2)
+                return v
+
+            def unfolded(v, calls):
+                if not calls:
+                    calls.append(1)
+                    return v
+                return inner(v)
+
+            r = a % b
+            for fault in (signed, unfolded)[:1 + (neg > nb + 1)]:
+                step = poly._stepper(field, nbytes, lambda v, c=[]: fault(v, c), na)
+                try:
+                    v, n = step(va, na, vb, nb)
+                except VerificationError:
+                    pass
+                else:
+                    assert fault is unfolded, t
+                    got = Poly._raw(field, field._kron_unpack(v, nbytes, n))
+                    assert (got.monic() if got else got) != r.monic(), (t, nb)
+                step = poly._stepper(field, nbytes, lambda v, c=[]: fault(v, c), na)
+                try:
+                    poly._packed_gcd(field, nbytes, step, va, na, vb, nb)
+                except VerificationError:
+                    pass
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(3, 2)], ids=str)
+def test_power_gcd_packs_every_barrett_draw(field, monkeypatch):
+    # on the Barrett ladder a draw's gcd runs packed on f's set-up whatever
+    # the length of h - 1, below GCD_PACKED_MIN too, as the set-up leaves no
+    # entry cost; an h of one slot ends the draw with no gcd
+    rng = random.Random(field.q + 35)
+    packed = []
+    run = poly._packed_gcd
+    monkeypatch.setattr(poly, "_packed_gcd", lambda *args: packed.append(1) or run(*args))
+    one = Poly.one(field)
+    f = _random_poly(field, 40, rng).monic()
+    for degree, want in ((0, 0), (1, 1), (5, 1), (GCD_PACKED_MIN - 2, 1), (30, 1)):
+        r = _random_poly(field, degree, rng)
+        g = gcd(r - one, f)
+        packed.clear()
+        assert poly._power_gcd(r, 1, f) == g
+        assert len(packed) == want, degree
