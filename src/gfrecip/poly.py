@@ -78,20 +78,23 @@ reduces, and q * b - b1^(t+1) * a is the step: no field inverse, no code
 read or packed, no ``_reduce`` or ``_remainder`` call.  A difference is
 taken as a sum with P - c, P the slot with every coordinate p, so no
 coordinate goes negative.  A step with 2 <= t <= ``STAGED_GAP_MAX`` over
-a divisor of t + 3 slots or more, in a gcd whose fold serves at most
-``STAGED_SLOTS_MAX`` slots, runs Algorithm R's t + 1 stages on the
-top t + 1 slots of a, with the quotient q and the scale s = -b1^(t+1)
-in the same int, one fold a stage, and ends in the same q * b + s * a:
-no inverse and no code read either.  A longer step, rare but for the
-walk's gcd(x^(q^d) - x, f), whose gaps reach deg f over divisors of a
-few codes, reads the top t + 1 codes of each, solves for the t + 1
-quotient codes from those alone (``_remainder`` on those codes, which
-skips zero codes), and takes quotient * b + (p - 1) a = -(a mod b), as a
-times the code p - 1 is -a.  Stages there would cost a fold of the
-window each, quadratic in t, and a fold costs its bound's width.  gcd's answer is monic, so no scale or sign
-matters, and a is read only when b reaches zero.  gcd binds its fold
-once, for a's slot count and len(b) + 1 terms: no later value has more
-slots, and a zero slot stays zero, so it serves every step.  A step
+a divisor of more than t slots runs Algorithm R's t + 1 stages on the
+top t + 1 slots of a and of b, with the quotient q and the scale s =
+-b1^(t+1) in the same int of 2t + 3 slots, one fold a stage, and ends in
+the same q * b + s * a: no inverse and no code read either.  The stages
+fold by a fold of their own, bound for 2 ``STAGED_GAP_MAX`` + 3 slots on
+the stepper's first staged step, as a fold costs the width it is bound
+for: so a step's kind depends on t and len(b) alone, never on the gcd it
+is in.  A longer step, rare but for the walk's gcd(x^(q^d) - x, f),
+whose gaps reach deg f over divisors of a few codes, reads the top t + 1
+codes of each, solves for the t + 1 quotient codes from those alone
+(``_remainder`` on those codes, which skips zero codes), and takes
+quotient * b + (p - 1) a = -(a mod b), as a times the code p - 1 is -a.
+Stages there would cost t + 1 folds of a window of 2t + 3 slots,
+quadratic in t.  gcd's answer is monic, so no scale or sign matters, and
+a is read only when b reaches zero.  gcd binds its fold once, for a's
+slot count and len(b) + 1 terms: no later value has more slots, and a
+zero slot stays zero, so it serves every fold but the stages'.  A step
 whose remainder is not shorter than its divisor raises
 ``VerificationError``, so a faulty fold cannot loop for ever.  The step
 is one private closure, ``_stepper``'s, which ``gcd`` and
@@ -211,46 +214,38 @@ BARRETT_MIN_WORK = 32
 GCD_PACKED_MIN = 24
 
 # A packed gcd step of degree gap 2 <= t <= STAGED_GAP_MAX, over a divisor of
-# at least t + 3 slots, runs Algorithm R's t + 1 stages on the top slots (one
-# fold a stage, see _stepper); a longer gap reads the top codes and solves
-# for the quotient on code lists.  Measured as the solve's time over the
-# stages' time for one step with a divisor of nb slots (5 random pairs, each
-# the best of 5; 2 vCPU host, CPython 3.11; read each cell as +-10%):
+# more than t slots, runs Algorithm R's t + 1 stages on the top slots, each
+# folded by a fold for the stages' window alone (see _stepper); a longer gap
+# reads the top codes and solves for the quotient on code lists.  Measured as
+# the solve's time over the stages' time for one step with a divisor of nb
+# slots and the window's fold bound for 2t + 3 slots (5 random pairs, each
+# the best of 5 rounds of 40 steps; 2 vCPU host, CPython 3.11; read each cell
+# as +-10%):
 #
 #   t              2     3     4     5     6     8    12
-#   F_3     nb 60  2.27  2.26  2.03  1.98  1.93  1.87  1.57
-#   F_257   nb 60  1.78  1.75  1.63  1.36  1.49  1.61  1.36
-#   F_9     nb 150 1.34  1.35  1.22  1.19  1.21  1.04  0.95
-#   F_3^4   nb 26  1.45  1.40  1.37  1.19  1.09  0.95  0.84
-#   F_3^4   nb 150 1.01  0.98  0.89  0.89  0.84  0.78  0.72
-#   F_7^2   nb 150 1.37  1.32  1.23  1.17  1.15  1.06  0.97
-#   F_5^3   nb 150 1.19  1.09  1.07  1.04  1.00  0.94  0.87
-#   F_13^2  nb 150 0.98  0.95  1.04  0.99  0.97  0.94  0.79
+#   F_3     nb 60  2.26  2.04  2.05  1.80  1.85  1.71  1.39
+#   F_5     nb 60  2.14  1.99  1.91  1.74  1.71  1.60  1.27
+#   F_257   nb 60  2.16  2.03  1.98  1.89  1.80  1.79  1.55
+#   F_9     nb 150 1.82  1.94  2.03  1.92  1.91  1.92  1.95
+#   F_3^4   nb 26  2.57  2.46  2.30  2.29  2.36  2.36  1.98
+#   F_3^4   nb 150 1.57  1.64  1.63  1.70  1.60  1.62  1.60
+#   F_7^2   nb 150 1.96  2.19  2.07  2.07  2.09  2.07  1.97
+#   F_5^3   nb 150 1.74  1.79  1.83  1.95  1.90  1.81  1.72
+#   F_13^2  nb 150 1.60  1.54  1.58  1.52  1.48  1.48  1.45
 #
-# (F_5 and nb 26 and 60 of every field lie between these rows.)  A stage
-# costs one fold of the window, so the stages lose where the field's fold is
-# dear and the window long: up to t = 3 every cell holds or gains, at 4
-# F_3^4 loses.  The walk's long gaps (up to deg f over a divisor of a few
-# codes) stay on the solve, which skips zero codes: stages for every gap
-# made walk-only F_3 n=9 take 73 s against 0.77 s.
+# Every cell gains, up to t = 12 (on the gcd's own fold, bound for the whole
+# operand, F_3^4 lost from t = 4), but a larger constant widens every stage's
+# fold: with a fold for 19 slots, not 9, a step of t = 2 or 3 took 1-3%
+# longer.  Over whole random gcds of 60-300 codes, 8 took 0.92-0.94 times 3's
+# time over F_3 and 0.98-0.99 over F_5 and F_7, but 0.98-1.02 over F_9, F_7^2
+# and F_3^4, where a gap of 4 or more is rare, and 6 and 12 did no better
+# (medians of 15 rounds, each value against 3 in the same round).  Not every
+# field gains, so the constant stays 3.  The walk's long
+# gaps (up to deg f over a divisor of a few codes) stay on the solve, which
+# skips zero codes: stages for every gap below the divisor's length, each
+# step on a window fold of its own, made walk-only F_3 n=9 take 2.9-3.9 s
+# against 0.8-1.1 s.
 STAGED_GAP_MAX = 3
-
-# A step takes those stages only while its fold serves at most this many
-# slots: a fold costs its bound's width even on a stage's few.  Measured as
-# above, t = 2
-# and nb = 30 and 200, with the fold bound for B slots:
-#
-#   B        250   500  1000  2000  4000
-#   F_3     1.77  1.38  1.14  0.98  0.71
-#   F_7     1.61  1.23  1.07  0.85  0.62
-#   F_9     1.20  1.07  0.86  0.55  0.46
-#   F_7^2   1.94  1.89  1.25  1.00  0.74
-#   F_3^4   1.65  1.15  1.06  0.84  0.69
-#
-# Full F_3 n=9, whose draws' gcds fold for 19657 slots, read 8.44 s
-# against 7.87 s (medians of 8 alternating pairs) with stages at every
-# bound.  The oracle benchmarks' gcds fold for at most 345 slots.
-STAGED_SLOTS_MAX = 500
 
 # divmod takes the Newton quotient once the divisor and the quotient both have
 # at least this many coefficients, and the code-list walk below.  Measured as
@@ -596,7 +591,7 @@ def gcd(f: Poly, g: Poly) -> Poly:
     terms = len(b) + 1
     nbytes = fld._kron_bytes(terms)
     pack = fld._kron_pack
-    step = _stepper(fld, nbytes, fld._folder(terms, len(a)), len(a))
+    step = _stepper(fld, terms, fld._folder(terms, len(a)))
     return _packed_gcd(fld, nbytes, step, pack(a, nbytes), len(a), pack(b, nbytes), len(b))
 
 
@@ -621,50 +616,37 @@ def _packed_gcd(fld: Field, nbytes: int, step, va: int, na: int, vb: int, nb: in
     return Poly._raw(fld, fld._kron_unpack(va, nbytes, na)).monic()
 
 
-def _stepper(fld: Field, nbytes: int, fold, slots: int):
-    """gcd's packed remainder step on ints of ``nbytes``-byte slots, each
-    slot a code, reduced by ``fold``, bound for ``slots`` slots:
-    step(va, na, vb, nb), for a of na <= slots slots over b of 2 <= nb <=
-    na, gives (v, n), v = q b + s a a nonzero multiple of a mod b, packed in
-    n < nb slots.  A slot sums up to nb + 1 products of two codes, so
-    ``fold`` must serve nb + 1 terms.  A step whose remainder is not shorter
-    than b raises ``VerificationError``: a faulty fold cannot loop for
-    ever."""
+def _stepper(fld: Field, terms: int, fold):
+    """gcd's packed remainder step on ints of ``_kron_bytes(terms)``-byte
+    slots, each slot a code: step(va, na, vb, nb), for a of na slots over b
+    of 2 <= nb <= na, gives (v, n), v = q b + s a a nonzero multiple of a
+    mod b, packed in n < nb slots.  ``fold`` reduces a t <= 1 quotient and
+    every step's closing q b + s a, so it must serve na slots; a slot sums
+    up to nb + 1 products of two codes, so ``terms`` must be nb + 1 or more.
+    The stages of a step of gap 2 <= t <= ``STAGED_GAP_MAX`` fold their
+    window of 2t + 3 slots by a fold of their own, bound on the first such
+    step, so they cost the same in a gcd of any width.  A step whose
+    remainder is not shorter than b raises ``VerificationError``: a faulty
+    fold cannot loop for ever."""
+    nbytes = fld._kron_bytes(terms)
     bits = 8 * nbytes
     slot, neg_one, codes = (1 << bits) - 1, fld.p - 1, fld._kron_unpack
     # a slot of every coordinate p: minus - c is -c with no sub-slot negative.
     # A factor P - c has coordinates up to p, and (p-1) p <= 2 (p-1)^2, so a
     # product with it counts as two
     minus = fld._kron_pack([fld._pack([fld.p] * fld.e)], nbytes)
-    # the longest gap that takes Algorithm R's stages (see STAGED_SLOTS_MAX)
-    gap_max = STAGED_GAP_MAX if slots <= STAGED_SLOTS_MAX else 1
-
-    def stages(w, t, vb, nb):
-        # Algorithm R on w, a's top t + 1 slots (the window), by bt, b's top
-        # t + 1 slots, with s and q above the window in the same int, of 2t +
-        # 3 slots: stage i, from t down, reads c, the window's slot i, and
-        # sets window <- b1 window - c x^i bt, q <- b1 q + c x^i and s <- b1
-        # s, s from -1, which clears slot i, in one fold.  A slot of bt below
-        # the window's slot 0 cannot reach the quotient, so it is dropped.  A
-        # window slot sums three products (b1 times it, one with P - c), a q
-        # slot one and a code
-        b1 = vb >> bits * (nb - 1)
-        # bt with b1 at slot t; its cut at stage i is bt >> bits * (t - i)
-        bt = vb >> bits * (nb - t - 1)
-        w |= neg_one << bits * (t + 1)
-        for i in range(t, -1, -1):
-            c = w >> bits * i & slot
-            w = fold(b1 * w + (minus - c) * (bt >> bits * (t - i)) + (c << bits * (t + 2 + i)))
-        return w >> bits * (t + 2), w >> bits * (t + 1) & slot
+    window = None  # the stages' fold, bound on the first staged step
 
     def step(va, na, vb, nb):
+        nonlocal window
         t = na - nb
+        b1 = vb >> bits * (nb - 1)
         if t < 2:
             # one stage (t = 0) or two (t = 1) on the top two slots a1, a0
             # of a and b1, b0 of b, as they are: q is a1 or a1 b1 x + a0 b1 -
             # a1 b0, s is -b1^(t+1), and t = 1's q and s, products of two
             # slots, take one fold
-            a1, b1 = va >> bits * (na - 1), vb >> bits * (nb - 1)
+            a1 = va >> bits * (na - 1)
             if t:
                 a0, b0 = va >> bits * (na - 2) & slot, vb >> bits * (nb - 2) & slot
                 v = fold(a1 * b1 << 2 * bits | a0 * b1 + a1 * (minus - b0) << bits
@@ -672,8 +654,23 @@ def _stepper(fld: Field, nbytes: int, fold, slots: int):
             else:
                 v = a1 << bits | minus - b1
             q, s = v >> bits, v & slot
-        elif t <= gap_max and nb >= t + 3:
-            q, s = stages(va >> bits * (nb - 1), t, vb, nb)
+        elif t <= STAGED_GAP_MAX and t < nb:
+            # Algorithm R on w, a's top t + 1 slots (the window), by bt, b's
+            # top t + 1 slots, with s and q above the window in the same int,
+            # of 2t + 3 slots: stage i, from t down, reads c, the window's
+            # slot i, and sets window <- b1 window - c x^i bt, q <- b1 q + c
+            # x^i and s <- b1 s, s from -1, which clears slot i, in one fold.
+            # A slot of bt below the window's slot 0 cannot reach the
+            # quotient, so it is dropped.  A window slot sums three products
+            # (b1 times it, one with P - c), a q slot one and a code
+            window = window or fld._folder(terms, 2 * STAGED_GAP_MAX + 3)
+            # bt with b1 at slot t; its cut at stage i is bt >> bits * (t - i)
+            bt = vb >> bits * (nb - t - 1)
+            w = va >> bits * (nb - 1) | neg_one << bits * (t + 1)
+            for i in range(t, -1, -1):
+                c = w >> bits * i & slot
+                w = window(b1 * w + (minus - c) * (bt >> bits * (t - i)) + (c << bits * (t + 2 + i)))
+            q, s = w >> bits * (t + 2), w >> bits * (t + 1) & slot
         else:
             # the t + 1 quotient codes from the top t + 1 codes of a and of
             # b (in bulk for a large t, as in the walk's gcd(x^(q^d) - x,
@@ -844,7 +841,7 @@ def _barrett(f: Poly):
     n, fld = f.degree, f.field
     nbytes = fld._kron_bytes(2 * n)
     mulmod, fold = _divider(fld, f._codes, n - 1, 2 * n, n + 1)[1:]
-    return nbytes, mulmod, _stepper(fld, nbytes, fold, n + 1), fld._kron_pack(f._codes, nbytes)
+    return nbytes, mulmod, _stepper(fld, 2 * n, fold), fld._kron_pack(f._codes, nbytes)
 
 
 def resultant(f: Poly, g: Poly) -> FieldElement:

@@ -13,6 +13,8 @@ commands are:
 - ``verify --theorem T`` for every check at n = 1 and 2 over F_3, F_5 and
   F_9, with several a each, and checks 8, 9 and 10 at n = 3 over F_7 and
   F_9, the sizes the benchmark's small-field sweep runs;
+- ``verify --theorem 6`` at F_3 n = 6 and F_9 n = 3, whose factorizations
+  run gcds of gap 2 and 3 over more than 500 slots;
 - ``verify --theorem 6`` at n = 1 over F_7^2 and F_5^3 with a ``--modulus``
   that is not the default, whose reduction rows the folds take;
 - ``census`` as JSON and as CSV, and ``count --enumerate``;
@@ -36,12 +38,15 @@ from gfrecip.verify import CHECKS
 # (field spec, p, e, a, n) of each factored master polynomial
 FACTOR = [("3", 3, 1, "2", 4), ("257", 257, 1, "3", 1), ("3^2", 3, 2, "t+2", 2),
           ("5^3", 5, 3, "t+2", 1), ("7", 7, 1, "3", 3), ("13", 13, 1, "2", 2),
-          ("7^2", 7, 2, "t+2", 1), ("13^2", 13, 2, "t+2", 1), ("3^4", 3, 4, "t+2", 1)]
+          ("7^2", 7, 2, "t+2", 1), ("13^2", 13, 2, "t+2", 1), ("3^4", 3, 4, "t+2", 1),
+          ("3", 3, 1, "2", 6)]
 # (field spec, a) of each verify request, for every check at n = 1 and 2
 VERIFY = [("3", "1"), ("3", "2"), ("5", "2"), ("5", "4"), ("3^2", "t"), ("3^2", "2"),
           ("3^2", "1+t")]
 # (field spec, a) of each verify request for checks 8, 9 and 10 at n = 3
 VERIFY_N3 = [("7", "3"), ("3^2", "t")]
+# (field spec, a, n) of each verify --theorem 6 request past n = 2
+VERIFY_WIDE = [("3", "2", "6"), ("3^2", "t", "3")]
 # (field spec, modulus) of each verify --theorem 6 --n 1 --a t request with a
 # modulus other than the default: t^2 + t + 3 and t^3 + 4t + 2
 MODULUS = [("7^2", "3,1,1"), ("5^3", "2,4,0,1")]
@@ -77,6 +82,9 @@ def commands() -> list[tuple[str, list[str]]]:
         for check in ("8", "9", "10"):
             out.append((f"verify --theorem {check} F_{spec} a={a} n=3",
                         ["verify", "--field", spec, "--a", a, "--theorem", check, "--n", "3"]))
+    for spec, a, n in VERIFY_WIDE:
+        out.append((f"verify --theorem 6 F_{spec} a={a} n={n}",
+                    ["verify", "--field", spec, "--a", a, "--theorem", "6", "--n", n]))
     for spec, modulus in MODULUS:
         out.append((f"verify --theorem 6 F_{spec} modulus={modulus} a=t n=1",
                     ["verify", "--field", spec, "--modulus", modulus, "--a", "t",

@@ -691,7 +691,7 @@ def test_sparse_divisors(field):
 @pytest.mark.parametrize("field", [Field(3), Field(257), Field(3, 2), Field(10007, 2)], ids=str)
 def test_packed_gcd_steps_match_euclid(field, monkeypatch):
     # a packed step of degree gap t <= 1, or of 2 <= t <= STAGED_GAP_MAX by
-    # a divisor of t + 3 codes or more (Algorithm R's stages), reads no
+    # a divisor of more than t codes (Algorithm R's stages), reads no
     # code: it works on the top slots of both operands as they are.  Any
     # other step reads the top t + 1 codes of a, then the top min(t + 1,
     # len(b)) of b, and the answer is read once, when the remainder reaches
@@ -780,7 +780,9 @@ def test_packed_kernels_fold_only_sums(field, monkeypatch):
 @pytest.mark.parametrize("field", [Field(3), Field(257), Field(3, 2), Field(10007, 2)], ids=str)
 def test_packed_gcd_binds_one_fold(field, monkeypatch):
     # no value of a packed remainder sequence has more slots than its first
-    # operand, so one fold of that many slots serves every step
+    # operand, so one fold of that many slots serves every step but the
+    # stages, which bind one more fold, for their window of at most 2
+    # STAGED_GAP_MAX + 3 slots, on the first staged step
     shapes = []
     folder = Field._folder
 
@@ -792,9 +794,10 @@ def test_packed_gcd_binds_one_fold(field, monkeypatch):
     rng = random.Random(field.q + 5)
     for df, dg in ((120, 119), (130, 100), (200, 60), (GCD_PACKED_MIN - 1,) * 2):
         f, g = _random_poly(field, df, rng), _random_poly(field, dg, rng)
+        staged = any(n >= 2 and t >= 2 and not _solved(n, t) for n, t in _divisions(f, g))
         shapes.clear()
         d = gcd(f, g)
-        assert shapes == [df + 1]
+        assert shapes == [df + 1] + [2 * STAGED_GAP_MAX + 3] * staged
         assert d == _euclid(f, g)
 
 
@@ -816,7 +819,7 @@ def test_faulty_packed_gcd_step_raises(field, plant, request, spin_alarm):
 def _solved(size, t):
     # whether a packed gcd step of degree gap t by a divisor of size codes
     # reads the top codes and solves on code lists, not runs its stages
-    return t > STAGED_GAP_MAX or t >= 2 and size < t + 3
+    return t > STAGED_GAP_MAX or size <= t
 
 
 def _divisions(f, g):
@@ -874,7 +877,7 @@ def test_pseudo_remainder_steps_match_euclid(field):
 @pytest.mark.parametrize("field", GCD_FIELDS, ids=str)
 def test_pseudo_remainder_steps_take_no_inverse(field, monkeypatch):
     # the packed loop's steps of degree gap t <= 1 and its staged steps (2
-    # <= t <= STAGED_GAP_MAX by a divisor of t + 3 codes or more) call
+    # <= t <= STAGED_GAP_MAX by a divisor of more than t codes) call
     # neither Field._inv nor _remainder, and a gcd that enters the loop
     # stays in it down to a constant or zero remainder: _remainder runs once
     # per solved packed step, and once per division in a gcd entered below
@@ -1198,66 +1201,82 @@ def test_packed_step_every_gap(field, monkeypatch):
     # divisors of 2 to 30 codes, and long gaps over short divisors (nb <=
     # t, as in the walk's gcd(x^(q^d) - x, f)), each a nonzero multiple of
     # a mod b in fewer slots than b, with a fold for na slots and for more
-    # than STAGED_SLOTS_MAX.  Folds: 1 at t = 0, 2 at t = 1, t + 2 for a
-    # staged step and 1 for a solved one, which alone calls _remainder
+    # than 1000.  The fold passed folds once a step, twice at t = 1; a step
+    # of 2 <= t <= STAGED_GAP_MAX by a divisor of more than t slots is
+    # staged at both bounds, its t + 1 stages on the stepper's own fold for
+    # 2 STAGED_GAP_MAX + 3 slots, and only a solved step calls _remainder
     rng = random.Random(field.q + 33)
-    walks = []
-    walk = poly._remainder
+    walks, windows = [], []
+    walk, folder = poly._remainder, Field._folder
     monkeypatch.setattr(poly, "_remainder", lambda *args: walks.append(1) or walk(*args))
+
+    def counted_folder(self, terms, n):
+        fold = folder(self, terms, n)
+        return lambda v: windows.append(n) or fold(v)
+
+    monkeypatch.setattr(Field, "_folder", counted_folder)
     cases = [(nb + t, nb) for t in range(6) for nb in (2, 3, 4, 5, 8, 30) if nb + t >= 2]
     cases += [(43, 3), (105, 5), (80, 40)]
-    for (na, nb), slots in itertools.product(cases, (0, poly.STAGED_SLOTS_MAX + 1)):
+    for (na, nb), slots in itertools.product(cases, (0, 1001)):
         a, b, nbytes, va, vb = _step_case(field, na, nb, rng)
         folds = []
-        inner = field._folder(nb + 1, max(na, slots))
-        step = poly._stepper(field, nbytes, lambda v: folds.append(1) or inner(v), max(na, slots))
+        inner = folder(field, nb + 1, max(na, slots))
+        step = poly._stepper(field, nb + 1, lambda v: folds.append(1) or inner(v))
         r, t = a % b, na - nb
         walks.clear()
+        windows.clear()
         v, n = step(va, na, vb, nb)
         got = Poly._raw(field, field._kron_unpack(v, nbytes, n))
         assert n == len(r._codes) < nb
         assert (got.monic() if got else got) == (r.monic() if r else r)
-        staged = 2 <= t <= STAGED_GAP_MAX and nb >= t + 3 and not slots
-        assert len(folds) == (1 + (t == 1) if t < 2 else t + 2 if staged else 1), (na, nb)
+        staged = 2 <= t <= STAGED_GAP_MAX and t < nb
+        assert len(folds) == 1 + (t == 1), (na, nb)
+        assert windows == [2 * STAGED_GAP_MAX + 3] * (t + 1) * staged, (na, nb)
         assert len(walks) == (t >= 2 and not staged)
 
 
 @pytest.mark.parametrize("field", [Field(3), Field(257), Field(3, 2), Field(10007, 2)], ids=str)
-def test_planted_stage_faults_are_caught(field):
-    # planted faults in a staged step: a sign fault (the first stage adds -c
-    # to q, not c) leaves the top slot of q b + s a at -2 c b1^(t+1), so the
-    # step raises VerificationError.  A first stage left unfolded is exact
-    # wherever the next stage's sums stay inside their slots and no P - c
-    # goes below zero, so it is planted where the slots have no room for it
-    # (p - 1 > nb + 1): there it raises VerificationError or gives a
-    # remainder other than a mod b's multiple.  The packed loop that runs a
-    # faulty step stops either way
+def test_planted_stage_faults_are_caught(field, monkeypatch):
+    # planted faults in a staged step, through Field._folder, which hands
+    # the stepper the fold of its stages' window: a sign fault (the first
+    # stage adds -c to q, not c) leaves the top slot of q b + s a at -2 c
+    # b1^(t+1), so the step raises VerificationError.  A first stage left
+    # unfolded is exact wherever the next stage's sums stay inside their
+    # slots and no P - c goes below zero, so it is planted where the slots
+    # have no room for it (p - 1 > nb + 1): there it raises
+    # VerificationError or gives a remainder other than a mod b's multiple.
+    # The packed loop that runs a faulty step stops either way
     rng = random.Random(field.q + 34)
     neg = field.p - 1
+    folder = Field._folder
     for t in range(2, STAGED_GAP_MAX + 1):
         for nb in (t + 3, 30):
             na = nb + t
             a, b, nbytes, va, vb = _step_case(field, na, nb, rng)
-            bits, inner = 8 * nbytes, field._folder(nb + 1, na)
+            bits, inner = 8 * nbytes, folder(field, nb + 1, na)
+            window = folder(field, nb + 1, 2 * STAGED_GAP_MAX + 3)
 
             def signed(v, calls):
-                v = inner(v)
+                v = window(v)
                 if not calls:
                     # q sits above the window and s, from slot t + 2
                     calls.append(1)
                     low = v & (1 << bits * (t + 2)) - 1
-                    v = low | inner(neg * (v >> bits * (t + 2))) << bits * (t + 2)
+                    v = low | window(neg * (v >> bits * (t + 2))) << bits * (t + 2)
                 return v
 
             def unfolded(v, calls):
                 if not calls:
                     calls.append(1)
                     return v
-                return inner(v)
+                return window(v)
 
             r = a % b
             for fault in (signed, unfolded)[:1 + (neg > nb + 1)]:
-                step = poly._stepper(field, nbytes, lambda v, c=[]: fault(v, c), na)
+                # each stepper binds its window's fold, with a fresh count
+                monkeypatch.setattr(Field, "_folder",
+                                    lambda self, terms, n: lambda v, c=[]: fault(v, c))
+                step = poly._stepper(field, nb + 1, inner)
                 try:
                     v, n = step(va, na, vb, nb)
                 except VerificationError:
@@ -1266,7 +1285,7 @@ def test_planted_stage_faults_are_caught(field):
                     assert fault is unfolded, t
                     got = Poly._raw(field, field._kron_unpack(v, nbytes, n))
                     assert (got.monic() if got else got) != r.monic(), (t, nb)
-                step = poly._stepper(field, nbytes, lambda v, c=[]: fault(v, c), na)
+                step = poly._stepper(field, nb + 1, inner)
                 try:
                     poly._packed_gcd(field, nbytes, step, va, na, vb, nb)
                 except VerificationError:
@@ -1290,3 +1309,46 @@ def test_power_gcd_packs_every_barrett_draw(field, monkeypatch):
         packed.clear()
         assert poly._power_gcd(r, 1, f) == g
         assert len(packed) == want, degree
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(3, 2)], ids=str)
+def test_stages_run_at_every_fold_bound(field, monkeypatch):
+    # a step of gap 2 <= t <= STAGED_GAP_MAX by a divisor of more than t
+    # slots takes the stages whatever the slot count of the fold it is
+    # given: in gcds of about degree 1200, whose fold serves more than 1000
+    # slots, with a gap-2 and a gap-3 step planted mid-sequence; in a draw on
+    # a set-up of degree 600; and in one step by a divisor of t + 1 slots.
+    # Only solved steps call _remainder
+    rng = random.Random(field.q + 36)
+    walks = []
+    walk = poly._remainder
+    monkeypatch.setattr(poly, "_remainder", lambda *args: walks.append(1) or walk(*args))
+    x = Poly.x(field)
+    for gap in (2, 3):
+        # r0 mod r1 = s, then r1 mod s has degree gap `gap`
+        r1 = _random_poly(field, 1200, rng)
+        r0 = (x + 1) * r1 + x ** (1200 - gap) + x + 1
+        steps = [(n, t) for n, t in _divisions(r0, r1) if n >= 2]
+        assert steps[1] == (1201 - gap, gap) and not _solved(*steps[1])
+        d = _euclid(r0, r1)
+        walks.clear()
+        assert gcd(r0, r1) == d
+        assert len(walks) == sum(_solved(n, t) for n, t in steps)
+        # the same in a draw: gcd(h, f) for h = r - 1 on f's set-up
+        h = _random_poly(field, 599, rng).monic()
+        f = (x + 1) * h + x ** (599 - gap) + x + 1
+        steps = [(n, t) for n, t in _divisions(f, h) if n >= 2]
+        assert steps[1] == (600 - gap, gap) and not _solved(*steps[1])
+        d = _euclid(f, h)
+        walks.clear()
+        assert poly._power_gcd(h + 1, 1, f) == d
+        assert len(walks) == sum(_solved(n, t) for n, t in steps)
+        # one step by a divisor of t + 1 slots
+        a, b, nbytes, va, vb = _step_case(field, 2 * gap + 1, gap + 1, rng)
+        r = a % b
+        walks.clear()
+        step = poly._stepper(field, gap + 2, field._folder(gap + 2, 2 * gap + 1))
+        v, n = step(va, 2 * gap + 1, vb, gap + 1)
+        got = Poly._raw(field, field._kron_unpack(v, nbytes, n))
+        assert (got.monic() if got else got) == (r.monic() if r else r)
+        assert not walks
